@@ -2,11 +2,12 @@
 
 Every experiment is reachable two ways: direct flags (``gelkit tg --preset
 multiplicative``) or a JSON experiment config (``gelkit run cfg.json``).
-Both paths funnel into the same executor, so a config is just a saved set
-of flags.  Outputs are deterministic byte-for-byte given the same config
-and seed; a manifest (config digest, library versions, wall time) is
-written next to each output and is the only file allowed to differ between
-reruns.
+Each command is declared once, in ``COMMANDS``: the table builds the
+subparsers, and ``_resolve`` validates the flags and the JSON params alike
+and fills in the defaults, so a config is just a saved set of flags.
+Outputs are deterministic byte-for-byte given the same config and seed; a
+manifest (config digest, library versions, wall time) is written next to
+each output and is the only file allowed to differ between reruns.
 
 Exit codes: 0 success, 2 malformed input (schema), 3 numerical failure,
 4 resource budget exceeded.
@@ -21,8 +22,9 @@ import os
 import platform
 import sys as _sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import scipy
@@ -36,19 +38,6 @@ from .restricted import TruncatedFlory
 from .spectral import gelation
 from .survival import gel_curve, gel_data
 from .system import load_system, system_measure_from_json, system_measure_to_json
-
-_STOCHASTIC = {"simulate", "graph", "graph-duality", "convergence", "coupling"}
-_DEFAULT_OUT = {
-    "tg": "tg.json",
-    "gel-curve": "gel_curve.csv",
-    "moments": "moments.csv",
-    "simulate": "simulate.csv",
-    "graph": "graph.csv",
-    "graph-duality": "duality.json",
-    "restricted": "restricted.csv",
-    "convergence": "convergence.csv",
-    "coupling": "coupling.json",
-}
 
 
 def _fmt(x) -> str:
@@ -97,15 +86,6 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _out_path(explicit, kind: str) -> Path:
-    if explicit:
-        path = Path(explicit)
-    else:
-        path = Path(os.environ.get("GELKIT_OUT", ".")) / _DEFAULT_OUT[kind]
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def _write_manifest(out: Path, kind: str, resolved: dict, wall: float) -> None:
     canon = json.dumps(resolved, sort_keys=True, separators=(",", ":"))
     manifest = {
@@ -128,63 +108,80 @@ def _package_version() -> str:
     return __version__
 
 
-# -- parameter extraction with JSON-pointer diagnostics ---------------------
+# -- the parameter schema ------------------------------------------------------
 
 
 _REQUIRED = object()
 
 
-def _param(params: dict, key: str, kind, default=_REQUIRED):
-    if key not in params:
-        if default is _REQUIRED:
-            raise SchemaError(f"/params/{key}", "missing required parameter")
-        return default
-    val = params[key]
-    if kind is float:
-        if not isinstance(val, (int, float)) or isinstance(val, bool):
-            raise SchemaError(f"/params/{key}", "expected a number")
-        return float(val)
-    if kind is int:
-        if not isinstance(val, int) or isinstance(val, bool):
-            raise SchemaError(f"/params/{key}", "expected an integer")
-        return val
-    if kind is str:
+@dataclass(frozen=True)
+class Param:
+    """A parameter: JSON key (flag ``--key``, ``_`` as ``-``), kind (``float``,
+    ``int``, ``str``, ``times`` or ``ints``), default, and an inclusive lower
+    bound that list kinds apply per entry.  A ``None`` default leaves the
+    parameter optional, with the executor handling its absence."""
+
+    key: str
+    kind: str
+    help: str
+    default: object = _REQUIRED
+    low: float | None = None
+
+
+@dataclass(frozen=True)
+class Command:
+    run: Callable
+    out: str
+    help: str
+    params: tuple[Param, ...] = ()
+    stochastic: bool = False  # needs a nonnegative integer seed
+
+
+def _scalar(p: Param, val, ptr: str):
+    integral = p.kind in ("int", "ints")
+    if type(val) not in ((int,) if integral else (int, float)):
+        what = "an integer" if integral else "a number"
+        raise SchemaError(ptr, f"expected {what}")
+    if not integral:
+        if not -_sys.float_info.max <= val <= _sys.float_info.max:  # nan, inf, 1e999
+            raise SchemaError(ptr, "expected a finite number")
+        val = float(val)
+    if p.low is not None and val < p.low:
+        raise SchemaError(ptr, f"must be >= {p.low}")
+    return val
+
+
+def _check(p: Param, val):
+    ptr = f"/params/{p.key}"
+    if p.kind == "str":
         if not isinstance(val, str):
-            raise SchemaError(f"/params/{key}", "expected a string")
+            raise SchemaError(ptr, "expected a string")
         return val
-    raise AssertionError(kind)
+    if p.kind in ("times", "ints"):
+        if not isinstance(val, list) or not val:
+            raise SchemaError(ptr, "expected a nonempty array")
+        out = [_scalar(p, v, f"{ptr}/{i}") for i, v in enumerate(val)]
+        if out != sorted(out) and p.kind == "times":
+            raise SchemaError(ptr, "times must be ascending")
+        return out
+    return _scalar(p, val, ptr)
 
 
-def _param_times(params: dict, key: str = "times") -> list[float]:
-    if key not in params:
-        raise SchemaError(f"/params/{key}", "missing required parameter")
-    val = params[key]
-    if not isinstance(val, list) or not val:
-        raise SchemaError(f"/params/{key}", "expected a nonempty array of times")
-    out = []
-    for i, v in enumerate(val):
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise SchemaError(f"/params/{key}/{i}", "expected a number")
-        if v < 0:
-            raise SchemaError(f"/params/{key}/{i}", "times must be nonnegative")
-        out.append(float(v))
-    if sorted(out) != out:
-        raise SchemaError(f"/params/{key}", "times must be ascending")
-    return out
-
-
-def _param_numlist(params: dict, key: str) -> list[float]:
-    if key not in params:
-        raise SchemaError(f"/params/{key}", "missing required parameter")
-    val = params[key]
-    if not isinstance(val, list) or not val:
-        raise SchemaError(f"/params/{key}", "expected a nonempty array")
-    out = []
-    for i, v in enumerate(val):
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise SchemaError(f"/params/{key}/{i}", "expected a number")
-        out.append(float(v))
-    return out
+def _resolve(kind: str, params: dict) -> dict:
+    """Validate ``params`` against the command's table entry; return every
+    parameter, defaults filled in.  Flags and JSON configs both pass here."""
+    spec = COMMANDS[kind].params
+    known = [p.key for p in spec]
+    for key in params:
+        if key not in known:
+            raise SchemaError(f"/params/{key}", f"unknown key; {kind} takes {known}")
+    for p in spec:
+        if p.key not in params and p.default is _REQUIRED:
+            raise SchemaError(f"/params/{p.key}", "missing required parameter")
+    return {
+        p.key: _check(p, params[p.key]) if p.key in params else p.default
+        for p in spec
+    }
 
 
 # -- executors ---------------------------------------------------------------
@@ -204,12 +201,11 @@ def _exec_tg(model, measure, rate_scale, seed, params, out: Path) -> None:
 
 
 def _exec_gel_curve(model, measure, rate_scale, seed, params, out: Path) -> None:
-    if "times" in params:
-        times = _param_times(params)
-    else:
-        t_max = _param(params, "t_max", float)
-        points = _param(params, "points", int, 100)
-        times = np.linspace(0.0, t_max, points).tolist()
+    times = params["times"]
+    if times is None:
+        if params["t_max"] is None:
+            raise SchemaError("/params/times", "need times or t_max")
+        times = np.linspace(0.0, params["t_max"], params["points"]).tolist()
     rows = gel_curve(model, measure, times, rate_scale)
     n = model.n
     header = (
@@ -222,7 +218,6 @@ def _exec_gel_curve(model, measure, rate_scale, seed, params, out: Path) -> None
 
 
 def _exec_moments(model, measure, rate_scale, seed, params, out: Path) -> None:
-    times = _param_times(params)
     n = model.n
     header = (
         ["t"]
@@ -231,7 +226,7 @@ def _exec_moments(model, measure, rate_scale, seed, params, out: Path) -> None:
         + ["E", "phase"]
     )
     rows = []
-    for t in times:
+    for t in params["times"]:
         state, phase = moments_at(model, measure, t, rate_scale)
         rows.append(
             [t]
@@ -242,7 +237,7 @@ def _exec_moments(model, measure, rate_scale, seed, params, out: Path) -> None:
     _write_csv(out, header, rows)
 
 
-def _snapshot_row(snap, n: int, m: int) -> list:
+def _snapshot_row(snap) -> list:
     return (
         [snap.t]
         + snap.gel_largest.g.tolist()
@@ -252,23 +247,27 @@ def _snapshot_row(snap, n: int, m: int) -> list:
 
 
 def _exec_simulate(model, measure, rate_scale, seed, params, out: Path) -> None:
-    times = _param_times(params)
-    replicas = _param(params, "replicas", int, 1)
-    xi = _param(params, "xi", int, 0) or None
-    load_path = _param(params, "load_state", str, "")
-    dump_path = _param(params, "dump_state", str, "")
+    times, replicas = params["times"], params["replicas"]
+    xi = params["xi"] or None
+    load_path, dump_path = params["load_state"], params["dump_state"]
     if load_path and replicas != 1:
         raise SchemaError("/params/replicas", "load_state implies one replica")
+    if not load_path and params["n"] is None:
+        raise SchemaError("/params/n", "need n (or load_state)")
 
     def one(rep: int):
         if load_path:
             ps = load_state(model, load_path, child_seed(seed, rep))
         else:
-            n_scale = _param(params, "n", int)
             ps = init_poisson(
-                model, measure, n_scale, child_seed(seed, rep), rate_scale
+                model, measure, params["n"], child_seed(seed, rep), rate_scale
             )
-        snaps = ps.run(times, xi)
+        try:
+            snaps = ps.run(times, xi)
+        except ValueError as exc:  # a checkpoint before the dump's time
+            raise SchemaError(
+                "/params/times", f"{exc} (t = {_fmt(ps.t)} in {load_path})"
+            ) from None
         if dump_path and rep == 0:
             ps.dump_state(dump_path)
         return snaps
@@ -283,30 +282,21 @@ def _exec_simulate(model, measure, rate_scale, seed, params, out: Path) -> None:
         + [f"P_thr_{j + 1}" for j in range(m)]
         + ["n_particles"]
     )
-    if replicas == 1:
-        rows = [_snapshot_row(s, n, m) for s in one(0)]
-    else:
-        with ThreadPoolExecutor(
-            max_workers=min(replicas, os.cpu_count() or 1)
-        ) as pool:
-            all_snaps = list(pool.map(one, range(replicas)))
-        rows = []
-        for k in range(len(times)):
-            block = np.array(
-                [_snapshot_row(snaps[k], n, m) for snaps in all_snaps]
-            )
-            rows.append(block.mean(axis=0).tolist())
+    # the replica mean; with one replica it is the row itself, digit for digit
+    all_snaps = [one(rep) for rep in range(replicas)]
+    rows = [
+        np.mean([_snapshot_row(snaps[k]) for snaps in all_snaps], axis=0).tolist()
+        for k in range(len(times))
+    ]
     _write_csv(out, header, rows)
 
 
 def _exec_graph(model, measure, rate_scale, seed, params, out: Path) -> None:
-    times = _param_times(params)
-    n_vertices = _param(params, "n", int)
-    xi = _param(params, "xi", int, 0) or None
+    times = params["times"]
     graph = graph_from_measure(
-        model, measure, n_vertices, max(times), child_seed(seed, 0), rate_scale
+        model, measure, params["n"], max(times), child_seed(seed, 0), rate_scale
     )
-    tracks = trajectory(graph, times, xi)
+    tracks = trajectory(graph, times, params["xi"] or None)
     n, m = model.n, model.m
     header = (
         ["t", "C1_over_N", "pi0_C1"]
@@ -325,9 +315,9 @@ def _exec_duality(model, measure, rate_scale, seed, params, out: Path) -> None:
     rep = duality_experiment(
         model,
         measure,
-        _param(params, "n", int),
-        _param(params, "t_minus", float),
-        _param(params, "t_plus", float),
+        params["n"],
+        params["t_minus"],
+        params["t_plus"],
         seed,
         rate_scale,
     )
@@ -347,9 +337,13 @@ def _exec_duality(model, measure, rate_scale, seed, params, out: Path) -> None:
 
 
 def _exec_restricted(model, measure, rate_scale, seed, params, out: Path) -> None:
-    times = _param_times(params)
-    xi = _param(params, "xi", float)
-    flory = TruncatedFlory(model, measure, xi, rate_scale)
+    times = params["times"]
+    try:
+        flory = TruncatedFlory(model, measure, params["xi"], rate_scale)
+    except ValueError as exc:
+        # either xi is below an initial species or the measure is not initial
+        initial = all(a.pi0 == 1 for a in measure.atoms)
+        raise SchemaError("/params/xi" if initial else "/system", str(exc)) from None
     states = flory.integrate(max(times), outputs=times)
     n, m = model.n, model.m
     header = (
@@ -361,7 +355,7 @@ def _exec_restricted(model, measure, rate_scale, seed, params, out: Path) -> Non
         [st.t, st.phi_sol] + st.gel.g.tolist() for st in states
     ]
     _write_csv(out, header, rows)
-    dens_name = _param(params, "densities", str, "")
+    dens_name = params["densities"]
     dens_path = (
         Path(dens_name) if dens_name else out.parent / (out.stem + "_densities.csv")
     )
@@ -375,16 +369,13 @@ def _exec_restricted(model, measure, rate_scale, seed, params, out: Path) -> Non
 
 
 def _exec_convergence(model, measure, rate_scale, seed, params, out: Path) -> None:
-    times = _param_times(params)
-    n_list = [int(v) for v in _param_numlist(params, "n_list")]
-    replicas = _param(params, "replicas", int)
+    times, n_list = params["times"], params["n_list"]
     n = model.n
     limits = {
         t: gel_data(model, measure, t, rate_scale).g[: 1 + n] for t in times
     }
 
-    def one(job: tuple[int, int]) -> float:
-        size_idx, rep = job
+    def one(size_idx: int, rep: int) -> float:
         ps = init_poisson(
             model,
             measure,
@@ -399,9 +390,8 @@ def _exec_convergence(model, measure, rate_scale, seed, params, out: Path) -> No
             err = max(err, float(diff.max()))
         return err
 
-    jobs = [(si, r) for si in range(len(n_list)) for r in range(replicas)]
-    with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
-        errors = list(pool.map(one, jobs))
+    jobs = [(si, r) for si in range(len(n_list)) for r in range(params["replicas"])]
+    errors = [one(si, r) for si, r in jobs]
     rows = [
         [n_list[si], r, e] for (si, r), e in zip(jobs, errors)
     ]
@@ -417,12 +407,12 @@ def _exec_coupling(model, measure, rate_scale, seed, params, out: Path) -> None:
     rep = coupling_test(
         model,
         measure,
-        _param(params, "n", int),
-        _param(params, "t", float),
-        _param(params, "replicas", int),
+        params["n"],
+        params["t"],
+        params["replicas"],
         seed,
         rate_scale,
-        graph_rate_factor=_param(params, "bug_factor", float, 1.0),
+        graph_rate_factor=params["bug_factor"],
     )
     doc = {
         "n": rep.n,
@@ -436,21 +426,84 @@ def _exec_coupling(model, measure, rate_scale, seed, params, out: Path) -> None:
     print("coupling " + ("PASS" if rep.passed else "FAIL"))
 
 
-_EXECUTORS = {
-    "tg": _exec_tg,
-    "gel-curve": _exec_gel_curve,
-    "moments": _exec_moments,
-    "simulate": _exec_simulate,
-    "graph": _exec_graph,
-    "graph-duality": _exec_duality,
-    "restricted": _exec_restricted,
-    "convergence": _exec_convergence,
-    "coupling": _exec_coupling,
+# -- the command table -------------------------------------------------------
+
+_TIMES = Param("times", "times", "comma-separated checkpoint times", low=0)
+_N = Param("n", "int", "system size N", low=1)
+_XI = Param("xi", "int", "size threshold; 0 means ceil(sqrt(N))", 0, 0)
+_REPLICAS = Param("replicas", "int", "number of independent replicas", low=1)
+
+COMMANDS: dict[str, Command] = {
+    "tg": Command(_exec_tg, "tg.json", "gelation time and critical direction"),
+    "gel-curve": Command(
+        _exec_gel_curve, "gel_curve.csv", "gel mass and extracted coordinates",
+        (
+            Param("times", "times", "comma-separated checkpoint times", None, 0),
+            Param("t_max", "float", "end of a uniform grid from 0", None, 0),
+            Param("points", "int", "points of the uniform grid", 100, 1),
+        ),
+    ),
+    "moments": Command(
+        _exec_moments, "moments.csv", "second and mixed moments", (_TIMES,)
+    ),
+    "simulate": Command(
+        _exec_simulate, "simulate.csv", "finite-N particle simulation",
+        (
+            _TIMES,
+            Param("n", "int", "population scale N", None, 1),
+            Param("replicas", "int", "replicas averaged row by row", 1, 1),
+            _XI,
+            Param("dump_state", "str", "write the final particle table here", ""),
+            Param("load_state", "str", "resume from a particle table dump", ""),
+        ),
+        stochastic=True,
+    ),
+    "graph": Command(
+        _exec_graph, "graph.csv", "random-graph component trajectory",
+        (_TIMES, _N, _XI), stochastic=True,
+    ),
+    "graph-duality": Command(
+        _exec_duality, "duality.json", "giant-removal versus tilted fresh graph",
+        (
+            _N,
+            Param("t_minus", "float", "earlier time of the window", low=0),
+            Param("t_plus", "float", "later time of the window", low=0),
+        ),
+        stochastic=True,
+    ),
+    "restricted": Command(
+        _exec_restricted, "restricted.csv", "size-truncated kinetic equations",
+        (
+            _TIMES,
+            Param("xi", "float", "size truncation", low=0),
+            Param("densities", "str", "per-type density CSV path", ""),
+        ),
+    ),
+    "convergence": Command(
+        _exec_convergence, "convergence.csv", "finite-N gel error against the limit",
+        (_TIMES, Param("n_list", "ints", "comma-separated sizes", low=1), _REPLICAS),
+        stochastic=True,
+    ),
+    "coupling": Command(
+        _exec_coupling, "coupling.json", "graph components versus merge clusters",
+        (
+            _N,
+            Param("t", "float", "comparison time", low=0),
+            _REPLICAS,
+            Param("bug_factor", "float", "mis-scale the graph rates (a control)", 1.0),
+        ),
+        stochastic=True,
+    ),
 }
 
 
 def _execute(kind, model, measure, rate_scale, seed, params, out_arg) -> Path:
-    out = _out_path(out_arg, kind)
+    cmd = COMMANDS[kind]
+    params = _resolve(kind, params)
+    if cmd.stochastic and (type(seed) is not int or seed < 0):
+        raise SchemaError("/seed", "stochastic experiments need a seed >= 0")
+    out = Path(out_arg or Path(os.environ.get("GELKIT_OUT", ".")) / cmd.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
     resolved = {
         "kind": kind,
         "system": system_measure_to_json(model, measure),
@@ -459,7 +512,7 @@ def _execute(kind, model, measure, rate_scale, seed, params, out_arg) -> Path:
         "params": params,
     }
     start = time.perf_counter()
-    _EXECUTORS[kind](model, measure, rate_scale, seed, params, out)
+    cmd.run(model, measure, rate_scale, seed, params, out)
     _write_manifest(out, kind, resolved, time.perf_counter() - start)
     print(f"wrote {out}")
     return out
@@ -481,14 +534,6 @@ def _load_model(system_arg, preset_arg):
     raise SchemaError("/system", "a system is required (--system or --preset)")
 
 
-def _times_from_flag(raw: str) -> list[float]:
-    try:
-        times = [float(v) for v in raw.split(",") if v.strip()]
-    except ValueError as exc:
-        raise SchemaError("/params/times", f"bad time list: {exc}") from None
-    return times
-
-
 def _run_config(path: str) -> Path:
     try:
         raw = json.loads(Path(path).read_text())
@@ -499,9 +544,9 @@ def _run_config(path: str) -> Path:
     if not isinstance(raw, dict):
         raise SchemaError("", "config must be a JSON object")
     kind = raw.get("kind")
-    if kind not in _EXECUTORS:
+    if kind not in COMMANDS:
         raise SchemaError(
-            "/kind", f"unknown kind {kind!r}; one of {sorted(_EXECUTORS)}"
+            "/kind", f"unknown kind {kind!r}; one of {sorted(COMMANDS)}"
         )
     if "system" not in raw:
         raise SchemaError("/system", "missing required key")
@@ -520,19 +565,15 @@ def _run_config(path: str) -> Path:
         raise SchemaError("/rate_scale", "expected a number")
     if rate_scale <= 0:
         raise SchemaError("/rate_scale", "must be positive")
-    seed = raw.get("seed")
-    if kind in _STOCHASTIC:
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise SchemaError(
-                "/seed", "an integer seed is required for stochastic experiments"
-            )
     params = raw.get("params", {})
     if not isinstance(params, dict):
         raise SchemaError("/params", "expected an object")
     out = raw.get("output")
     if out is not None and not isinstance(out, str):
         raise SchemaError("/output", "expected a file path")
-    return _execute(kind, model, measure, float(rate_scale), seed, params, out)
+    return _execute(
+        kind, model, measure, float(rate_scale), raw.get("seed"), params, out
+    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -554,57 +595,22 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--out", help="output file (default: per-command name)")
 
-    def cmd(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
-
-    cmd("tg", help="gelation time and critical direction")
-
-    p = cmd("gel-curve", help="gel mass and extracted coordinates over time")
-    p.add_argument("--times", help="comma-separated checkpoint times")
-    p.add_argument("--t-max", type=float, help="end of a uniform grid")
-    p.add_argument("--points", type=int, default=100)
-
-    p = cmd("moments", help="second-moment matrix and mixed moments over time")
-    p.add_argument("--times", required=True)
-
-    p = cmd("simulate", help="finite-N particle simulation")
-    p.add_argument("--times", required=True)
-    p.add_argument("--n", type=int, help="population scale N")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--replicas", type=int, default=1)
-    p.add_argument("--xi", type=int, help="large-particle threshold")
-    p.add_argument("--dump-state", help="write final particle table here")
-    p.add_argument("--load-state", help="resume from a particle table dump")
-
-    p = cmd("graph", help="random-graph component trajectory")
-    p.add_argument("--times", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--xi", type=int)
-
-    p = cmd("graph-duality", help="giant-removal versus tilted fresh graph")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t-minus", type=float, required=True)
-    p.add_argument("--t-plus", type=float, required=True)
-    p.add_argument("--seed", type=int, required=True)
-
-    p = cmd("restricted", help="size-truncated kinetic equations")
-    p.add_argument("--times", required=True)
-    p.add_argument("--xi", type=float, required=True)
-    p.add_argument("--densities", help="per-type density CSV path")
-
-    p = cmd("convergence", help="finite-N gel error against the limit curve")
-    p.add_argument("--times", required=True)
-    p.add_argument("--n-list", required=True, help="comma-separated sizes")
-    p.add_argument("--replicas", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-
-    p = cmd("coupling", help="graph components versus merge clusters, two-sample")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--replicas", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--bug-factor", type=float, default=1.0)
+    flag_type = {"float": float, "int": int, "str": str, "times": str, "ints": str}
+    for name, cmd in COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=cmd.help)
+        for param in cmd.params:
+            # no argparse default: absent flags take the table default in
+            # _resolve, exactly as absent JSON keys do
+            p.add_argument(
+                "--" + param.key.replace("_", "-"),
+                type=flag_type[param.kind],
+                required=param.default is _REQUIRED,
+                help=param.help,
+            )
+        if cmd.stochastic:
+            p.add_argument(
+                "--seed", type=int, required=True, help="random seed (>= 0)"
+            )
 
     p = sub.add_parser("run", help="execute a JSON experiment config")
     p.add_argument("config")
@@ -612,52 +618,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _params_from_args(kind: str, args) -> dict:
+    """The flags given on the command line, as a JSON-style params dict."""
     params: dict = {}
-    if kind == "gel-curve":
-        if args.times:
-            params["times"] = _times_from_flag(args.times)
-        elif args.t_max is not None:
-            params["t_max"] = args.t_max
-            params["points"] = args.points
-        else:
-            raise SchemaError("/params/times", "need --times or --t-max")
-        return params
-    if kind in {"moments", "simulate", "graph", "restricted", "convergence"}:
-        params["times"] = _times_from_flag(args.times)
-    if kind == "simulate":
-        if args.n is not None:
-            params["n"] = args.n
-        params["replicas"] = args.replicas
-        if args.xi:
-            params["xi"] = args.xi
-        if args.dump_state:
-            params["dump_state"] = args.dump_state
-        if args.load_state:
-            params["load_state"] = args.load_state
-        if args.n is None and not args.load_state:
-            raise SchemaError("/params/n", "need --n (or --load-state)")
-    elif kind == "graph":
-        params["n"] = args.n
-        if args.xi:
-            params["xi"] = args.xi
-    elif kind == "graph-duality":
-        params["n"] = args.n
-        params["t_minus"] = args.t_minus
-        params["t_plus"] = args.t_plus
-    elif kind == "restricted":
-        params["xi"] = args.xi
-        if args.densities:
-            params["densities"] = args.densities
-    elif kind == "convergence":
-        params["n_list"] = [
-            float(v) for v in args.n_list.split(",") if v.strip()
-        ]
-        params["replicas"] = args.replicas
-    elif kind == "coupling":
-        params["n"] = args.n
-        params["t"] = args.t
-        params["replicas"] = args.replicas
-        params["bug_factor"] = args.bug_factor
+    for p in COMMANDS[kind].params:
+        val = getattr(args, p.key)
+        if val is None:
+            continue
+        if p.kind in ("times", "ints"):
+            conv = float if p.kind == "times" else int
+            try:
+                val = [conv(v) for v in val.split(",") if v.strip()]
+            except ValueError as exc:
+                raise SchemaError(f"/params/{p.key}", f"bad list: {exc}") from None
+        params[p.key] = val
     return params
 
 

@@ -453,12 +453,18 @@ def load_state(
     sys: BilinearSystem, path, seed: int | np.random.SeedSequence
 ) -> ParticleSystem:
     """Rebuild a ParticleSystem from a dump; randomness restarts from seed."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise SchemaError(str(path), f"cannot read dump: {exc.strerror}") from None
     if blob[:5] != _MAGIC:
         raise SchemaError(str(path), "not a particle dump (bad magic)")
+    off = 5 + struct.calcsize("<BII Q d d Q")
+    if len(blob) < off:
+        raise SchemaError(str(path), f"truncated dump: {len(blob)}-byte header")
     version, n, m, n_scale, t, rate_scale, count = struct.unpack(
-        "<BII Q d d Q", blob[5 : 5 + struct.calcsize("<BII Q d d Q")]
+        "<BII Q d d Q", blob[5:off]
     )
     if version != 1:
         raise SchemaError(str(path), f"unsupported dump version {version}")
@@ -466,8 +472,9 @@ def load_state(
         raise SchemaError(
             str(path), f"dump is for n={n}, m={m}; system has {sys.n}, {sys.m}"
         )
-    off = 5 + struct.calcsize("<BII Q d d Q")
     width = 1 + n + m
+    if len(blob) < off + 8 * count * width:
+        raise SchemaError(str(path), f"truncated dump: fewer than {count} rows")
     coords = np.frombuffer(
         blob, dtype="<f8", count=count * width, offset=off
     ).reshape(count, width)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import gelkit
-from gelkit.cli import main
+from gelkit.cli import COMMANDS, main
 from gelkit.configs import path_for
 
 
@@ -22,6 +22,48 @@ def out_dir(tmp_path, monkeypatch):
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+# out-of-range values that used to crash or mislead, with the pointer each
+# must now name (every case runs on the multiplicative preset)
+_OUT_OF_RANGE = {
+    "graph-n0": (("graph", "--times", "0.5", "--n", "0", "--seed", "1"), "/params/n"),
+    "graph-n-neg": (
+        ("graph", "--times", "0.5", "--n", "-5", "--seed", "1"), "/params/n"
+    ),
+    "simulate-n0": (
+        ("simulate", "--times", "0.5", "--n", "0", "--seed", "1"), "/params/n"
+    ),
+    "simulate-replicas0": (
+        ("simulate", "--times", "0.5", "--n", "100", "--replicas", "0",
+         "--seed", "1"),
+        "/params/replicas",
+    ),
+    "convergence-nlist0": (
+        ("convergence", "--times", "0.5", "--n-list", "0,100", "--replicas", "2",
+         "--seed", "1"),
+        "/params/n_list",
+    ),
+    "convergence-replicas0": (
+        ("convergence", "--times", "0.5", "--n-list", "100", "--replicas", "0",
+         "--seed", "1"),
+        "/params/replicas",
+    ),
+    "coupling-replicas0": (
+        ("coupling", "--n", "100", "--t", "1.5", "--replicas", "0", "--seed", "1"),
+        "/params/replicas",
+    ),
+    "gel-curve-tmax-neg": (("gel-curve", "--t-max", "-1"), "/params/t_max"),
+    "restricted-xi0": (("restricted", "--times", "0.5", "--xi", "0"), "/params/xi"),
+    "duality-n0": (
+        ("graph-duality", "--n", "0", "--t-minus", "1.5", "--t-plus", "2",
+         "--seed", "1"),
+        "/params/n",
+    ),
+    "simulate-seed-neg": (
+        ("simulate", "--times", "0.5", "--n", "100", "--seed", "-1"), "/seed"
+    ),
+}
 
 
 class TestExitCodes:
@@ -68,6 +110,25 @@ class TestExitCodes:
         }))
         assert run_cli("run", str(cfg)) == 2
         assert "/seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv,pointer", list(_OUT_OF_RANGE.values()), ids=list(_OUT_OF_RANGE)
+    )
+    def test_out_of_range(self, argv, pointer, capsys):
+        code = run_cli(argv[0], "--preset", "multiplicative", *argv[1:])
+        assert code == 2
+        assert pointer in capsys.readouterr().err
+
+    def test_restricted_needs_initial_measure(self, tmp_path, capsys):
+        spec = json.loads(path_for("multiplicative").read_text())
+        spec["atoms"][0]["pi0"] = 2
+        system = tmp_path / "pi0.json"
+        system.write_text(json.dumps(spec))
+        code = run_cli(
+            "restricted", "--system", str(system), "--times", "0.5", "--xi", "4"
+        )
+        assert code == 2
+        assert "/system" in capsys.readouterr().err
 
 
 class TestFormatting:
@@ -229,8 +290,110 @@ class TestRunConfig:
     def test_missing_config(self):
         assert run_cli("run", "/no/where.json") == 2
 
+    @pytest.mark.parametrize(
+        "kind,params,pointer",
+        [
+            ("simulate", {"times": [0.5], "n": 100, "replica": 4}, "/params/replica"),
+            (
+                "convergence",
+                {"times": [0.5], "n_list": [100.5], "replicas": 1},
+                "/params/n_list/0",
+            ),
+        ],
+        ids=["unknown-key", "non-integral-n-list"],
+    )
+    def test_bad_params(self, tmp_path, capsys, kind, params, pointer):
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({
+            "kind": kind, "system": str(path_for("multiplicative")),
+            "seed": 1, "params": params,
+        }))
+        assert run_cli("run", str(cfg)) == 2
+        assert pointer in capsys.readouterr().err
+
+
+# one small experiment per command, as JSON params; the flag form of each is
+# derived by the CLI's own convention (--key with "_" as "-", lists joined by ",")
+_PARITY = {
+    "tg": {},
+    "gel-curve": {"t_max": 2.0, "points": 5},
+    "moments": {"times": [0.05, 0.1]},
+    "simulate": {"times": [0.5], "n": 200},
+    "graph": {"times": [0.5, 1.0], "n": 300},
+    "graph-duality": {"n": 300, "t_minus": 1.5, "t_plus": 2.0},
+    "restricted": {"times": [0.5], "xi": 3.0},
+    "convergence": {"times": [0.5], "n_list": [100, 200], "replicas": 2},
+    "coupling": {"n": 100, "t": 1.5, "replicas": 5},
+}
+
+
+class TestFlagConfigParity:
+    def test_covers_every_command(self):
+        assert set(_PARITY) == set(COMMANDS)
+
+    @pytest.mark.parametrize("kind", list(_PARITY))
+    def test_same_data_and_digest(self, kind, out_dir, tmp_path):
+        params = _PARITY[kind]
+        system = str(path_for("multiplicative"))
+        ext = Path(COMMANDS[kind].out).suffix
+        flags = []
+        for key, val in params.items():
+            text = ",".join(map(str, val)) if isinstance(val, list) else str(val)
+            flags += ["--" + key.replace("_", "-"), text]
+        seed = ["--seed", "3"] if COMMANDS[kind].stochastic else []
+        assert run_cli(
+            kind, "--system", system, *flags, *seed,
+            "--out", str(out_dir / f"a{ext}"),
+        ) == 0
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({
+            "kind": kind, "system": system, "params": params,
+            **({"seed": 3} if seed else {}), "output": str(out_dir / f"b{ext}"),
+        }))
+        assert run_cli("run", str(cfg)) == 0
+        pairs = [(f"a{ext}", f"b{ext}")]
+        if kind == "restricted":
+            pairs.append(("a_densities.csv", "b_densities.csv"))
+        for a, b in pairs:
+            assert (out_dir / a).read_bytes() == (out_dir / b).read_bytes()
+        sha = [
+            json.loads((out_dir / f"{s}.manifest.json").read_text())["config_sha256"]
+            for s in "ab"
+        ]
+        assert sha[0] == sha[1]
+
 
 class TestStateFiles:
+    def _resume(self, dump, times="0.8"):
+        return run_cli(
+            "simulate", "--preset", "multiplicative", "--times", times,
+            "--seed", "9", "--load-state", str(dump),
+        )
+
+    def _dump(self, out_dir):
+        path = out_dir / "state.bin"
+        assert run_cli(
+            "simulate", "--preset", "multiplicative", "--times", "0.5",
+            "--n", "300", "--seed", "8", "--dump-state", str(path),
+        ) == 0
+        return path
+
+    @pytest.mark.parametrize("size", [20, 100])
+    def test_truncated_dump(self, out_dir, capsys, size):
+        cut = out_dir / "cut.bin"
+        cut.write_bytes(self._dump(out_dir).read_bytes()[:size])
+        assert self._resume(cut) == 2
+        err = capsys.readouterr().err
+        assert str(cut) in err and "truncated" in err
+
+    def test_missing_dump(self, out_dir, capsys):
+        assert self._resume(out_dir / "absent.bin") == 2
+        assert str(out_dir / "absent.bin") in capsys.readouterr().err
+
+    def test_checkpoint_before_dump(self, out_dir, capsys):
+        assert self._resume(self._dump(out_dir), "0.2,0.8") == 2
+        assert "/params/times" in capsys.readouterr().err
+
     def test_dump_then_resume(self, out_dir):
         run_cli(
             "simulate", "--preset", "multiplicative", "--times", "0.5",
