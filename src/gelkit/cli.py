@@ -39,6 +39,9 @@ from .spectral import gelation
 from .survival import gel_curve, gel_data
 from .system import load_system, system_measure_from_json, system_measure_to_json
 
+# grid size above which gel-curve refuses to allocate its time grid
+_MAX_CURVE_POINTS = 10**6
+
 
 def _fmt(x) -> str:
     # adding +0.0 turns IEEE negative zero into plain zero
@@ -205,6 +208,10 @@ def _exec_gel_curve(model, measure, rate_scale, seed, params, out: Path) -> None
     if times is None:
         if params["t_max"] is None:
             raise SchemaError("/params/times", "need times or t_max")
+        if params["points"] > _MAX_CURVE_POINTS:
+            raise BudgetExceeded(
+                f"{params['points']} points exceeds the budget {_MAX_CURVE_POINTS}"
+            )
         times = np.linspace(0.0, params["t_max"], params["points"]).tolist()
     rows = gel_curve(model, measure, times, rate_scale)
     n = model.n

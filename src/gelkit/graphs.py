@@ -338,14 +338,6 @@ class DualityReport:
     histogram_distance: float  # total variation between size histograms
 
 
-def _component_sizes(uf: UnionFind, keep: np.ndarray) -> np.ndarray:
-    labels = np.empty(keep.size, dtype=np.int64)
-    for i, v in enumerate(keep):
-        labels[i] = uf.find(int(v))
-    _, sizes = np.unique(labels, return_counts=True)
-    return sizes
-
-
 def duality_experiment(
     sys: BilinearSystem,
     measure: AtomicMeasure,
@@ -387,10 +379,7 @@ def duality_experiment(
         uf_minus.union(int(graph.edge_u[e]), int(graph.edge_v[e]))
     roots = uf_minus.roots()
     giant_root = int(roots[np.argmax(uf_minus.size[roots])])
-    survivors = np.array(
-        [v for v in range(n) if uf_minus.find(v) != giant_root],
-        dtype=np.int64,
-    )
+    survivors = np.flatnonzero(uf_minus.root_of_each() != giant_root)
     survivor_set = np.zeros(n, dtype=bool)
     survivor_set[survivors] = True
     uf_dual = UnionFind(graph.vertices)
@@ -398,7 +387,9 @@ def duality_experiment(
         u, v = int(graph.edge_u[e]), int(graph.edge_v[e])
         if survivor_set[u] and survivor_set[v]:
             uf_dual.union(u, v)
-    dual_sizes = _component_sizes(uf_dual, survivors)
+    _, dual_sizes = np.unique(
+        uf_dual.root_of_each()[survivors], return_counts=True
+    )
     fresh_rows = sample_atoms(
         tilted, survivors.size, np.random.default_rng(child_seed(seed, 2))
     )

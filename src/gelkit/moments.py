@@ -8,13 +8,16 @@ close into an autonomous quadratic ODE system,
     dz_0/dt = rs * z A+ z^T       z_0  = <pi0^2>
 
 (mirror symmetry kills every mixed moment with a sign-odd coordinate, so
-the odd block never feeds back).  The solution blows up in finite time;
-that blowup time equals the gelation time, which gives an integration
-route to t_g independent of the spectral formula.
+the odd block never feeds back).  The system is a matrix Riccati equation,
+so ``Q^-1`` falls linearly in time and the solution has a closed form,
+which is what the production path evaluates.  The solution blows up in
+finite time; that blowup time equals the gelation time, and integrating
+the ODE to its pole gives a route to t_g independent of the spectral
+formula.
 
 After gelation the sol phase is described through duality: tilt the
 initial measure by the non-survival factor, check the tilted system is
-subcritical, and run the same ODE from the tilted moments.
+subcritical, and evaluate the same flow from the tilted moments.
 """
 
 from __future__ import annotations
@@ -106,16 +109,8 @@ def _check_cauchy_schwarz(t: float, q: np.ndarray, z: np.ndarray) -> None:
 
 
 def _rhs_fn(sys: BilinearSystem, n: int, rate_scale: float):
-    a_plus = sys.a_plus
-
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        q, z = _unpack(n, y)
-        zp = z[1:]
-        dq = rate_scale * (q @ a_plus @ q)
-        dz = np.empty_like(z)
-        dz[1:] = rate_scale * (zp @ a_plus @ q)
-        dz[0] = rate_scale * float(zp @ a_plus @ zp)
-        return _pack(dq, dz)
+        return _pack(*moment_rhs(sys, MomentState(t, *_unpack(n, y)), rate_scale))
 
     return rhs
 
@@ -135,38 +130,45 @@ def integrate_subcritical(
     state0: MomentState,
     t_end: float,
     rate_scale: float = 1.0,
-    rtol: float = 1e-9,
-    atol: float = 1e-12,
     outputs=None,
 ) -> MomentState | list[MomentState]:
-    """Integrate the moment ODE from ``state0`` to ``t_end``.
+    """Moments at ``t_end`` by the closed form of the moment flow.
 
-    Raises ExplosionReached if entries cross the blowup threshold first.
-    With ``outputs`` given, returns the states at those times instead of
-    just the final state.
+    The flow is a matrix Riccati equation, so ``Q^-1`` falls linearly:
+    ``Q(t) = (Q0^-1 - rs (t - t0) A+)^-1``, ``z+ = v Q`` and
+    ``z0 = z0(t0) + v (Q - Q0) v^T`` with ``v = z+(t0) Q0^-1``.  Raises
+    ExplosionReached once the bracket is no longer positive definite or an
+    entry reaches the blowup threshold before ``t_end``.  With ``outputs``
+    given, returns the states at those times instead of just the final state.
     """
-    n = state0.n
-    traj = _rk.integrate(
-        _rhs_fn(sys, n, rate_scale),
-        state0.t,
-        _pack(state0.q, state0.z),
-        t_end,
-        rtol=rtol,
-        atol=atol,
-        outputs=outputs,
-        accept_cb=_accept(n),
-        stop=lambda t, y: float(np.abs(y).max()) >= BLOWUP_THRESHOLD,
-    )
-    if traj.stopped:
-        raise ExplosionReached(
-            f"second moments crossed {BLOWUP_THRESHOLD:.0e} at t={traj.t_final}"
-            f" before requested t_end={t_end}"
-        )
-    if outputs is not None:
-        return [
-            MomentState(t, *_unpack(n, y)) for t, y in zip(traj.ts, traj.ys)
-        ]
-    return MomentState(traj.t_final, *_unpack(n, traj.y_final))
+    t0, q0, z0 = state0.t, state0.q, state0.z
+    times = sorted(float(v) for v in (outputs if outputs is not None else []))
+    if t_end < t0 or (times and (times[0] < t0 or times[-1] > t_end)):
+        raise ValueError(f"times must lie in [{t0}, {t_end}]")
+    q0_inv = np.linalg.inv(q0)
+    v = z0[1:] @ q0_inv
+
+    def at(t: float) -> MomentState:
+        bracket = q0_inv - rate_scale * (t - t0) * sys.a_plus
+        try:
+            np.linalg.cholesky(bracket)
+        except np.linalg.LinAlgError:
+            raise ExplosionReached(
+                f"second moments blow up at or before t={t}"
+                f" (requested t_end={t_end})"
+            ) from None
+        q = np.linalg.inv(bracket)
+        q = (q + q.T) / 2.0
+        z = np.concatenate(([z0[0] + v @ (q - q0) @ v], v @ q))
+        if max(np.abs(q).max(), np.abs(z).max()) >= BLOWUP_THRESHOLD:
+            raise ExplosionReached(
+                f"second moments crossed {BLOWUP_THRESHOLD:.0e} at t={t}"
+                f" before requested t_end={t_end}"
+            )
+        return MomentState(t, q, z)
+
+    final = at(t_end)  # raises if the flow blows up before t_end
+    return final if outputs is None else [at(t) for t in times]
 
 
 def explosion_time(
@@ -225,8 +227,8 @@ def supercritical_moments(
     """Sol-phase second moments after gelation, via the duality tilt.
 
     Thin the initial measure by the survival probabilities at time t,
-    verify the tilted system gels strictly later than t, then integrate
-    the ordinary moment ODE from the tilted moments up to t.
+    verify the tilted system gels strictly later than t, then evaluate
+    the ordinary moment flow from the tilted moments up to t.
     """
     spectral = gelation(sys, measure, rate_scale)
     if t <= spectral.t_g:

@@ -15,12 +15,14 @@ its own envelope channel.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
+    BudgetExceeded,
     HookViolatesConservation,
     NegativeRate,
     RateUnderflow,
@@ -33,6 +35,10 @@ from .system import AtomicMeasure, BilinearSystem, GelData, sample_atoms
 _BUFFER = 8192
 _RESYNC_DEFAULT = 1 << 20
 _MAGIC = b"GELK1"
+# header after the magic, by format version; v1 stored n_scale as an integer
+_HEADERS = {1: "<BII Q d d Q", 2: "<BII d d d Q"}
+# expected initial particle count above which init_poisson refuses to start
+_MAX_PARTICLES = 10**7
 
 
 def child_seed(seed: int, *key: int) -> np.random.SeedSequence:
@@ -71,6 +77,60 @@ class StepRecord:
     p: int
     q: int
     accepted: bool
+
+
+def snapshot(
+    sys: BilinearSystem,
+    rows: np.ndarray,
+    n_scale: float,
+    t: float,
+    xi: int | None = None,
+) -> Snapshot:
+    """Observables of a table of live particle rows at time t."""
+    if xi is None:
+        xi = int(np.ceil(np.sqrt(n_scale)))
+    n = sys.n
+    inv = 1.0 / n_scale
+    first = rows.sum(axis=0) * inv
+    plus = rows[:, 1 : 1 + n]
+    q_all = (plus.T @ plus) * inv
+    pi0 = rows[:, 0]
+    z_all = np.concatenate(([float(pi0 @ pi0)], pi0 @ plus)) * inv
+    # largest particle: most absorbed, then largest phi, then first index
+    if rows.shape[0]:
+        top = np.flatnonzero(pi0 == pi0.max())
+        if top.size > 1:
+            phi = pi0[top] + plus[top].sum(axis=1)
+            top = top[phi == phi.max()]
+        big = int(top[0])
+        big_row = rows[big]
+        sol = np.delete(rows, big, axis=0)
+    else:
+        big_row = np.zeros(1 + sys.dim)
+        sol = rows
+    plus_sol = sol[:, 1 : 1 + n]
+    q_sol = (plus_sol.T @ plus_sol) * inv
+    pi0_sol = sol[:, 0]
+    z_sol = np.concatenate(([float(pi0_sol @ pi0_sol)], pi0_sol @ plus_sol)) * inv
+    heavy = rows[pi0 >= xi]
+    gel_threshold = GelData(
+        heavy.sum(axis=0) * inv if heavy.size else np.zeros(1 + sys.dim)
+    )
+    values, counts = np.unique(pi0.astype(np.int64), return_counts=True)
+    return Snapshot(
+        t=t,
+        n_particles=int(rows.shape[0]),
+        xi=int(xi),
+        first=first,
+        q=q_all,
+        z=z_all,
+        q_sol=q_sol,
+        z_sol=z_sol,
+        gel_largest=GelData(big_row * inv),
+        gel_threshold=gel_threshold,
+        size_values=values,
+        size_counts=counts,
+    )
 
 
 class ParticleSystem:
@@ -158,9 +218,6 @@ class ParticleSystem:
         if self._hook is None:
             return 0.0
         return self._hook_bound * self._phi_tree.total
-
-    def total_envelope_rate(self) -> float:
-        return self.merge_envelope_rate() + self.hook_envelope_rate()
 
     # -- hook ----------------------------------------------------------
 
@@ -271,30 +328,34 @@ class ParticleSystem:
             phi[~self.alive] = 0.0
             self._phi_tree.rebuild(phi.tolist())
 
-    def step(self) -> StepRecord:
-        """Advance by exactly one proposed event (merge or hook attempt)."""
-        if self.n_particles < 2 and self._hook is None:
-            raise RateUnderflow("fewer than two particles; nothing can happen")
-        merge_rate = self.merge_envelope_rate()
+    def _rates(self) -> tuple[float, float, float]:
+        """Merge, hook and total envelope rates; no merge below two particles."""
+        merge_rate = self.merge_envelope_rate() if self.n_particles >= 2 else 0.0
         hook_rate = self.hook_envelope_rate()
         total = merge_rate + hook_rate
-        if total <= 0.0 or not np.isfinite(total):
-            raise RateUnderflow(f"envelope rate {total}; absorbing state")
-        self.t += self._exponential() / total
+        if not math.isfinite(total):
+            raise RateUnderflow(f"envelope rate {total}; rates are not finite")
+        return merge_rate, hook_rate, total
+
+    def _propose(
+        self, merge_rate: float, hook_rate: float, total: float
+    ) -> tuple[str, int, int, bool]:
+        """One proposed event at the current time: hook or merge, thinned.
+
+        Returns ``(kind, p, q, accepted)``; the clock is the caller's.
+        """
         self.events += 1
         if self.events % self.resync_interval == 0:
             self._resync()
         if hook_rate > 0.0 and self._uniform() * total >= merge_rate:
-            target = self._uniform() * self._phi_tree.total
-            p = self._phi_tree.find(target)
-            accepted = self._apply_hook(p)
-            return StepRecord(self.t, "hook", p, p, accepted)
+            p = self._phi_tree.find(self._uniform() * self._phi_tree.total)
+            return "hook", p, p, self._apply_hook(p)
         k, l = (0, 0) if self._env_a.size == 1 else self._pick_coordinate_pair()
         tree_k, tree_l = self.trees[k], self.trees[l]
         p = tree_k.find(self._uniform() * tree_k.total)
         q = tree_l.find(self._uniform() * tree_l.total)
         if p == q or not (self.alive[p] and self.alive[q]):
-            return StepRecord(self.t, "merge", p, q, False)
+            return "merge", p, q, False
         if not self._fast_exact:
             rp = self.coords[p, 1:]
             rq = self.coords[q, 1:]
@@ -305,66 +366,24 @@ class ParticleSystem:
                     raise NegativeRate(
                         f"negative merge rate {kbar} encountered in simulation"
                     )
-                return StepRecord(self.t, "merge", p, q, False)
+                return "merge", p, q, False
             if self._uniform() * khat >= kbar:
-                return StepRecord(self.t, "merge", p, q, False)
+                return "merge", p, q, False
         self._apply_merge(p, q)
-        return StepRecord(self.t, "merge", p, q, True)
+        return "merge", p, q, True
+
+    def step(self) -> StepRecord:
+        """Advance by exactly one proposed event (merge or hook attempt)."""
+        merge_rate, hook_rate, total = self._rates()
+        if total <= 0.0:
+            raise RateUnderflow(f"envelope rate {total}; absorbing state")
+        self.t += self._exponential() / total
+        return StepRecord(self.t, *self._propose(merge_rate, hook_rate, total))
 
     # -- observables ----------------------------------------------------
 
     def snapshot(self, xi: int | None = None) -> Snapshot:
-        if xi is None:
-            xi = int(np.ceil(np.sqrt(self.n_scale)))
-        sys = self.sys
-        n = sys.n
-        rows = self.coords[self.alive]
-        inv = 1.0 / self.n_scale
-        first = rows.sum(axis=0) * inv
-        plus = rows[:, 1 : 1 + n]
-        q_all = (plus.T @ plus) * inv
-        pi0 = rows[:, 0]
-        z_all = np.concatenate(
-            ([float(pi0 @ pi0)], pi0 @ plus)
-        ) * inv
-        # largest particle: most absorbed, then largest phi, then first index
-        if rows.shape[0]:
-            top = np.flatnonzero(pi0 == pi0.max())
-            if top.size > 1:
-                phi = pi0[top] + plus[top].sum(axis=1)
-                top = top[phi == phi.max()]
-            big = int(top[0])
-            big_row = rows[big]
-            keep = np.ones(rows.shape[0], dtype=bool)
-            keep[big] = False
-            sol = rows[keep]
-        else:
-            big_row = np.zeros(1 + sys.dim)
-            sol = rows
-        plus_sol = sol[:, 1 : 1 + n]
-        q_sol = (plus_sol.T @ plus_sol) * inv
-        pi0_sol = sol[:, 0]
-        z_sol = np.concatenate(
-            ([float(pi0_sol @ pi0_sol)], pi0_sol @ plus_sol)
-        ) * inv
-        heavy = rows[pi0 >= xi]
-        gel_threshold = GelData(heavy.sum(axis=0) * inv if heavy.size else
-                                np.zeros(1 + sys.dim))
-        values, counts = np.unique(pi0.astype(np.int64), return_counts=True)
-        return Snapshot(
-            t=self.t,
-            n_particles=int(rows.shape[0]),
-            xi=int(xi),
-            first=first,
-            q=q_all,
-            z=z_all,
-            q_sol=q_sol,
-            z_sol=z_sol,
-            gel_largest=GelData(big_row * inv),
-            gel_threshold=gel_threshold,
-            size_values=values,
-            size_counts=counts,
-        )
+        return snapshot(self.sys, self.coords[self.alive], self.n_scale, self.t, xi)
 
     def run(self, checkpoint_times, xi: int | None = None) -> list[Snapshot]:
         """Event loop with snapshots at the given times.
@@ -379,52 +398,15 @@ class ParticleSystem:
             raise ValueError("checkpoint before current time")
         out: list[Snapshot] = []
         for target in times:
-            frozen = False
             while True:
-                if frozen:
-                    break
-                can_merge = self.n_particles >= 2
-                merge_rate = self.merge_envelope_rate() if can_merge else 0.0
-                hook_rate = self.hook_envelope_rate()
-                total = merge_rate + hook_rate
+                merge_rate, hook_rate, total = self._rates()
                 if total <= 0.0:
-                    frozen = True
                     break
                 wait = self._exponential() / total
                 if self.t + wait > target:
                     break
                 self.t += wait
-                self.events += 1
-                if self.events % self.resync_interval == 0:
-                    self._resync()
-                if hook_rate > 0.0 and self._uniform() * total >= merge_rate:
-                    p = self._phi_tree.find(self._uniform() * self._phi_tree.total)
-                    self._apply_hook(p)
-                    continue
-                k, l = (
-                    (0, 0)
-                    if self._env_a.size == 1
-                    else self._pick_coordinate_pair()
-                )
-                tree_k, tree_l = self.trees[k], self.trees[l]
-                p = tree_k.find(self._uniform() * tree_k.total)
-                q = tree_l.find(self._uniform() * tree_l.total)
-                if p == q or not (self.alive[p] and self.alive[q]):
-                    continue
-                if not self._fast_exact:
-                    rp = self.coords[p, 1:]
-                    rq = self.coords[q, 1:]
-                    kbar = float(rp @ self.sys.block @ rq)
-                    khat = float(self._abs[p] @ self._a_abs @ self._abs[q])
-                    if kbar <= 0.0:
-                        if khat > 0.0 and kbar < -1e-9 * khat:
-                            raise NegativeRate(
-                                f"negative merge rate {kbar} in simulation"
-                            )
-                        continue
-                    if self._uniform() * khat >= kbar:
-                        continue
-                self._apply_merge(p, q)
+                self._propose(merge_rate, hook_rate, total)
             self.t = target
             out.append(self.snapshot(xi))
         return out
@@ -435,18 +417,21 @@ class ParticleSystem:
         """Write the particle table in the documented binary layout."""
         rows = self.coords[self.alive]
         header = _MAGIC + struct.pack(
-            "<BII Q d d Q",
-            1,
+            _HEADERS[2],
+            2,
             self.sys.n,
             self.sys.m,
-            int(self.n_scale),
+            self.n_scale,
             self.t,
             self.rate_scale,
             rows.shape[0],
         )
-        with open(path, "wb") as fh:
-            fh.write(header)
-            fh.write(rows.astype("<f8").tobytes())
+        try:
+            with open(path, "wb") as fh:
+                fh.write(header)
+                fh.write(rows.astype("<f8").tobytes())
+        except OSError as exc:
+            raise SchemaError(str(path), f"cannot write dump: {exc.strerror}") from None
 
 
 def load_state(
@@ -460,14 +445,14 @@ def load_state(
         raise SchemaError(str(path), f"cannot read dump: {exc.strerror}") from None
     if blob[:5] != _MAGIC:
         raise SchemaError(str(path), "not a particle dump (bad magic)")
-    off = 5 + struct.calcsize("<BII Q d d Q")
+    off = 5 + struct.calcsize(_HEADERS[2])  # the same size in every version
     if len(blob) < off:
         raise SchemaError(str(path), f"truncated dump: {len(blob)}-byte header")
-    version, n, m, n_scale, t, rate_scale, count = struct.unpack(
-        "<BII Q d d Q", blob[5:off]
+    if blob[5] not in _HEADERS:
+        raise SchemaError(str(path), f"unsupported dump version {blob[5]}")
+    _, n, m, n_scale, t, rate_scale, count = struct.unpack(
+        _HEADERS[blob[5]], blob[5:off]
     )
-    if version != 1:
-        raise SchemaError(str(path), f"unsupported dump version {version}")
     if (n, m) != (sys.n, sys.m):
         raise SchemaError(
             str(path), f"dump is for n={n}, m={m}; system has {sys.n}, {sys.m}"
@@ -495,6 +480,11 @@ def init_poisson(
     data i.i.d. from the normalized measure."""
     if n_scale <= 0:
         raise ValueError("n_scale must be positive")
+    if n_scale * measure.total_mass > _MAX_PARTICLES:
+        raise BudgetExceeded(
+            f"expected {n_scale * measure.total_mass:.3g} particles exceeds "
+            f"the budget {_MAX_PARTICLES}"
+        )
     rng = np.random.default_rng(seed)
     count = int(rng.poisson(n_scale * measure.total_mass))
     if count == 0:
@@ -561,16 +551,7 @@ class DirectPairSimulator:
                 self.alive[q] = False
                 self.n_particles -= 1
             self.t = target
-            out.append(self._snapshot(xi))
+            out.append(
+                snapshot(self.sys, self.coords[self.alive], self.n_scale, self.t, xi)
+            )
         return out
-
-    def _snapshot(self, xi: int | None) -> Snapshot:
-        proxy = ParticleSystem(
-            self.sys,
-            self.coords[self.alive],
-            self.n_scale,
-            np.random.default_rng(0),
-            rate_scale=self.rate_scale,
-            t=self.t,
-        )
-        return proxy.snapshot(xi)

@@ -30,6 +30,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 from .errors import NegativeRate, SchemaError
 
@@ -455,21 +456,7 @@ def check_hypotheses(
     rates = merge_rate_matrix(sys, measure.coords, measure.coords)
     scale = max(1.0, float(rates.max()))
     adj = rates > tol * scale
-    labels = list(range(k))
-
-    def find(i: int) -> int:
-        while labels[i] != i:
-            labels[i] = labels[labels[i]]
-            i = labels[i]
-        return i
-
-    for i in range(k):
-        for j in range(i + 1, k):
-            if adj[i, j]:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    labels[ri] = rj
-    components = len({find(i) for i in range(k)})
+    components = int(connected_components(adj, directed=False)[0])
     point_mass = k == 1
     irreducible = components == 1 and (not point_mass or adj[0, 0])
 

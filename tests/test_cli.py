@@ -66,6 +66,19 @@ _OUT_OF_RANGE = {
 }
 
 
+# inputs past a size budget, which must exit 4 before allocating anything
+_OVER_BUDGET = {
+    "graph-vertices": (
+        "graph", "--times", "0.5", "--n", "50000", "--seed", "1",
+    ),
+    "simulate-particles": (
+        "simulate", "--times", "0.5", "--n", "1000000000000000000000",
+        "--seed", "1",
+    ),
+    "gel-curve-points": ("gel-curve", "--t-max", "2", "--points", "100000000000"),
+}
+
+
 class TestExitCodes:
     def test_tg_ok(self, out_dir):
         assert run_cli("tg", "--preset", "multiplicative") == 0
@@ -94,12 +107,12 @@ class TestExitCodes:
         assert code == 3
         assert "error:" in capsys.readouterr().err
 
-    def test_budget_exceeded(self):
-        code = run_cli(
-            "graph", "--preset", "multiplicative", "--times", "0.5",
-            "--n", "50000", "--seed", "1",
-        )
-        assert code == 4
+    @pytest.mark.parametrize(
+        "argv", list(_OVER_BUDGET.values()), ids=list(_OVER_BUDGET)
+    )
+    def test_budget_exceeded(self, argv, capsys):
+        assert run_cli(argv[0], "--preset", "multiplicative", *argv[1:]) == 4
+        assert "exceeds" in capsys.readouterr().err
 
     def test_seed_required_for_stochastic(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
@@ -389,6 +402,14 @@ class TestStateFiles:
     def test_missing_dump(self, out_dir, capsys):
         assert self._resume(out_dir / "absent.bin") == 2
         assert str(out_dir / "absent.bin") in capsys.readouterr().err
+
+    def test_unwritable_dump(self, out_dir, capsys):
+        path = out_dir / "no" / "dir" / "x.bin"
+        assert run_cli(
+            "simulate", "--preset", "multiplicative", "--times", "0.5",
+            "--n", "100", "--seed", "1", "--dump-state", str(path),
+        ) == 2
+        assert str(path) in capsys.readouterr().err
 
     def test_checkpoint_before_dump(self, out_dir, capsys):
         assert self._resume(self._dump(out_dir), "0.2,0.8") == 2

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import gelkit as gk
+from gelkit import _rk
 from gelkit.errors import ExplosionReached
 
 
@@ -54,6 +55,30 @@ class TestSubcritical:
         b = gk.integrate_subcritical(sys_, gk.initial_state(meas), 0.12)
         assert np.allclose(a.q, b.q, rtol=1e-8)
         assert np.allclose(a.z, b.z, rtol=1e-8)
+
+    @pytest.mark.parametrize("preset", ["mult", "bidi", "kac"])
+    def test_against_rk_integration(self, preset, request):
+        # the closed form against an independent integration of moment_rhs,
+        # which checks z as well as Q
+        sys_, meas = request.getfixturevalue(preset)
+        s0 = gk.initial_state(meas)
+        n = s0.n
+        t_g = gk.gelation_time(sys_, meas)
+
+        def rhs(t, y):
+            state = gk.MomentState(t, y[: n * n].reshape(n, n), y[n * n :])
+            dq, dz = gk.moment_rhs(sys_, state)
+            return np.concatenate((dq.ravel(), dz))
+
+        times = [0.3 * t_g, 0.6 * t_g, 0.9 * t_g]
+        traj = _rk.integrate(
+            rhs, 0.0, np.concatenate((s0.q.ravel(), s0.z)), times[-1],
+            rtol=1e-12, atol=1e-14, outputs=times,
+        )
+        states = gk.integrate_subcritical(sys_, s0, times[-1], outputs=times)
+        for st, y in zip(states, traj.ys):
+            assert np.allclose(st.q.ravel(), y[: n * n], rtol=1e-8, atol=0)
+            assert np.allclose(st.z, y[n * n :], rtol=1e-8, atol=0)
 
     def test_past_gelation_raises(self, mult):
         sys_, meas = mult

@@ -1,5 +1,7 @@
 """Invariants that must hold for arbitrary inputs, not just the presets."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -192,6 +194,23 @@ class TestRestrictedConservation:
 
 
 class TestSimulatorAgreement:
+    def test_direct_snapshot_matches_particle_snapshot(self, kac):
+        # both samplers reduce their particle table with the same function
+        sys_, meas = kac
+        rows = gk.sample_atoms(meas, 40, np.random.default_rng(5))
+        ds = gk.DirectPairSimulator(sys_, rows, 40, np.random.default_rng(6))
+        direct = ds.run([0.4])[0]
+        assert direct.n_particles < 40
+        ps = gk.ParticleSystem(
+            sys_, ds.coords[ds.alive], 40, np.random.default_rng(7), t=ds.t
+        )
+        particle = ps.snapshot()
+        for field in dataclasses.fields(direct):
+            a, b = getattr(direct, field.name), getattr(particle, field.name)
+            if isinstance(a, gk.GelData):
+                a, b = a.g, b.g
+            assert np.array_equal(a, b), field.name
+
     def test_envelope_matches_direct_pairs(self, kac):
         # same generator construction, disjoint seeds; both runs are exact
         # samplers of the same process so final counts must agree in law

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -185,6 +187,22 @@ class TestHook:
         ps.run([0.05])
         assert calls  # some jumps happened
 
+    def test_step_matches_run(self, kac):
+        # run() and step() share one proposal body, so stepping a twin
+        # system through run()'s event count lands on the same state
+        sys_, meas = kac
+        twins = [gk.init_poisson(sys_, meas, 300, 4) for _ in range(2)]
+        for ps in twins:
+            ps.set_hook(self._speed_shuffle(np.random.default_rng(1)), 2.0)
+        ran, stepped = twins
+        ran.run([0.1])
+        assert ran.merges > 0 and ran.events > ran.merges
+        for _ in range(ran.events):
+            stepped.step()
+        assert stepped.coords.tobytes() == ran.coords.tobytes()
+        assert stepped.alive.tobytes() == ran.alive.tobytes()
+        assert stepped.merges == ran.merges
+
     def test_hook_rate_fn_above_bound_raises(self, kac):
         sys_, meas = kac
         ps = gk.init_poisson(sys_, meas, 200, 8)
@@ -204,6 +222,29 @@ class TestPersistence:
         assert ps2.t == ps.t
         assert ps2.rate_scale == ps.rate_scale
         assert np.array_equal(ps2.coords[ps2.alive], ps.coords[ps.alive])
+
+    def test_fractional_scale_round_trip(self, kac, tmp_path):
+        sys_, meas = kac
+        rows = gk.sample_atoms(meas, 50, np.random.default_rng(3))
+        ps = gk.ParticleSystem(sys_, rows, 1000.5, np.random.default_rng(4))
+        path = tmp_path / "state.bin"
+        ps.dump_state(path)
+        assert gk.load_state(sys_, path, 1).n_scale == 1000.5
+
+    def test_version_one_dump_loads(self, kac, tmp_path):
+        # v1 header: magic, then version, n, m, integer n_scale, t,
+        # rate_scale and the row count
+        sys_, _ = kac
+        rows = np.arange(2.0 * (1 + sys_.dim)).reshape(2, 1 + sys_.dim)
+        path = tmp_path / "v1.bin"
+        path.write_bytes(
+            b"GELK1"
+            + struct.pack("<BII Q d d Q", 1, sys_.n, sys_.m, 1000, 0.25, 2.0, 2)
+            + rows.astype("<f8").tobytes()
+        )
+        ps = gk.load_state(sys_, path, 1)
+        assert (ps.n_scale, ps.t, ps.rate_scale) == (1000.0, 0.25, 2.0)
+        assert np.array_equal(ps.coords, rows)
 
     def test_wrong_system_rejected(self, kac, mult, tmp_path):
         sys_k, meas_k = kac
