@@ -1,16 +1,28 @@
-"""Finite-N pair-merge simulator, exact in law, with sub-linear event cost.
+"""Finite-N pair-merge simulator, exact in law.
 
 Particles are rows of a coordinate array; an unordered pair merges at rate
 ``rate_scale * kbar(x, y) / n_scale``.  Because the sign-odd block makes
 ``kbar`` non-factorizable, proposals are drawn from the entrywise-absolute
 envelope ``khat(x, y) = sum |a_kl| |pi_k(x)| |pi_l(y)| >= kbar`` (which does
-factorize) and thinned by the exact ratio.  Each rate coordinate keeps a
-Fenwick tree over absolute values, so a proposal costs O((n+m) log P).
+factorize) and thinned by the exact ratio.
 
-Rejected proposals advance time only; that, plus memoryless redraws at
-checkpoints, keeps the law exact.  A per-particle jump hook (for internal
-evolution that preserves the conserved block) rides on the same clock via
-its own envelope channel.
+Without a hook, ``run`` never steps event by event.  The kernel is bilinear,
+so two clusters merge at the summed rate of their member pairs, and the
+clusters at time t are the connected components of a random graph on the
+run's starting rows whose edge {i, j} arrives at rate ``rate_scale *
+kbar(x_i, x_j) / n_scale``.  Each checkpoint interval draws a Poisson batch
+of pair proposals from the static envelope of the starting rows, keeps each
+with probability ``kbar / khat`` and contracts the kept edges into the
+current clusters, in fixed-size chunks; a run costs O(P + proposals).
+``events`` counts these static-envelope proposals.
+
+``step()`` and runs with a per-particle jump hook (internal evolution that
+preserves the conserved block, on the same clock via its own envelope
+channel) use the sequential event loop instead, because a hook changes
+signed coordinates and so the envelope weights.  It keeps one Fenwick tree
+per rate coordinate over absolute values, built on first use, so an event
+costs O((n+m) log P).  Rejected proposals advance time only; that, plus
+memoryless redraws at checkpoints, keeps the law exact.
 """
 
 from __future__ import annotations
@@ -20,6 +32,8 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     BudgetExceeded,
@@ -33,6 +47,8 @@ from .fenwick import FenwickTree
 from .system import AtomicMeasure, BilinearSystem, GelData, sample_atoms
 
 _BUFFER = 8192
+# proposals drawn and contracted at a time by the hook-free run
+_CHUNK = 1 << 15
 _RESYNC_DEFAULT = 1 << 20
 _MAGIC = b"GELK1"
 # header after the magic, by format version; v1 stored n_scale as an integer
@@ -163,12 +179,10 @@ class ParticleSystem:
         self.n_particles = self.capacity
         self.events = 0
         self.merges = 0
-        d = sys.dim
-        self._abs = np.abs(coords[:, 1:])
-        self.trees = [
-            FenwickTree(self._abs[:, k].tolist()) for k in range(d)
-        ]
-        self.s_hat = self._abs.sum(axis=0)
+        self.s_hat = np.abs(coords[:, 1:]).sum(axis=0)
+        # the sequential loop's index, built by _index on first use
+        self._abs: np.ndarray | None = None
+        self.trees: list[FenwickTree] | None = None
         self._a_abs = sys.block_abs
         # nonzero envelope entries, upper triangle doubled into full weight
         kk, ll = np.nonzero(self._a_abs)
@@ -217,6 +231,7 @@ class ParticleSystem:
     def hook_envelope_rate(self) -> float:
         if self._hook is None:
             return 0.0
+        self._index()
         return self._hook_bound * self._phi_tree.total
 
     # -- hook ----------------------------------------------------------
@@ -234,12 +249,27 @@ class ParticleSystem:
         self._hook = hook
         self._hook_bound = float(rate_bound)
         self._hook_rate_fn = rate_fn
-        if hook is not None and self._phi_tree is None:
-            phi = self.coords[:, 0] + self.coords[:, 1 : 1 + self.sys.n].sum(
-                axis=1
-            )
-            phi[~self.alive] = 0.0
-            self._phi_tree = FenwickTree(phi.tolist())
+        if hook is not None and self.trees is not None and self._phi_tree is None:
+            self._phi_tree = FenwickTree(self._phi().tolist())
+
+    # -- sequential index ------------------------------------------------
+
+    def _phi(self) -> np.ndarray:
+        """Each particle's hook weight pi0 + sum(plus); 0 for dead slots."""
+        phi = self.coords[:, 0] + self.coords[:, 1 : 1 + self.sys.n].sum(axis=1)
+        phi[~self.alive] = 0.0
+        return phi
+
+    def _index(self) -> None:
+        """Build the sequential loop's Fenwick trees and ``s_hat`` if stale."""
+        if self.trees is not None:
+            return
+        self._abs = np.abs(self.coords[:, 1:])
+        self._abs[~self.alive] = 0.0
+        self.s_hat = self._abs.sum(axis=0)
+        self.trees = [FenwickTree(col.tolist()) for col in self._abs.T]
+        if self._hook is not None:
+            self._phi_tree = FenwickTree(self._phi().tolist())
 
     # -- dynamics ------------------------------------------------------
 
@@ -322,11 +352,7 @@ class ParticleSystem:
         for k, tree in enumerate(self.trees):
             tree.rebuild(fresh[:, k].tolist())
         if self._phi_tree is not None:
-            phi = self.coords[:, 0] + self.coords[:, 1 : 1 + self.sys.n].sum(
-                axis=1
-            )
-            phi[~self.alive] = 0.0
-            self._phi_tree.rebuild(phi.tolist())
+            self._phi_tree.rebuild(self._phi().tolist())
 
     def _rates(self) -> tuple[float, float, float]:
         """Merge, hook and total envelope rates; no merge below two particles."""
@@ -374,6 +400,7 @@ class ParticleSystem:
 
     def step(self) -> StepRecord:
         """Advance by exactly one proposed event (merge or hook attempt)."""
+        self._index()
         merge_rate, hook_rate, total = self._rates()
         if total <= 0.0:
             raise RateUnderflow(f"envelope rate {total}; absorbing state")
@@ -386,18 +413,25 @@ class ParticleSystem:
         return snapshot(self.sys, self.coords[self.alive], self.n_scale, self.t, xi)
 
     def run(self, checkpoint_times, xi: int | None = None) -> list[Snapshot]:
-        """Event loop with snapshots at the given times.
+        """Advance through the given times, with a snapshot at each.
 
-        Checkpoints are crossed by discarding the pending waiting time and
-        redrawing after the snapshot; exponential memorylessness makes that
-        exact.  An absorbing state (nothing left to happen) freezes the
-        remaining checkpoints.
+        Without a hook the run is one batched graph draw per checkpoint
+        interval (see the module docstring); with one it is the sequential
+        event loop.  Either way the state after each checkpoint (``coords``,
+        ``alive``, ``n_particles``, ``merges``, ``events``) is what
+        ``snapshot``, ``step`` and ``dump_state`` see.  An absorbing state
+        (nothing left to happen) freezes the remaining checkpoints.
         """
         times = sorted(float(v) for v in checkpoint_times)
         if times and times[0] < self.t - 1e-12:
             raise ValueError("checkpoint before current time")
+        if self._hook is None:
+            return self._run_batched(times, xi)
+        self._index()
         out: list[Snapshot] = []
         for target in times:
+            # checkpoints are crossed by discarding the pending waiting
+            # time and redrawing after the snapshot: exact by memorylessness
             while True:
                 merge_rate, hook_rate, total = self._rates()
                 if total <= 0.0:
@@ -410,6 +444,103 @@ class ParticleSystem:
             self.t = target
             out.append(self.snapshot(xi))
         return out
+
+    def _run_batched(self, times: list[float], xi: int | None) -> list[Snapshot]:
+        """Hook-free run: thinned Poisson edges on the starting rows, contracted."""
+        # the run rewrites the table, so the sequential index goes stale
+        self._abs = self.trees = self._phi_tree = None
+        start = np.flatnonzero(self.alive)
+        rows = self.coords[start]
+        # per coordinate, the cumulative |x| of the starting rows: (d, P)
+        cum = np.cumsum(np.abs(rows[:, 1:].T), axis=1)
+        self.s_hat = cum[:, -1].copy() if start.size else np.zeros(self.sys.dim)
+        merge_rate = self._rates()[0]
+        s = self.s_hat
+        pair_cum = np.cumsum(self._env_a * s[self._env_k] * s[self._env_l])
+        labels = np.arange(start.size, dtype=np.int32)  # cluster of each row
+        clusters = start.size
+        out: list[Snapshot] = []
+        for target in times:
+            if merge_rate > 0.0 and target > self.t:
+                count = int(self.rng.poisson(merge_rate * (target - self.t)))
+                while count and clusters >= 2:
+                    size = min(count, _CHUNK)
+                    count -= size
+                    self.events += size
+                    labels, clusters = self._merge_chunk(
+                        size, rows, cum, pair_cum, labels, clusters
+                    )
+            self.t = target
+            self._write_clusters(start, rows, labels, clusters)
+            out.append(self.snapshot(xi))
+        return out
+
+    def _draw_rows(self, cum: np.ndarray, coord: np.ndarray) -> np.ndarray:
+        """One starting row per proposal, with probability |x_k| / s_k."""
+        u = self.rng.random(coord.size)
+        out = np.empty(coord.size, dtype=np.intp)
+        for k in range(cum.shape[0]):
+            sel = coord == k
+            if sel.any():
+                out[sel] = np.searchsorted(cum[k], u[sel] * cum[k, -1], side="right")
+        # a draw that rounds onto the total picks the last row, as find does
+        return np.minimum(out, cum.shape[1] - 1, out=out)
+
+    def _merge_chunk(
+        self,
+        size: int,
+        rows: np.ndarray,
+        cum: np.ndarray,
+        pair_cum: np.ndarray,
+        labels: np.ndarray,
+        clusters: int,
+    ) -> tuple[np.ndarray, int]:
+        """Draw ``size`` proposals, thin them, and contract the kept edges."""
+        pick = np.searchsorted(
+            pair_cum, self.rng.random(size) * pair_cum[-1], side="right"
+        )
+        pick = np.minimum(pick, pair_cum.size - 1, out=pick)
+        p = self._draw_rows(cum, self._env_k[pick])
+        q = self._draw_rows(cum, self._env_l[pick])
+        keep = p != q
+        if not self._fast_exact:
+            rp, rq = rows[p, 1:], rows[q, 1:]
+            kbar = np.einsum("ij,jk,ik->i", rp, self.sys.block, rq)
+            khat = np.einsum("ij,jk,ik->i", np.abs(rp), self._a_abs, np.abs(rq))
+            bad = keep & (kbar < -1e-9 * khat)
+            if bad.any():
+                raise NegativeRate(
+                    f"negative merge rate {kbar[bad].min()} encountered in simulation"
+                )
+            keep &= self.rng.random(size) * khat < kbar
+        a, b = labels[p[keep]], labels[q[keep]]
+        cross = a != b
+        if not cross.any():
+            return labels, clusters
+        graph = csr_matrix(
+            (np.ones(int(cross.sum())), (a[cross], b[cross])),
+            shape=(clusters, clusters),
+        )
+        clusters, comp = connected_components(graph, directed=False)
+        return comp[labels], clusters
+
+    def _write_clusters(
+        self, start: np.ndarray, rows: np.ndarray, labels: np.ndarray, clusters: int
+    ) -> None:
+        """Store each cluster's row sum at its lowest starting slot."""
+        sums = np.empty((clusters, rows.shape[1]))
+        for j in range(rows.shape[1]):
+            sums[:, j] = np.bincount(labels, weights=rows[:, j], minlength=clusters)
+        first = np.full(clusters, start.size, dtype=np.intp)
+        np.minimum.at(first, labels, np.arange(start.size))
+        slots = start[first]
+        self.coords[start] = 0.0
+        self.alive[start] = False
+        self.coords[slots] = sums
+        self.alive[slots] = True
+        self.merges += self.n_particles - clusters
+        self.n_particles = clusters
+        self.s_hat = np.abs(sums[:, 1:]).sum(axis=0)
 
     # -- persistence -----------------------------------------------------
 
@@ -458,11 +589,23 @@ def load_state(
             str(path), f"dump is for n={n}, m={m}; system has {sys.n}, {sys.m}"
         )
     width = 1 + n + m
-    if len(blob) < off + 8 * count * width:
+    end = off + 8 * count * width
+    if len(blob) < end:
         raise SchemaError(str(path), f"truncated dump: fewer than {count} rows")
+    if len(blob) > end:
+        raise SchemaError(str(path), f"{len(blob) - end} bytes after the {count} rows")
+    for name, value in (("N", n_scale), ("rate_scale", rate_scale)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise SchemaError(str(path), f"{name} = {value} is not positive and finite")
+    if not (math.isfinite(t) and t >= 0.0):
+        raise SchemaError(str(path), f"t = {t} is not nonnegative and finite")
     coords = np.frombuffer(
         blob, dtype="<f8", count=count * width, offset=off
     ).reshape(count, width)
+    if not np.isfinite(coords).all() or (coords[:, 1 : 1 + n] < 0.0).any():
+        raise SchemaError(
+            str(path), "rows must be finite with nonnegative conserved coordinates"
+        )
     rng = np.random.default_rng(seed)
     return ParticleSystem(
         sys, coords, n_scale, rng, rate_scale=rate_scale, t=t

@@ -1,6 +1,7 @@
 """Invariants that must hold for arbitrary inputs, not just the presets."""
 
 import dataclasses
+import struct
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 import gelkit as gk
-from gelkit.errors import NegativeRate
+from gelkit.errors import NegativeRate, SchemaError
 
 
 def _bits(x: float) -> bytes:
@@ -212,26 +213,114 @@ class TestSimulatorAgreement:
             assert np.array_equal(a, b), field.name
 
     def test_envelope_matches_direct_pairs(self, kac):
-        # same generator construction, disjoint seeds; both runs are exact
-        # samplers of the same process so final counts must agree in law
+        # same generator construction, disjoint seeds; all runs are exact
+        # samplers of the same process so final counts must agree in law.
+        # A hook-free run is the batched graph draw; a zero-rate hook forces
+        # the sequential event loop on the same seed.
         sys_, meas = kac
         t, pop, reps = 0.4, 40, 120
-        a, b = [], []
+        counts = {"batched": [], "sequential": [], "direct": []}
         for r in range(reps):
             rows = gk.sample_atoms(
                 meas, pop, np.random.default_rng(gk.child_seed(100, r, 0))
             )
-            ps = gk.ParticleSystem(
-                sys_, rows.copy(), pop,
-                np.random.default_rng(gk.child_seed(100, r, 1)),
-            )
-            ps.run([t])
-            a.append(ps.n_particles)
+            for engine in ("batched", "sequential"):
+                ps = gk.ParticleSystem(
+                    sys_, rows.copy(), pop,
+                    np.random.default_rng(gk.child_seed(100, r, 1)),
+                )
+                if engine == "sequential":
+                    ps.set_hook(lambda t, row: row, 0.0)
+                ps.run([t])
+                counts[engine].append(ps.n_particles)
             ds = gk.DirectPairSimulator(
                 sys_, rows.copy(), pop,
                 np.random.default_rng(gk.child_seed(100, r, 2)),
             )
             ds.run([t])
-            b.append(ds.n_particles)
-        res = ks_2samp(a, b, method="asymp")
-        assert res.pvalue > 1e-3
+            counts["direct"].append(ds.n_particles)
+        assert counts["batched"] != counts["sequential"]  # two distinct engines
+        for engine in ("batched", "sequential"):
+            res = ks_2samp(counts[engine], counts["direct"], method="asymp")
+            assert res.pvalue > 1e-3, engine
+
+
+def _dump_bytes(
+    sys_, rows, n_scale=300.0, t=0.5, rate_scale=1.0, version=2, n=None, m=None
+):
+    """A particle dump in the documented layout, fields overridable."""
+    n = sys_.n if n is None else n
+    m = sys_.m if m is None else m
+    header = struct.pack(
+        "<BII d d d Q", version, n, m, n_scale, t, rate_scale, len(rows)
+    )
+    return b"GELK1" + header + np.asarray(rows, dtype="<f8").tobytes()
+
+
+class TestDumpFuzz:
+    """Every malformed particle dump is a schema error naming the file."""
+
+    @pytest.fixture(scope="class")
+    def dump_path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("dumps") / "state.bin"
+
+    @staticmethod
+    def _rejects(sys_, path, blob):
+        path.write_bytes(blob)
+        with pytest.raises(SchemaError) as info:
+            gk.load_state(sys_, path, 1)
+        assert info.value.pointer == str(path)
+
+    @given(blob=st.binary(max_size=300), magic=st.booleans())
+    def test_random_bytes(self, kac, dump_path, blob, magic):
+        self._rejects(kac[0], dump_path, (b"GELK1" if magic else b"") + blob)
+
+    def test_truncated_at_every_offset(self, kac, dump_path):
+        sys_, meas = kac
+        blob = _dump_bytes(sys_, gk.sample_atoms(meas, 3, np.random.default_rng(0)))
+        dump_path.write_bytes(blob)
+        assert gk.load_state(sys_, dump_path, 1).n_particles == 3
+        for size in range(len(blob)):
+            self._rejects(sys_, dump_path, blob[:size])
+        self._rejects(sys_, dump_path, blob + b"\0")
+
+    @given(version=st.integers(0, 255).filter(lambda v: v not in (1, 2)))
+    def test_bad_version(self, kac, dump_path, version):
+        sys_, meas = kac
+        rows = gk.sample_atoms(meas, 2, np.random.default_rng(1))
+        self._rejects(sys_, dump_path, _dump_bytes(sys_, rows, version=version))
+
+    @given(n=st.integers(0, 2**32 - 1), m=st.integers(0, 2**32 - 1))
+    def test_mismatched_layout(self, kac, dump_path, n, m):
+        sys_, meas = kac
+        if (n, m) == (sys_.n, sys_.m):
+            n += 1
+        rows = gk.sample_atoms(meas, 2, np.random.default_rng(2))
+        self._rejects(sys_, dump_path, _dump_bytes(sys_, rows, n=n, m=m))
+
+    @given(
+        n_scale=st.floats(allow_nan=True, allow_infinity=True),
+        t=st.floats(allow_nan=True, allow_infinity=True),
+        rate_scale=st.floats(allow_nan=True, allow_infinity=True),
+        cell=st.tuples(st.integers(0, 1), st.integers(0, 5)),
+        value=st.floats(allow_nan=True, allow_infinity=True),
+    )
+    def test_header_and_row_values(
+        self, kac, dump_path, n_scale, t, rate_scale, cell, value
+    ):
+        # a dump either loads as written or is a schema error, never a crash
+        sys_, meas = kac
+        rows = gk.sample_atoms(meas, 2, np.random.default_rng(3))
+        rows[cell] = value
+        dump_path.write_bytes(_dump_bytes(sys_, rows, n_scale, t, rate_scale))
+        valid = (
+            np.isfinite([n_scale, t, rate_scale]).all()
+            and n_scale > 0 and t >= 0 and rate_scale > 0
+            and np.isfinite(rows).all() and (rows[:, 1 : 1 + sys_.n] >= 0).all()
+        )
+        if valid:
+            ps = gk.load_state(sys_, dump_path, 1)
+            assert (ps.n_scale, ps.t, ps.rate_scale) == (n_scale, t, rate_scale)
+            assert np.array_equal(ps.coords, rows)
+        else:
+            self._rejects(sys_, dump_path, dump_path.read_bytes())

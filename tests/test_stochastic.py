@@ -6,6 +6,7 @@ import pytest
 import gelkit as gk
 from gelkit.errors import (
     HookViolatesConservation,
+    NegativeRate,
     RateUnderflow,
     SchemaError,
 )
@@ -97,12 +98,20 @@ class TestDynamics:
         assert [s.t for s in snaps] == [5.0, 10.0, 20.0]
         assert snaps[-1].n_particles == 1
 
-    def test_resync_path_clean(self, mult):
+    def test_resync_path_clean(self, mult, monkeypatch):
+        # only the sequential loop resyncs; a zero-rate hook selects it
         sys_, meas = mult
         ps = gk.init_poisson(sys_, meas, 500, 11)
+        ps.set_hook(lambda t, row: row, 0.0)
         ps.resync_interval = 64
+        resyncs = []
+        resync = ps._resync
+        monkeypatch.setattr(
+            ps, "_resync", lambda: resyncs.append(ps.events) or resync()
+        )
         ps.run([1.5])
-        assert ps.events > 64  # the check actually fired
+        assert ps.events > 64
+        assert resyncs and resyncs[0] == 64  # the check actually fired
 
     def test_kinetic_momentum_stays_small(self, kac):
         sys_, meas = kac
@@ -138,6 +147,81 @@ class TestDynamics:
         snap = ps.run([1.0])[0]
         assert int(snap.size_counts.sum()) == snap.n_particles
         assert snap.size_values[0] == 1  # monomers survive at t=1
+
+
+class TestBatchedState:
+    """A hook-free run leaves the state the sequential loop and dumps expect."""
+
+    def test_step_after_run(self, kac):
+        sys_, meas = kac
+        ps = gk.init_poisson(sys_, meas, 300, 31)
+        ps.step()  # builds the sequential index, which the run makes stale
+        ps.run([0.05])
+        assert ps.trees is None
+        live = ps.coords[ps.alive]
+        assert ps.s_hat == pytest.approx(np.abs(live[:, 1:]).sum(axis=0), rel=1e-12)
+        t0, events = ps.t, ps.events
+        rec = ps.step()
+        assert rec.t > t0 and ps.events == events + 1
+        assert len(ps.trees) == sys_.dim
+        for k, tree in enumerate(ps.trees):
+            assert tree.total == pytest.approx(ps.s_hat[k], rel=1e-12, abs=1e-12)
+
+    def test_runs_chain(self, kac):
+        sys_, meas = kac
+        ps = gk.init_poisson(sys_, meas, 300, 32)
+        first = ps.run([0.05])[0]
+        merges, events = ps.merges, ps.events
+        second = ps.run([0.1])[0]
+        assert (first.t, second.t, ps.t) == (0.05, 0.1, 0.1)
+        assert second.n_particles == ps.n_particles <= first.n_particles
+        assert ps.merges - merges == first.n_particles - second.n_particles
+        assert ps.events > events
+        with pytest.raises(ValueError):
+            ps.run([0.05])
+
+    def test_dump_load_resumes(self, kac, tmp_path):
+        sys_, meas = kac
+        ps = gk.init_poisson(sys_, meas, 300, 33)
+        ps.run([0.05])
+        path = tmp_path / "state.bin"
+        ps.dump_state(path)
+        resumed = gk.load_state(sys_, path, 2)
+        assert resumed.n_particles == ps.n_particles
+        snap = resumed.run([0.15])[0]
+        assert snap.t == resumed.t == 0.15
+        assert snap.n_particles < ps.n_particles
+        assert np.allclose(
+            resumed.coords[resumed.alive].sum(axis=0),
+            ps.coords[ps.alive].sum(axis=0),
+            rtol=1e-12,
+        )
+
+    def test_live_rows_keep_totals(self, kac, mult):
+        sys_, meas = kac
+        ps = gk.init_poisson(sys_, meas, 500, 34)
+        start = ps.coords.sum(axis=0)
+        p0 = ps.n_particles
+        snaps = ps.run([0.02, 0.05, 0.1])
+        assert [s.n_particles for s in snaps] == sorted(
+            (s.n_particles for s in snaps), reverse=True
+        )
+        assert ps.n_particles == int(ps.alive.sum()) == p0 - ps.merges
+        assert not ps.coords[~ps.alive].any()  # merged-away slots are empty
+        assert np.allclose(ps.coords[ps.alive].sum(axis=0), start, rtol=1e-12)
+        # a cluster keeps its lowest starting slot
+        trio = gk.ParticleSystem(mult[0], np.ones((3, 2)), 3, np.random.default_rng(0))
+        trio.run([50.0])
+        assert trio.alive.tolist() == [True, False, False]
+        assert trio.coords.tolist() == [[3.0, 3.0], [0.0, 0.0], [0.0, 0.0]]
+
+    def test_negative_pair_rate_raises(self):
+        # kbar(x, y) = x+ y+ + x_par y_par is -1 on the cross pair below
+        sys_ = gk.BilinearSystem(1, 1, [[1.0]], [[1.0]])
+        coords = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, -2.0]])
+        ps = gk.ParticleSystem(sys_, coords, 2, np.random.default_rng(0))
+        with pytest.raises(NegativeRate):
+            ps.run([10.0])
 
 
 class TestHook:
