@@ -37,7 +37,12 @@ from .presets import PRESETS, from_name
 from .restricted import TruncatedFlory
 from .spectral import gelation
 from .survival import gel_curve, gel_data
-from .system import load_system, system_measure_from_json, system_measure_to_json
+from .system import (
+    load_system,
+    read_json,
+    system_measure_from_json,
+    system_measure_to_json,
+)
 
 # grid size above which gel-curve refuses to allocate its time grid
 _MAX_CURVE_POINTS = 10**6
@@ -541,17 +546,14 @@ def _load_model(system_arg, preset_arg):
     raise SchemaError("/system", "a system is required (--system or --preset)")
 
 
-def _run_config(path: str) -> Path:
-    try:
-        raw = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise SchemaError("", f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise SchemaError("", f"config is not valid JSON: {exc}") from None
+def _read_config(path: str) -> tuple:
+    """Read and check a run config; return the arguments of :func:`_execute`,
+    which checks ``params`` and ``seed`` against the kind."""
+    raw = read_json(path, "config")
     if not isinstance(raw, dict):
         raise SchemaError("", "config must be a JSON object")
     kind = raw.get("kind")
-    if kind not in COMMANDS:
+    if not isinstance(kind, str) or kind not in COMMANDS:
         raise SchemaError(
             "/kind", f"unknown kind {kind!r}; one of {sorted(COMMANDS)}"
         )
@@ -567,20 +569,21 @@ def _run_config(path: str) -> Path:
         model, measure = system_measure_from_json(spec)
     else:
         raise SchemaError("/system", "expected an object or a file path")
-    rate_scale = raw.get("rate_scale", 2.0 if raw.get("doubled_rates") else 1.0)
+    doubled = raw.get("doubled_rates", False)
+    if not isinstance(doubled, bool):
+        raise SchemaError("/doubled_rates", "expected true or false")
+    rate_scale = raw.get("rate_scale", 2.0 if doubled else 1.0)
     if not isinstance(rate_scale, (int, float)) or isinstance(rate_scale, bool):
         raise SchemaError("/rate_scale", "expected a number")
-    if rate_scale <= 0:
-        raise SchemaError("/rate_scale", "must be positive")
+    if not 0 < rate_scale <= _sys.float_info.max:  # NaN, Infinity, 10**400
+        raise SchemaError("/rate_scale", "must be positive and finite")
     params = raw.get("params", {})
     if not isinstance(params, dict):
         raise SchemaError("/params", "expected an object")
     out = raw.get("output")
     if out is not None and not isinstance(out, str):
         raise SchemaError("/output", "expected a file path")
-    return _execute(
-        kind, model, measure, float(rate_scale), raw.get("seed"), params, out
-    )
+    return kind, model, measure, float(rate_scale), raw.get("seed"), params, out
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -645,7 +648,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            _run_config(args.config)
+            _execute(*_read_config(args.config))
             return 0
         model, measure = _load_model(args.system, args.preset)
         rate_scale = 2.0 if args.doubled_rates else 1.0

@@ -39,6 +39,8 @@ COORD_TOL = 1e-9
 
 _SYMMETRY_TOL = 1e-12
 
+_FLOAT_MAX = float(np.finfo(float).max)
+
 
 def _as_matrix(a, size: int, name: str) -> np.ndarray:
     mat = np.asarray(a, dtype=float)
@@ -50,6 +52,8 @@ def _as_matrix(a, size: int, name: str) -> np.ndarray:
     if mat.size and float(np.abs(mat - mat.T).max()) > _SYMMETRY_TOL * scale:
         raise ValueError(f"{name} is not symmetric within {_SYMMETRY_TOL}")
     mat = (mat + mat.T) / 2.0
+    if not np.isfinite(mat).all():
+        raise ValueError(f"{name} must be finite")
     mat.setflags(write=False)
     return mat
 
@@ -123,8 +127,9 @@ class TypeVector:
     par: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if not isinstance(self.pi0, int) or self.pi0 < 1:
-            raise ValueError("pi0 must be a positive integer")
+        # beyond 2**53 the float coordinate row would not hold pi0 exactly
+        if not isinstance(self.pi0, int) or not 1 <= self.pi0 <= 2**53:
+            raise ValueError("pi0 must be a positive integer of at most 2**53")
         object.__setattr__(self, "plus", tuple(float(v) for v in self.plus))
         object.__setattr__(self, "par", tuple(float(v) for v in self.par))
         if any(v < 0 for v in self.plus):
@@ -491,14 +496,20 @@ def sample_atoms(
 # ---------------------------------------------------------------------------
 
 
+def _number(val, pointer) -> float:
+    if not isinstance(val, (int, float)) or isinstance(val, bool):
+        raise SchemaError(pointer, "expected a number")
+    if not -_FLOAT_MAX <= val <= _FLOAT_MAX:  # NaN, Infinity, 1e999, 10**400
+        raise SchemaError(pointer, "expected a finite number")
+    return float(val)
+
+
 def _expect(obj, key, kind, pointer):
     if key not in obj:
         raise SchemaError(f"{pointer}/{key}", "missing required key")
     val = obj[key]
     if kind is float:
-        if not isinstance(val, (int, float)) or isinstance(val, bool):
-            raise SchemaError(f"{pointer}/{key}", "expected a number")
-        return float(val)
+        return _number(val, f"{pointer}/{key}")
     if kind is int:
         if not isinstance(val, int) or isinstance(val, bool):
             raise SchemaError(f"{pointer}/{key}", "expected an integer")
@@ -511,12 +522,9 @@ def _expect(obj, key, kind, pointer):
 
 
 def _number_list(val, pointer) -> list[float]:
-    out = []
-    for i, v in enumerate(val):
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise SchemaError(f"{pointer}/{i}", "expected a number")
-        out.append(float(v))
-    return out
+    if not isinstance(val, list):
+        raise SchemaError(pointer, "expected an array")
+    return [_number(v, f"{pointer}/{i}") for i, v in enumerate(val)]
 
 
 def system_measure_from_json(
@@ -562,6 +570,8 @@ def system_measure_from_json(
         except ValueError as exc:
             raise SchemaError(p, str(exc)) from exc
         weights.append(wgt)
+    if not atoms:
+        raise SchemaError(f"{pointer}/atoms", "expected at least one atom")
     try:
         measure = AtomicMeasure(
             tuple(atoms), tuple(weights), initial=all(a.pi0 == 1 for a in atoms)
@@ -585,15 +595,25 @@ def system_measure_to_json(sys: BilinearSystem, measure: AtomicMeasure) -> dict:
     }
 
 
+def read_json(path, what: str):
+    """The parsed UTF-8 JSON document in file ``path``.  A file that cannot
+    be read (pointer ``""``) or parsed (pointer ``"/"``) is a
+    :class:`SchemaError` naming ``what``."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        raise SchemaError("", f"cannot read {what}: {exc}") from None
+    try:
+        return json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise SchemaError("/", f"{what} is not UTF-8: {exc}") from None
+    # ValueError also covers integers past the interpreter's digit limit,
+    # RecursionError arrays nested thousands deep
+    except (ValueError, RecursionError) as exc:
+        raise SchemaError("/", f"{what} is not valid JSON: {exc}") from None
+
+
 def load_system(path) -> tuple[BilinearSystem, AtomicMeasure]:
     """Read a system/measure JSON document from a file."""
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise SchemaError("", f"cannot read system file: {exc}") from None
-    with fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError("/", f"invalid JSON: {exc}") from exc
-    return system_measure_from_json(obj)
+    return system_measure_from_json(read_json(path, "system file"))

@@ -150,8 +150,10 @@ class TestFormatting:
             "gel-curve", "--preset", "multiplicative", "--times", "2.0"
         )
         text = (out_dir / "gel_curve.csv").read_text()
-        # M(2) for the monodisperse multiplicative model, full precision
-        assert "0.79681213002013274" in text
+        # M(2) for the monodisperse multiplicative model, full precision: the
+        # root of M = 1 - exp(-2M) is 0.79681213002002004616152... (mpmath,
+        # 40 digits), whose nearest double prints as below
+        assert "0.79681213002002005" in text
 
     def test_no_negative_zero(self, out_dir):
         run_cli(
@@ -323,6 +325,76 @@ class TestRunConfig:
         }))
         assert run_cli("run", str(cfg)) == 2
         assert pointer in capsys.readouterr().err
+
+
+def _system_text(path_name, value):
+    """The multiplicative system document with ``value`` spliced in as raw
+    JSON text at ``path_name`` (a weight or the A_plus entry)."""
+    spec = json.loads(path_for("multiplicative").read_text())
+    if path_name == "w":
+        spec["atoms"][0]["w"] = "@"
+    else:
+        spec["A_plus"][0][0] = "@"
+    return json.dumps(spec).replace('"@"', value)
+
+
+class TestMalformedInput:
+    """Malformed JSON inputs that used to exit 0 with a wrong number or end
+    in a bare exception: each is a schema error (exit 2) with a pointer."""
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "1e999"])
+    def test_non_finite_rate_scale(self, tmp_path, capsys, value):
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(
+            '{"kind": "tg", "system": %s, "rate_scale": %s}'
+            % (json.dumps(str(path_for("multiplicative"))), value)
+        )
+        assert run_cli("run", str(cfg)) == 2
+        assert "/rate_scale" in capsys.readouterr().err
+        assert not (tmp_path / "tg.json").exists()
+
+    def test_non_boolean_doubled_rates(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({
+            "kind": "tg", "system": str(path_for("multiplicative")),
+            "doubled_rates": "no",
+        }))
+        assert run_cli("run", str(cfg)) == 2
+        assert "/doubled_rates" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    @pytest.mark.parametrize(
+        "field,pointer", [("w", "/atoms/0/w"), ("A_plus", "/A_plus/0/0")]
+    )
+    def test_non_finite_system_entry(self, tmp_path, capsys, field, pointer, value):
+        path = tmp_path / "sys.json"
+        path.write_text(_system_text(field, value))
+        assert run_cli("tg", "--system", str(path)) == 2
+        assert pointer in capsys.readouterr().err
+
+    def test_no_atoms(self, tmp_path, capsys):
+        spec = json.loads(path_for("multiplicative").read_text())
+        spec["atoms"] = []
+        path = tmp_path / "sys.json"
+        path.write_text(json.dumps(spec))
+        assert run_cli("tg", "--system", str(path)) == 2
+        assert "/atoms" in capsys.readouterr().err
+
+    def test_non_utf8_system(self, tmp_path, capsys):
+        path = tmp_path / "sys.json"
+        path.write_bytes(b'{"n": 1, "m": 0, "name": "\xff"}')
+        assert run_cli("tg", "--system", str(path)) == 2
+        assert "UTF-8" in capsys.readouterr().err
+
+    def test_non_utf8_config(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.json"
+        cfg.write_bytes(b'{"kind": "tg\xff"}')
+        assert run_cli("run", str(cfg)) == 2
+        assert "UTF-8" in capsys.readouterr().err
+
+    def test_directory_as_config(self, tmp_path, capsys):
+        assert run_cli("run", str(tmp_path)) == 2
+        assert "cannot read config" in capsys.readouterr().err
 
 
 # one small experiment per command, as JSON params; the flag form of each is

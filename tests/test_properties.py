@@ -1,6 +1,8 @@
 """Invariants that must hold for arbitrary inputs, not just the presets."""
 
+import copy
 import dataclasses
+import json
 import struct
 
 import numpy as np
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 import gelkit as gk
+from gelkit import cli
 from gelkit.errors import NegativeRate, SchemaError
 
 
@@ -324,3 +327,108 @@ class TestDumpFuzz:
             assert np.array_equal(ps.coords, rows)
         else:
             self._rejects(sys_, dump_path, dump_path.read_bytes())
+
+
+# any JSON value json.loads can return, including the NaN/Infinity literals
+# and integers past the float range
+json_values = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=4)
+    | st.integers() | st.sampled_from([10**400, -(10**400), 2**53 + 1])
+    | st.floats(allow_nan=True, allow_infinity=True),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _paths(obj, prefix=()):
+    """Every location inside a JSON value, as key/index tuples."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return
+    for key, val in items:
+        yield prefix + (key,)
+        yield from _paths(val, prefix + (key,))
+
+
+@st.composite
+def mutated(draw, doc):
+    """``doc`` with one location replaced by any JSON value, or deleted."""
+    doc = copy.deepcopy(doc)
+    path = draw(st.sampled_from(list(_paths(doc))))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if isinstance(parent, dict) and draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(json_values)
+    return doc
+
+
+_KAC_DOC = gk.system_measure_to_json(*gk.kinetic_gas())
+_CONFIGS = (
+    {"kind": "tg", "system": _KAC_DOC, "rate_scale": 1.0, "output": "t.json"},
+    {
+        "kind": "gel-curve", "system": "kac.json", "doubled_rates": True,
+        "params": {"t_max": 2.0, "points": 5}, "seed": 1,
+    },
+)
+
+
+class TestJsonFuzz:
+    """Every malformed system document or run config is a schema error,
+    never a bare exception or a non-finite number let through."""
+
+    @staticmethod
+    def _system_or_schema_error(obj):
+        try:
+            sys_, meas = gk.system_measure_from_json(obj)
+        except SchemaError:
+            return
+        assert np.isfinite(sys_.block).all()
+        assert np.isfinite(meas.coords).all()
+        assert (meas.weight_array > 0.0).all() and np.isfinite(meas.weight_array).all()
+
+    @given(doc=mutated(_KAC_DOC))
+    def test_system_one_field(self, doc):
+        self._system_or_schema_error(doc)
+
+    @given(doc=json_values)
+    def test_system_any_value(self, doc):
+        self._system_or_schema_error(doc)
+
+    @pytest.fixture(scope="class")
+    def config_dir(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("configs")
+        (path / "kac.json").write_text(json.dumps(_KAC_DOC))
+        return path
+
+    @staticmethod
+    def _config_or_schema_error(path, text):
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+        try:
+            kind, model, meas, rate_scale, seed, params, out = cli._read_config(str(path))
+            cli._resolve(kind, params)
+        except SchemaError:
+            return
+        assert 0.0 < rate_scale < np.inf
+
+    @given(cfg=st.sampled_from(_CONFIGS).flatmap(mutated))
+    def test_config_one_field(self, config_dir, cfg):
+        self._config_or_schema_error(config_dir / "exp.json", json.dumps(cfg))
+
+    @given(blob=st.binary(max_size=200))
+    def test_config_random_bytes(self, config_dir, blob):
+        self._config_or_schema_error(config_dir / "exp.json", blob)
+
+    def test_deep_nesting(self, config_dir):
+        path = config_dir / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(SchemaError):
+            gk.load_system(path)
+        with pytest.raises(SchemaError):
+            cli._read_config(str(path))

@@ -1,7 +1,12 @@
+import mpmath
 import numpy as np
 import pytest
 
 import gelkit as gk
+from gelkit import survival
+from gelkit.errors import SlowConvergence
+
+PRESETS = ("multiplicative", "bidisperse", "kinetic-gas")
 
 
 def bisect_gel_mass(t: float, lo=1e-12, hi=1.0 - 1e-15) -> float:
@@ -61,6 +66,60 @@ class TestFixedPoint:
         a = gk.solve_fixed_point(sys_, meas, 1.5, rate_scale=2.0)
         b = gk.solve_fixed_point(sys_, meas, 3.0, rate_scale=1.0)
         assert np.allclose(a.c, b.c, atol=1e-11)
+
+
+class TestNearCritical:
+    """The maximal root at t = t_g (1 + 10^-k), where the Jacobian of
+    c - t F(c) is singular to O(10^-k) and rounding is amplified by 10^k."""
+
+    @pytest.mark.parametrize("k", range(3, 12))
+    @pytest.mark.parametrize("name", PRESETS)
+    def test_ladder(self, name, k):
+        sys_, meas = gk.from_name(name)
+        t_g = gk.gelation_time(sys_, meas)
+        t = t_g * (1.0 + 10.0**-k)
+        sol = gk.solve_fixed_point(sys_, meas, t)
+        mapped = t * gk.fixed_point_map(sys_, meas, sol.c)
+        assert np.abs(sol.c - mapped).max() <= 1e-14 * np.abs(sol.c).max()
+        # first-order critical expansion; the next term is O(10^-k) relative
+        c_prime, _ = gk.critical_slope(sys_, meas)
+        dev = np.abs(sol.c / (c_prime * (t - t_g)) - 1.0).max()
+        assert dev <= 10.0 ** (1 - k) + 1e-15 * 10.0**k
+        if name == "multiplicative":
+            with mpmath.workdps(60):
+                tt = mpmath.mpf(t)
+                root = mpmath.findroot(
+                    lambda c: c - tt * -mpmath.expm1(-c), 2 * (tt - 1)
+                )
+                rel = float(abs(sol.c[0] / root - 1))
+            assert rel <= max(1e-12, 1e-15 * 10.0**k)
+
+    @pytest.mark.parametrize("name", PRESETS)
+    def test_gel_curve_rows_match_pointwise(self, name):
+        sys_, meas = gk.from_name(name)
+        t_g = gk.gelation_time(sys_, meas)
+        times = np.sort(np.concatenate((
+            np.linspace(0.0, 2.5 * t_g, 40), t_g * (1.0 + 10.0 ** -np.arange(3, 12))
+        )))
+        rows = gk.gel_curve(sys_, meas, times)
+        n = sys_.n
+        for t, row in zip(times, rows):
+            sol = gk.solve_fixed_point(sys_, meas, t)
+            g = gk.gel_data(sys_, meas, t).g
+            want = np.concatenate(([t], sol.c, g[: 1 + n]))
+            np.testing.assert_allclose(row, want, rtol=1e-14, atol=0.0)
+
+    def test_iteration_cap(self, kac, monkeypatch):
+        sys_, meas = kac
+        t_g = gk.gelation_time(sys_, meas)
+        monkeypatch.setattr(survival, "_MAX_NEWTON", 1)
+        # far above t_g the first step is already below the tolerance
+        assert not gk.solve_fixed_point(sys_, meas, 100.0 * t_g).is_zero
+        monkeypatch.setattr(survival, "_MAX_NEWTON", 5)
+        with pytest.raises(SlowConvergence):
+            gk.solve_fixed_point(sys_, meas, t_g * (1.0 + 1e-6))
+        with pytest.raises(SlowConvergence):
+            gk.gel_curve(sys_, meas, [0.5 * t_g, t_g * (1.0 + 1e-6)])
 
 
 class TestGelData:
