@@ -8,6 +8,8 @@ a closed ODE system, and two stochastic counterparts (a particle merge
 process and an inhomogeneous random graph) for finite-size validation.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     BudgetExceeded,
     DegenerateCubic,
@@ -31,7 +33,6 @@ from .graphs import (
     CouplingReport,
     DualityReport,
     GraphRealization,
-    UnionFind,
     coupling_test,
     duality_experiment,
     graph_from_measure,
@@ -114,90 +115,8 @@ from .system import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AtomicMeasure",
-    "BilinearSystem",
-    "BudgetExceeded",
-    "ComponentTrack",
-    "CouplingReport",
-    "DegenerateCubic",
-    "DegenerateMeasure",
-    "DirectPairSimulator",
-    "DualNotSubcritical",
-    "DualityReport",
-    "ExplosionReached",
-    "FenwickTree",
-    "GelData",
-    "GelkitError",
-    "GraphRealization",
-    "HookViolatesConservation",
-    "HypothesisReport",
-    "MomentState",
-    "NegativeRate",
-    "NoConvergence",
-    "NumericError",
-    "PRESETS",
-    "ParticleSystem",
-    "RateUnderflow",
-    "SchemaError",
-    "SizeBiasReport",
-    "SlowConvergence",
-    "Snapshot",
-    "SpectralResult",
-    "StepRecord",
-    "SurvivalCoefficients",
-    "ToleranceFailure",
-    "TruncatedFlory",
-    "TruncatedState",
-    "TypeVector",
-    "UnionFind",
-    "WindowInvalid",
-    "bidisperse",
-    "check_hypotheses",
-    "child_seed",
-    "coupling_test",
-    "critical_slope",
-    "criticality_matrix",
-    "duality_experiment",
-    "enumerate_types",
-    "explosion_time",
-    "first_moments",
-    "fixed_point_map",
-    "from_name",
-    "gel_curve",
-    "gel_data",
-    "gel_growth_ode",
-    "gelation",
-    "gelation_time",
-    "gram_plus",
-    "graph_from_measure",
-    "init_poisson",
-    "initial_state",
-    "integrate_subcritical",
-    "integrate_truncated",
-    "kinetic_gas",
-    "kinetic_gas_sample",
-    "load_state",
-    "load_system",
-    "merge",
-    "merge_rate",
-    "merge_rate_matrix",
-    "moment_matrix",
-    "moment_rhs",
-    "moments_at",
-    "multiplicative",
-    "par_bound_constant",
-    "reflect",
-    "sample_atoms",
-    "sample_graph",
-    "size_bias_check",
-    "solve_fixed_point",
-    "spectral_radius",
-    "supercritical_moments",
-    "survival_probabilities",
-    "system_measure_from_json",
-    "system_measure_to_json",
-    "tilted_measure",
-    "total_size",
-    "trajectory",
-]
+# every public name imported above
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -94,6 +94,26 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _manifest_path(out: Path) -> Path:
+    return out.parent / (out.stem + ".manifest.json")
+
+
+def _writable(out: Path) -> Path:
+    """Make the parent of ``out``; check before any work that ``out`` and its
+    manifest can be written as files (SchemaError at ``/output`` if not)."""
+    try:
+        if "\0" in str(out):
+            raise ValueError("embedded null byte")
+        out.parent.mkdir(parents=True, exist_ok=True)
+        if out.is_dir() or _manifest_path(out).is_dir():
+            raise IsADirectoryError("a directory is in the way")
+        if not os.access(out.parent, os.W_OK):
+            raise PermissionError("the directory is not writable")
+    except (OSError, ValueError) as exc:
+        raise SchemaError("/output", f"cannot write {str(out)!r}: {exc}") from None
+    return out
+
+
 def _write_manifest(out: Path, kind: str, resolved: dict, wall: float) -> None:
     canon = json.dumps(resolved, sort_keys=True, separators=(",", ":"))
     manifest = {
@@ -106,8 +126,7 @@ def _write_manifest(out: Path, kind: str, resolved: dict, wall: float) -> None:
         "wall_time_s": round(wall, 3),
         "output": out.name,
     }
-    side = out.parent / (out.stem + ".manifest.json")
-    side.write_text(json.dumps(manifest, indent=2) + "\n")
+    _manifest_path(out).write_text(json.dumps(manifest, indent=2) + "\n")
 
 
 def _package_version() -> str:
@@ -514,8 +533,9 @@ def _execute(kind, model, measure, rate_scale, seed, params, out_arg) -> Path:
     params = _resolve(kind, params)
     if cmd.stochastic and (type(seed) is not int or seed < 0):
         raise SchemaError("/seed", "stochastic experiments need a seed >= 0")
-    out = Path(out_arg or Path(os.environ.get("GELKIT_OUT", ".")) / cmd.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    out = _writable(
+        Path(out_arg or Path(os.environ.get("GELKIT_OUT", ".")) / cmd.out)
+    )
     resolved = {
         "kind": kind,
         "system": system_measure_to_json(model, measure),

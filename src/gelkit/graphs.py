@@ -7,8 +7,14 @@ kbar(u, v))``, so by time t the edge is present with probability
 play the role of merged particles: component data is the coordinate sum of
 its vertices.
 
-All pair scans run in fixed-size blocks so memory stays flat in the vertex
-count; the vertex count itself is capped because the scan is quadratic.
+``sample_graph`` draws the edges with the merge engine of
+``ParticleSystem.run``: Poisson envelope proposals, thinned by
+``kbar / khat`` and stamped with uniform arrival times, of which each pair
+keeps its first.  It costs O(N + proposals), under a budget on the expected
+proposal count.  Components come from ``particles.contract`` on edge
+prefixes.  ``_sample_graph_scan`` is an independent pair-scan sampler kept
+as the oracle of ``coupling_test``; it is quadratic, so it caps the vertex
+count.
 """
 
 from __future__ import annotations
@@ -19,12 +25,24 @@ import numpy as np
 from scipy.stats import ks_2samp
 
 from .errors import BudgetExceeded, NegativeRate, WindowInvalid
+from .particles import (
+    _CHUNK,
+    _MAX_PARTICLES,
+    ParticleSystem,
+    child_seed,
+    contract,
+    envelope,
+    envelope_proposals,
+)
 from .spectral import gelation_time
 from .survival import solve_fixed_point, survival_probabilities, tilted_measure
 from .system import AtomicMeasure, BilinearSystem, sample_atoms
 
 _BLOCK = 512
+# vertex cap of the quadratic pair-scan oracle
 _MAX_VERTICES = 30_000
+# expected envelope proposals above which sample_graph refuses to draw
+_MAX_PROPOSALS = 10**7
 
 
 @dataclass(frozen=True)
@@ -35,7 +53,7 @@ class GraphRealization:
     n_scale: float
     t_max: float
     rate_scale: float
-    edge_u: np.ndarray  # int indices, sorted by arrival time
+    edge_u: np.ndarray  # int indices, u < v, sorted by arrival time
     edge_v: np.ndarray
     edge_t: np.ndarray
 
@@ -48,6 +66,25 @@ class GraphRealization:
         return int(np.searchsorted(self.edge_t, t, side="right"))
 
 
+def _realization(vertices, n_scale, t_max, rate_scale, eu, ev, et):
+    """Edge arrays into a realization sorted by arrival time."""
+    order = np.argsort(et, kind="stable")
+    return GraphRealization(
+        vertices=vertices,
+        n_scale=float(n_scale),
+        t_max=float(t_max),
+        rate_scale=float(rate_scale),
+        edge_u=eu[order],
+        edge_v=ev[order],
+        edge_t=et[order],
+    )
+
+
+def _no_edges() -> tuple[list, list, list]:
+    """Edge batch lists (u, v, t) that start with an empty batch."""
+    return [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
+
+
 def sample_graph(
     sys: BilinearSystem,
     vertices: np.ndarray,
@@ -55,18 +92,70 @@ def sample_graph(
     t_max: float,
     seed: int | np.random.SeedSequence,
     rate_scale: float = 1.0,
-    max_vertices: int = _MAX_VERTICES,
 ) -> GraphRealization:
     """Draw every edge with arrival time <= t_max.
 
-    The scan touches all ~N^2/2 pairs, so the vertex count is capped;
-    raise the cap explicitly if you accept the quadratic cost.
+    Poisson(rate * t_max) envelope proposals, where rate is the merge
+    envelope rate of the vertex rows, each get a uniform arrival time in
+    [0, t_max] and are thinned by :func:`particles.envelope_proposals`.
+    The kept arrivals of a pair form a Poisson process of rate
+    ``rate_scale * kbar / n_scale``, so its first one, the one stored, is
+    the pair's exponential edge time.  An expected proposal count above
+    ``_MAX_PROPOSALS`` raises BudgetExceeded before any draw.
+    """
+    vertices = np.asarray(vertices, dtype=float)
+    if t_max < 0:
+        raise ValueError("t_max must be nonnegative")
+    rng = np.random.default_rng(seed)
+    cum, pair_cum = envelope(sys, vertices)
+    weight = float(pair_cum[-1]) if pair_cum.size else 0.0
+    mean = 0.5 * rate_scale / n_scale * weight * t_max
+    if not mean <= _MAX_PROPOSALS:
+        raise BudgetExceeded(
+            f"expected {mean:.3g} edge proposals exceeds the budget "
+            f"{_MAX_PROPOSALS}"
+        )
+    count = int(rng.poisson(mean))
+    us, vs, ts = _no_edges()
+    while count:
+        size = min(count, _CHUNK)
+        count -= size
+        p, q, keep = envelope_proposals(rng, sys, vertices, cum, pair_cum, size)
+        t = rng.random(size) * t_max
+        p, q = p[keep], q[keep]
+        us.append(np.minimum(p, q))
+        vs.append(np.maximum(p, q))
+        ts.append(t[keep])
+    eu, ev, et = (np.concatenate(part) for part in (us, vs, ts))
+    # the first arrival of each pair: sort by (u, v, t), keep the group heads
+    order = np.lexsort((et, ev, eu))
+    eu, ev, et = eu[order], ev[order], et[order]
+    head = np.ones(eu.size, dtype=bool)
+    head[1:] = (eu[1:] != eu[:-1]) | (ev[1:] != ev[:-1])
+    return _realization(
+        vertices, n_scale, t_max, rate_scale, eu[head], ev[head], et[head]
+    )
+
+
+def _sample_graph_scan(
+    sys: BilinearSystem,
+    vertices: np.ndarray,
+    n_scale: float,
+    t_max: float,
+    seed: int | np.random.SeedSequence,
+    rate_scale: float = 1.0,
+) -> GraphRealization:
+    """Draw every edge with arrival time <= t_max by scanning all pairs.
+
+    The oracle of :func:`coupling_test`: it shares no code with the merge
+    engine.  The scan touches all ~N^2/2 pairs in fixed-size blocks, so
+    memory stays flat, but the vertex count is capped at ``_MAX_VERTICES``.
     """
     vertices = np.asarray(vertices, dtype=float)
     count = vertices.shape[0]
-    if count > max_vertices:
+    if count > _MAX_VERTICES:
         raise BudgetExceeded(
-            f"{count} vertices exceeds the pair-scan cap {max_vertices}"
+            f"{count} vertices exceeds the pair-scan cap {_MAX_VERTICES}"
         )
     if t_max < 0:
         raise ValueError("t_max must be nonnegative")
@@ -77,7 +166,7 @@ def sample_graph(
     env = float(np.abs(rates).max(initial=0.0)) ** 2 * float(
         np.abs(block).sum()
     )
-    us, vs, ts = [], [], []
+    us, vs, ts = _no_edges()
     for bi in range(0, count, _BLOCK):
         ri = rates[bi : bi + _BLOCK]
         for bj in range(bi, count, _BLOCK):
@@ -99,25 +188,16 @@ def sample_graph(
                 us.append(ii + bi)
                 vs.append(jj + bj)
                 ts.append(arrival[ii, jj])
-    if us:
-        eu = np.concatenate(us)
-        ev = np.concatenate(vs)
-        et = np.concatenate(ts)
-        order = np.argsort(et, kind="stable")
-        eu, ev, et = eu[order], ev[order], et[order]
-    else:
-        eu = np.zeros(0, dtype=np.int64)
-        ev = np.zeros(0, dtype=np.int64)
-        et = np.zeros(0)
-    return GraphRealization(
-        vertices=vertices,
-        n_scale=float(n_scale),
-        t_max=float(t_max),
-        rate_scale=float(rate_scale),
-        edge_u=eu,
-        edge_v=ev,
-        edge_t=et,
+    return _realization(
+        vertices, n_scale, t_max, rate_scale,
+        *(np.concatenate(part) for part in (us, vs, ts)),
     )
+
+
+def _check_vertices(n: int) -> None:
+    """BudgetExceeded, before any row is drawn, past ``_MAX_PARTICLES``."""
+    if n > _MAX_PARTICLES:
+        raise BudgetExceeded(f"{n} vertices exceeds the budget {_MAX_PARTICLES}")
 
 
 def graph_from_measure(
@@ -127,55 +207,17 @@ def graph_from_measure(
     t_max: float,
     seed: int | np.random.SeedSequence,
     rate_scale: float = 1.0,
-    max_vertices: int = _MAX_VERTICES,
 ) -> GraphRealization:
     """Fixed vertex count n, rows i.i.d. from the normalized measure."""
+    _check_vertices(n)
     rng = np.random.default_rng(seed)
     rows = sample_atoms(measure, n, rng)
-    return sample_graph(
-        sys, rows, n, t_max, rng, rate_scale=rate_scale,
-        max_vertices=max_vertices,
-    )
+    return sample_graph(sys, rows, n, t_max, rng, rate_scale=rate_scale)
 
 
-class UnionFind:
-    """Union by size with path compression; coordinate sums live at roots."""
-
-    def __init__(self, vertices: np.ndarray):
-        count = vertices.shape[0]
-        self.parent = np.arange(count, dtype=np.int64)
-        self.size = np.ones(count, dtype=np.int64)
-        self.pi = vertices.copy()
-        self.n_components = count
-
-    def find(self, v: int) -> int:
-        parent = self.parent
-        root = v
-        while parent[root] != root:
-            root = parent[root]
-        while parent[v] != root:
-            parent[v], v = root, parent[v]
-        return int(root)
-
-    def union(self, u: int, v: int) -> bool:
-        ru, rv = self.find(u), self.find(v)
-        if ru == rv:
-            return False
-        if self.size[ru] < self.size[rv]:
-            ru, rv = rv, ru
-        self.parent[rv] = ru
-        self.size[ru] += self.size[rv]
-        self.pi[ru] += self.pi[rv]
-        self.n_components -= 1
-        return True
-
-    def roots(self) -> np.ndarray:
-        return np.flatnonzero(self.parent == np.arange(self.parent.size))
-
-    def root_of_each(self) -> np.ndarray:
-        for v in range(self.parent.size):
-            self.find(v)
-        return self.parent
+def _components(count: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, int]:
+    """Component label of each of ``count`` vertices joined by edges (u, v)."""
+    return contract(np.arange(count, dtype=np.int32), count, u, v)
 
 
 @dataclass(frozen=True)
@@ -194,22 +236,22 @@ class ComponentTrack:
 
 
 def _track(
-    uf: UnionFind, n_scale: float, t: float, xi: int
+    graph: GraphRealization, labels: np.ndarray, count: int, t: float, xi: int
 ) -> ComponentTrack:
-    roots = uf.roots()
-    sizes = uf.size[roots]
-    big_pos = int(np.argmax(sizes))  # first max: smallest root index wins ties
-    c1 = int(sizes[big_pos])
+    sizes = np.bincount(labels, minlength=count)
+    # first max: labels follow each component's lowest vertex
+    big = int(np.argmax(sizes))
+    c1 = int(sizes[big])
     meso = int(sizes[(sizes >= xi)].sum() - (c1 if c1 >= xi else 0))
     values, counts = np.unique(sizes, return_counts=True)
     return ComponentTrack(
         t=t,
-        n_components=int(roots.size),
+        n_components=count,
         xi=int(xi),
         c1_vertices=c1,
-        c1_over_n=c1 / n_scale,
-        pi_c1=uf.pi[roots[big_pos]] / n_scale,
-        meso_fraction=meso / n_scale,
+        c1_over_n=c1 / graph.n_scale,
+        pi_c1=graph.vertices[labels == big].sum(axis=0) / graph.n_scale,
+        meso_fraction=meso / graph.n_scale,
         size_values=values,
         size_counts=counts,
     )
@@ -218,25 +260,28 @@ def _track(
 def trajectory(
     graph: GraphRealization, checkpoint_times, xi: int | None = None
 ) -> list[ComponentTrack]:
-    """Insert edges in arrival order, reporting at each checkpoint.
+    """Contract edges in arrival order, reporting at each checkpoint.
 
-    Checkpoints past the sampling horizon are rejected: edges there were
-    never drawn.
+    Of equally large components the one holding the lowest vertex is the
+    largest.  Checkpoints past the sampling horizon are rejected: edges
+    there were never drawn.
     """
     times = sorted(float(v) for v in checkpoint_times)
     if times and times[-1] > graph.t_max + 1e-12:
         raise ValueError("checkpoint beyond the sampled edge horizon")
     if xi is None:
         xi = int(np.ceil(np.sqrt(graph.n_scale)))
-    uf = UnionFind(graph.vertices)
+    count = graph.n_vertices
+    labels = np.arange(count, dtype=np.int32)
     out = []
     pos = 0
     for target in times:
         stop = graph.edges_until(target)
-        for e in range(pos, stop):
-            uf.union(int(graph.edge_u[e]), int(graph.edge_v[e]))
+        labels, count = contract(
+            labels, count, graph.edge_u[pos:stop], graph.edge_v[pos:stop]
+        )
         pos = stop
-        out.append(_track(uf, graph.n_scale, target, xi))
+        out.append(_track(graph, labels, count, target, xi))
     return out
 
 
@@ -275,8 +320,6 @@ def coupling_test(
     ``graph_rate_factor`` deliberately mis-scales the graph side; anything
     but 1.0 should make the test fail, which is the calibration control.
     """
-    from .particles import ParticleSystem, child_seed
-
     g_largest = np.empty(n_replicas)
     g_counts = np.empty(n_replicas)
     p_largest = np.empty(n_replicas)
@@ -286,7 +329,7 @@ def coupling_test(
         rows = sample_atoms(
             measure, n, np.random.default_rng(child_seed(seed, r, 0))
         )
-        graph = sample_graph(
+        graph = _sample_graph_scan(
             sys,
             rows,
             n,
@@ -353,8 +396,6 @@ def duality_experiment(
     The window must satisfy t_gel < t_minus < t_plus < t_gel(tilted), else
     the comparison is meaningless and WindowInvalid is raised.
     """
-    from .particles import child_seed
-
     t_gel = gelation_time(sys, measure, rate_scale=rate_scale)
     coeff = solve_fixed_point(sys, measure, t_minus, rate_scale=rate_scale)
     rho = survival_probabilities(sys, measure, coeff)
@@ -366,41 +407,33 @@ def duality_experiment(
             f"tilted t_gel={t_gel_tilted:.6g}; "
             f"got t_minus={t_minus}, t_plus={t_plus}"
         )
+    _check_vertices(n)
     rows = sample_atoms(
         measure, n, np.random.default_rng(child_seed(seed, 0))
     )
     graph = sample_graph(
         sys, rows, n, t_plus, child_seed(seed, 1), rate_scale=rate_scale
     )
+    eu, ev = graph.edge_u, graph.edge_v
     # components as seen at t_minus pick out the giant to delete
-    uf_minus = UnionFind(graph.vertices)
     stop = graph.edges_until(t_minus)
-    for e in range(stop):
-        uf_minus.union(int(graph.edge_u[e]), int(graph.edge_v[e]))
-    roots = uf_minus.roots()
-    giant_root = int(roots[np.argmax(uf_minus.size[roots])])
-    survivors = np.flatnonzero(uf_minus.root_of_each() != giant_root)
-    survivor_set = np.zeros(n, dtype=bool)
-    survivor_set[survivors] = True
-    uf_dual = UnionFind(graph.vertices)
-    for e in range(graph.edge_u.size):
-        u, v = int(graph.edge_u[e]), int(graph.edge_v[e])
-        if survivor_set[u] and survivor_set[v]:
-            uf_dual.union(u, v)
-    _, dual_sizes = np.unique(
-        uf_dual.root_of_each()[survivors], return_counts=True
-    )
+    labels, count = _components(n, eu[:stop], ev[:stop])
+    survivor = labels != np.argmax(np.bincount(labels, minlength=count))
+    both = survivor[eu] & survivor[ev]
+    dual = _components(n, eu[both], ev[both])[0][survivor]
+    dual_sizes = np.bincount(dual)
+    dual_sizes = dual_sizes[dual_sizes > 0]
+    n_survivors = int(survivor.sum())
     fresh_rows = sample_atoms(
-        tilted, survivors.size, np.random.default_rng(child_seed(seed, 2))
+        tilted, n_survivors, np.random.default_rng(child_seed(seed, 2))
     )
     fresh = sample_graph(
         sys, fresh_rows, n, t_plus, child_seed(seed, 3),
         rate_scale=rate_scale,
     )
-    uf_fresh = UnionFind(fresh.vertices)
-    for e in range(fresh.edge_u.size):
-        uf_fresh.union(int(fresh.edge_u[e]), int(fresh.edge_v[e]))
-    fresh_sizes = uf_fresh.size[uf_fresh.roots()]
+    fresh_sizes = np.bincount(
+        _components(n_survivors, fresh.edge_u, fresh.edge_v)[0]
+    )
     # survivors are counted in vertices, so the prediction is the weighted
     # mean non-extraction probability, not the gel mass itself
     sol_number = float(
@@ -412,7 +445,7 @@ def duality_experiment(
         t_plus=t_plus,
         t_gel=t_gel,
         t_gel_tilted=t_gel_tilted,
-        survivor_fraction=survivors.size / n,
+        survivor_fraction=n_survivors / n,
         expected_sol_fraction=sol_number,
         dual_c1_over_n=float(dual_sizes.max(initial=0)) / n,
         fresh_c1_over_n=float(fresh_sizes.max(initial=0)) / n,

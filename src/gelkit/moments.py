@@ -227,8 +227,9 @@ def supercritical_moments(
     """Sol-phase second moments after gelation, via the duality tilt.
 
     Thin the initial measure by the survival probabilities at time t,
-    verify the tilted system gels strictly later than t, then evaluate
-    the ordinary moment flow from the tilted moments up to t.
+    verify the tilted system gels later than t by at least half of
+    ``t - t_g`` (its gap is about ``t - t_g``), then evaluate the ordinary
+    moment flow from the tilted moments up to t.
     """
     spectral = gelation(sys, measure, rate_scale)
     if t <= spectral.t_g:
@@ -239,7 +240,8 @@ def supercritical_moments(
     rho = survival_probabilities(sys, measure, sol)
     tilted = measure.scaled(1.0 - rho)
     tilted_tg = gelation(sys, tilted, rate_scale).t_g
-    if t >= tilted_tg * (1.0 - 1e-9):
+    # the tilted gap is about t - t_g, so the margin scales with it
+    if tilted_tg - t <= 0.5 * (t - spectral.t_g):
         raise DualNotSubcritical(
             f"tilted system gels at {tilted_tg}, not after requested t={t}; "
             "fixed-point solution is inconsistent"

@@ -66,6 +66,83 @@ def child_seed(seed: int, *key: int) -> np.random.SeedSequence:
     return np.random.SeedSequence((int(seed), *map(int, key)))
 
 
+def envelope(sys: BilinearSystem, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The static proposal law on a table of rows: the cumulative |x_k| of
+    the rows per rate coordinate, (d, P), and the cumulative weights
+    ``|a_kl| s_k s_l`` (s_k the total |x_k|) of the nonzero envelope entries
+    in ``np.nonzero(sys.block_abs)`` order, which sum to ``sum_pq khat``."""
+    cum = np.cumsum(np.abs(rows[:, 1:].T), axis=1)
+    s = cum[:, -1] if rows.shape[0] else np.zeros(sys.dim)
+    kk, ll = np.nonzero(sys.block_abs)
+    return cum, np.cumsum(sys.block_abs[kk, ll] * s[kk] * s[ll])
+
+
+def _pair_rates(sys: BilinearSystem, rp, rq, real) -> tuple[np.ndarray, np.ndarray]:
+    """``kbar`` and ``khat`` of row pairs; NegativeRate if a ``real`` pair's
+    ``kbar`` is below ``-1e-9 khat``, beyond rounding."""
+    kbar = np.einsum("ij,jk,ik->i", rp, sys.block, rq)
+    khat = np.einsum("ij,jk,ik->i", np.abs(rp), sys.block_abs, np.abs(rq))
+    bad = real & (kbar < -1e-9 * khat)
+    if bad.any():
+        raise NegativeRate(
+            f"negative merge rate {kbar[bad].min()} encountered in simulation"
+        )
+    return kbar, khat
+
+
+def _draw_rows(rng: np.random.Generator, cum: np.ndarray, coord: np.ndarray) -> np.ndarray:
+    """One row per proposal, with probability |x_k| / s_k for its coordinate k."""
+    u = rng.random(coord.size)
+    out = np.empty(coord.size, dtype=np.intp)
+    for k in range(cum.shape[0]):
+        sel = coord == k
+        if sel.any():
+            out[sel] = np.searchsorted(cum[k], u[sel] * cum[k, -1], side="right")
+    # a draw that rounds onto the total picks the last row, as find does
+    return np.minimum(out, cum.shape[1] - 1, out=out)
+
+
+def envelope_proposals(rng, sys, rows, cum, pair_cum, size: int):
+    """Draw ``size`` proposals from :func:`envelope` and thin them.
+
+    A proposal picks the coordinate pair (k, l) by weight, then row p with
+    probability |x_pk| / s_k and row q with |x_ql| / s_l: the ordered pair
+    (p, q) comes with probability proportional to ``khat(x_p, x_q)``.
+    Returns ``(p, q, keep)``; ``keep`` drops self pairs and keeps the rest
+    with probability ``kbar / khat`` (1 when m = 0).
+    """
+    kk, ll = np.nonzero(sys.block_abs)
+    pick = np.searchsorted(pair_cum, rng.random(size) * pair_cum[-1], side="right")
+    pick = np.minimum(pick, pair_cum.size - 1, out=pick)
+    p = _draw_rows(rng, cum, kk[pick])
+    q = _draw_rows(rng, cum, ll[pick])
+    keep = p != q
+    if sys.m:
+        kbar, khat = _pair_rates(sys, rows[p, 1:], rows[q, 1:], keep)
+        keep &= rng.random(size) * khat < kbar
+    return p, q, keep
+
+
+def contract(
+    labels: np.ndarray, clusters: int, p: np.ndarray, q: np.ndarray
+) -> tuple[np.ndarray, int]:
+    """Join the clusters of rows p[i] and q[i]: the new labels and count.
+
+    ``connected_components`` numbers components by their lowest node, so
+    labels stay ordered by each cluster's lowest row.
+    """
+    a, b = labels[p], labels[q]
+    cross = a != b
+    if not cross.any():
+        return labels, clusters
+    graph = csr_matrix(
+        (np.ones(int(cross.sum())), (a[cross], b[cross])),
+        shape=(clusters, clusters),
+    )
+    clusters, comp = connected_components(graph, directed=False)
+    return comp[labels], clusters
+
+
 @dataclass(frozen=True)
 class Snapshot:
     """Observables of the particle population at one time."""
@@ -183,13 +260,11 @@ class ParticleSystem:
         # the sequential loop's index, built by _index on first use
         self._abs: np.ndarray | None = None
         self.trees: list[FenwickTree] | None = None
-        self._a_abs = sys.block_abs
         # nonzero envelope entries, upper triangle doubled into full weight
-        kk, ll = np.nonzero(self._a_abs)
+        kk, ll = np.nonzero(sys.block_abs)
         self._env_k = kk
         self._env_l = ll
-        self._env_a = self._a_abs[kk, ll]
-        self._fast_exact = sys.m == 0  # envelope equals the kernel
+        self._env_a = sys.block_abs[kk, ll]
         self._u_buf = np.empty(0)
         self._u_pos = 0
         self._e_buf = np.empty(0)
@@ -275,15 +350,10 @@ class ParticleSystem:
 
     def _pick_coordinate_pair(self) -> tuple[int, int]:
         s = self.s_hat
-        weights = self._env_a * s[self._env_k] * s[self._env_l]
-        total = float(weights.sum())
-        target = self._uniform() * total
-        acc = 0.0
-        for idx in range(weights.size):
-            acc += float(weights[idx])
-            if target < acc:
-                return int(self._env_k[idx]), int(self._env_l[idx])
-        return int(self._env_k[-1]), int(self._env_l[-1])
+        cum = np.cumsum(self._env_a * s[self._env_k] * s[self._env_l])
+        idx = int(np.searchsorted(cum, self._uniform() * cum[-1], side="right"))
+        idx = min(idx, cum.size - 1)
+        return int(self._env_k[idx]), int(self._env_l[idx])
 
     def _apply_merge(self, p: int, q: int) -> None:
         coords = self.coords
@@ -382,18 +452,11 @@ class ParticleSystem:
         q = tree_l.find(self._uniform() * tree_l.total)
         if p == q or not (self.alive[p] and self.alive[q]):
             return "merge", p, q, False
-        if not self._fast_exact:
-            rp = self.coords[p, 1:]
-            rq = self.coords[q, 1:]
-            kbar = float(rp @ self.sys.block @ rq)
-            khat = float(self._abs[p] @ self._a_abs @ self._abs[q])
-            if kbar <= 0.0:
-                if khat > 0.0 and kbar < -1e-9 * khat:
-                    raise NegativeRate(
-                        f"negative merge rate {kbar} encountered in simulation"
-                    )
-                return "merge", p, q, False
-            if self._uniform() * khat >= kbar:
+        if self.sys.m:  # else the envelope is the kernel
+            kbar, khat = _pair_rates(
+                self.sys, self.coords[[p], 1:], self.coords[[q], 1:], True
+            )
+            if kbar[0] <= 0.0 or self._uniform() * khat[0] >= kbar[0]:
                 return "merge", p, q, False
         self._apply_merge(p, q)
         return "merge", p, q, True
@@ -451,12 +514,9 @@ class ParticleSystem:
         self._abs = self.trees = self._phi_tree = None
         start = np.flatnonzero(self.alive)
         rows = self.coords[start]
-        # per coordinate, the cumulative |x| of the starting rows: (d, P)
-        cum = np.cumsum(np.abs(rows[:, 1:].T), axis=1)
+        cum, pair_cum = envelope(self.sys, rows)
         self.s_hat = cum[:, -1].copy() if start.size else np.zeros(self.sys.dim)
         merge_rate = self._rates()[0]
-        s = self.s_hat
-        pair_cum = np.cumsum(self._env_a * s[self._env_k] * s[self._env_l])
         labels = np.arange(start.size, dtype=np.int32)  # cluster of each row
         clusters = start.size
         out: list[Snapshot] = []
@@ -467,62 +527,14 @@ class ParticleSystem:
                     size = min(count, _CHUNK)
                     count -= size
                     self.events += size
-                    labels, clusters = self._merge_chunk(
-                        size, rows, cum, pair_cum, labels, clusters
+                    p, q, keep = envelope_proposals(
+                        self.rng, self.sys, rows, cum, pair_cum, size
                     )
+                    labels, clusters = contract(labels, clusters, p[keep], q[keep])
             self.t = target
             self._write_clusters(start, rows, labels, clusters)
             out.append(self.snapshot(xi))
         return out
-
-    def _draw_rows(self, cum: np.ndarray, coord: np.ndarray) -> np.ndarray:
-        """One starting row per proposal, with probability |x_k| / s_k."""
-        u = self.rng.random(coord.size)
-        out = np.empty(coord.size, dtype=np.intp)
-        for k in range(cum.shape[0]):
-            sel = coord == k
-            if sel.any():
-                out[sel] = np.searchsorted(cum[k], u[sel] * cum[k, -1], side="right")
-        # a draw that rounds onto the total picks the last row, as find does
-        return np.minimum(out, cum.shape[1] - 1, out=out)
-
-    def _merge_chunk(
-        self,
-        size: int,
-        rows: np.ndarray,
-        cum: np.ndarray,
-        pair_cum: np.ndarray,
-        labels: np.ndarray,
-        clusters: int,
-    ) -> tuple[np.ndarray, int]:
-        """Draw ``size`` proposals, thin them, and contract the kept edges."""
-        pick = np.searchsorted(
-            pair_cum, self.rng.random(size) * pair_cum[-1], side="right"
-        )
-        pick = np.minimum(pick, pair_cum.size - 1, out=pick)
-        p = self._draw_rows(cum, self._env_k[pick])
-        q = self._draw_rows(cum, self._env_l[pick])
-        keep = p != q
-        if not self._fast_exact:
-            rp, rq = rows[p, 1:], rows[q, 1:]
-            kbar = np.einsum("ij,jk,ik->i", rp, self.sys.block, rq)
-            khat = np.einsum("ij,jk,ik->i", np.abs(rp), self._a_abs, np.abs(rq))
-            bad = keep & (kbar < -1e-9 * khat)
-            if bad.any():
-                raise NegativeRate(
-                    f"negative merge rate {kbar[bad].min()} encountered in simulation"
-                )
-            keep &= self.rng.random(size) * khat < kbar
-        a, b = labels[p[keep]], labels[q[keep]]
-        cross = a != b
-        if not cross.any():
-            return labels, clusters
-        graph = csr_matrix(
-            (np.ones(int(cross.sum())), (a[cross], b[cross])),
-            shape=(clusters, clusters),
-        )
-        clusters, comp = connected_components(graph, directed=False)
-        return comp[labels], clusters
 
     def _write_clusters(
         self, start: np.ndarray, rows: np.ndarray, labels: np.ndarray, clusters: int

@@ -69,13 +69,26 @@ _OUT_OF_RANGE = {
 # inputs past a size budget, which must exit 4 before allocating anything
 _OVER_BUDGET = {
     "graph-vertices": (
-        "graph", "--times", "0.5", "--n", "50000", "--seed", "1",
+        "graph", "--times", "0.5", "--n", "20000000", "--seed", "1",
+    ),
+    "duality-vertices": (
+        "graph-duality", "--n", "20000000", "--t-minus", "1.5", "--t-plus", "2",
+        "--seed", "1",
     ),
     "simulate-particles": (
         "simulate", "--times", "0.5", "--n", "1000000000000000000000",
         "--seed", "1",
     ),
     "gel-curve-points": ("gel-curve", "--t-max", "2", "--points", "100000000000"),
+}
+
+
+# output paths that cannot be written, relative to a directory holding the
+# file "a_file" and the directory "a_dir"; each must exit 2 before running
+_BAD_OUT = {
+    "parent-is-file": "a_file/tg.json",
+    "out-is-directory": "a_dir",
+    "nul-byte": "tg\0.json",
 }
 
 
@@ -113,6 +126,28 @@ class TestExitCodes:
     def test_budget_exceeded(self, argv, capsys):
         assert run_cli(argv[0], "--preset", "multiplicative", *argv[1:]) == 4
         assert "exceeds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "out", list(_BAD_OUT.values()), ids=list(_BAD_OUT)
+    )
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_unwritable_output(self, out, via, out_dir, capsys):
+        (out_dir / "a_file").write_text("")
+        (out_dir / "a_dir").mkdir()
+        if via == "flag":
+            code = run_cli("tg", "--preset", "multiplicative", "--out", out)
+        else:
+            cfg = out_dir / "c.json"
+            cfg.write_text(json.dumps({
+                "kind": "tg", "system": str(path_for("multiplicative")),
+                "output": out,
+            }))
+            code = run_cli("run", str(cfg))
+        assert code == 2
+        assert "/output" in capsys.readouterr().err
+        assert sorted(p.name for p in out_dir.iterdir()) == sorted(
+            ["a_file", "a_dir"] + (["c.json"] if via == "config" else [])
+        )
 
     def test_seed_required_for_stochastic(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"

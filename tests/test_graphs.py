@@ -3,28 +3,47 @@ import pytest
 
 import gelkit as gk
 from gelkit.errors import BudgetExceeded, NegativeRate, WindowInvalid
-from gelkit.graphs import UnionFind, _histogram_distance
+from gelkit.graphs import GraphRealization, _histogram_distance
 
 
-class TestUnionFind:
-    def test_union_and_sizes(self):
-        pi = np.arange(10, dtype=float).reshape(5, 2)
-        uf = UnionFind(pi)
-        assert uf.union(0, 1)
-        assert uf.union(1, 2)
-        assert not uf.union(0, 2)  # already joined
-        r = uf.find(2)
-        assert uf.size[r] == 3
-        assert np.allclose(uf.pi[r], pi[0] + pi[1] + pi[2])
+class TestHandBuiltGraph:
+    @staticmethod
+    def _graph(edges, times):
+        # rows (pi0, x): six vertices with distinct masses 1, 2, 4, ..., 32
+        rows = np.column_stack([np.ones(6), 2.0 ** np.arange(6)])
+        u, v = np.array(edges).T
+        return GraphRealization(
+            vertices=rows, n_scale=6.0, t_max=1.0, rate_scale=1.0,
+            edge_u=u, edge_v=v, edge_t=np.array(times),
+        )
 
-    def test_roots_partition(self):
-        uf = UnionFind(np.ones((6, 1)))
-        uf.union(0, 3)
-        uf.union(4, 5)
-        roots = uf.roots()
-        assert len(roots) == 4
-        assert sum(uf.size[r] for r in roots) == 6
-        assert uf.n_components == 4
+    def test_components_at_checkpoints(self):
+        g = self._graph(
+            [(0, 1), (4, 5), (1, 2), (0, 2), (3, 5)], [0.1, 0.2, 0.3, 0.4, 0.5]
+        )
+        early, mid, late = gk.trajectory(g, [0.15, 0.35, 1.0], xi=2)
+        assert [tr.n_components for tr in (early, mid, late)] == [5, 3, 2]
+        # at 0.15 only {0, 1} is joined
+        assert early.c1_vertices == 2
+        assert np.allclose(early.pi_c1, [2.0 / 6, 3.0 / 6])
+        assert list(early.size_values) == [1, 2]
+        assert list(early.size_counts) == [4, 1]
+        # at 0.35 {0, 1, 2} is the largest; {4, 5} is mesoscopic for xi = 2
+        assert mid.c1_vertices == 3
+        assert np.allclose(mid.pi_c1, [3.0 / 6, 7.0 / 6])
+        assert mid.meso_fraction == pytest.approx(2.0 / 6)
+        # the repeated (0, 2) joins nothing; at the end two triples tie
+        # and the one holding vertex 0 counts as the largest
+        assert list(late.size_values) == [3]
+        assert list(late.size_counts) == [2]
+        assert np.allclose(late.pi_c1, [3.0 / 6, 7.0 / 6])
+        assert late.meso_fraction == pytest.approx(3.0 / 6)
+
+    def test_no_edges(self):
+        g = self._graph(np.zeros((0, 2), dtype=int), np.zeros(0))
+        (tr,) = gk.trajectory(g, [1.0])
+        assert tr.n_components == 6 and tr.c1_vertices == 1
+        assert np.allclose(tr.pi_c1, [1.0 / 6, 1.0 / 6])
 
 
 class TestSampling:
@@ -55,11 +74,17 @@ class TestSampling:
         ratio = g2.edge_t.size / g1.edge_t.size
         assert 1.7 < ratio < 2.3
 
-    def test_vertex_budget(self, mult):
+    def test_proposal_budget(self, mult):
         sys_, _ = mult
-        rows = np.tile([1.0, 1.0], (30_001, 1))
+        # all-monomer rows propose at rate N/2: N * t / 2 = 1.5e7 expected
+        rows = np.tile([1.0, 1.0], (30_000, 1))
         with pytest.raises(BudgetExceeded):
-            gk.sample_graph(sys_, rows, 30_001, 0.1, seed=1)
+            gk.sample_graph(sys_, rows, 30_000, 1_000.0, seed=1)
+
+    def test_vertex_budget(self, mult):
+        sys_, meas = mult
+        with pytest.raises(BudgetExceeded):
+            gk.graph_from_measure(sys_, meas, 10**7 + 1, 0.1, seed=1)
 
     def test_negative_rate_detected(self):
         sys_ = gk.BilinearSystem(1, 1, [[1.0]], [[-4.0]])

@@ -126,6 +126,24 @@ class TestSupercritical:
         _, phase = gk.moments_at(sys_, meas, 1.5)
         assert phase == "supercritical-dual"
 
+    @pytest.mark.parametrize("k", [9, 10])
+    @pytest.mark.parametrize("preset", ["mult", "bidi", "kac"])
+    def test_near_critical(self, preset, k, request):
+        # the tilted gap is about t - t_g, so t_g (1 + 1e-k) stays subcritical
+        # for the dual; Q grows like 1 / (t - t_g)
+        sys_, meas = request.getfixturevalue(preset)
+        t_g = gk.gelation_time(sys_, meas)
+        st = gk.supercritical_moments(sys_, meas, t_g * (1.0 + 10.0**-k))
+        assert np.all(np.isfinite(st.q))
+        assert 1e-3 * 10.0**k < st.q.max() < 1e3 * 10.0**k
+
+    def test_near_critical_blowup(self, kac):
+        # one decade closer, kinetic-gas Q passes the blowup threshold
+        sys_, meas = kac
+        t_g = gk.gelation_time(sys_, meas)
+        with pytest.raises(ExplosionReached):
+            gk.supercritical_moments(sys_, meas, t_g * (1.0 + 1e-11))
+
     def test_dual_moments_decrease_in_time(self, mult):
         sys_, meas = mult
         qs = [
