@@ -521,7 +521,7 @@ COMMANDS: dict[str, Command] = {
             _N,
             Param("t", "float", "comparison time", low=0),
             _REPLICAS,
-            Param("bug_factor", "float", "mis-scale the graph rates (a control)", 1.0),
+            Param("bug_factor", "float", "mis-scale the graph rates (a control)", 1.0, 0),
         ),
         stochastic=True,
     ),

@@ -12,9 +12,10 @@ its vertices.
 ``kbar / khat`` and stamped with uniform arrival times, of which each pair
 keeps its first.  It costs O(N + proposals), under a budget on the expected
 proposal count.  Components come from ``particles.contract`` on edge
-prefixes.  ``_sample_graph_scan`` is an independent pair-scan sampler kept
-as the oracle of ``coupling_test``; it is quadratic, so it caps the vertex
-count.
+prefixes.  ``_sample_graph_blocks`` is an independent sampler kept as the
+oracle of ``coupling_test``: it groups vertices into types of equal rate
+rows and draws each type pair's edges by geometric skipping, in
+O(K^2 + N + edges) for K types.
 """
 
 from __future__ import annotations
@@ -38,10 +39,8 @@ from .spectral import gelation_time
 from .survival import solve_fixed_point, survival_probabilities, tilted_measure
 from .system import AtomicMeasure, BilinearSystem, sample_atoms
 
-_BLOCK = 512
-# vertex cap of the quadratic pair-scan oracle
-_MAX_VERTICES = 30_000
-# expected envelope proposals above which sample_graph refuses to draw
+# budget on expected edge proposals, and on the oracle's type pairs and
+# expected edges
 _MAX_PROPOSALS = 10**7
 
 
@@ -137,7 +136,34 @@ def sample_graph(
     )
 
 
-def _sample_graph_scan(
+def _unrank_pairs(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower-triangle index ``i (i - 1) / 2 + j`` back to (i, j), j < i."""
+    i = ((1.0 + np.sqrt(1.0 + 8.0 * pos)) // 2).astype(np.int64)
+    # the float root may be off by one either way
+    i -= i * (i - 1) // 2 > pos
+    i += (i + 1) * i // 2 <= pos
+    return i, pos - i * (i - 1) // 2
+
+
+def _block_hits(rng, first: float, log_q: float, count: float) -> np.ndarray:
+    """Every position below ``count`` of a Bernoulli(1 - e^log_q) sequence
+    whose first success is ``first``, by geometric skipping."""
+    hits = [np.array([first])]
+    last = first
+    while True:
+        mean = (count - last) * -np.expm1(log_q)
+        size = int(mean + 4.0 * np.sqrt(mean)) + 16
+        with np.errstate(over="ignore"):
+            gaps = np.floor(np.log1p(-rng.random(size)) / log_q)
+        pos = last + np.cumsum(gaps + 1.0)
+        inside = pos[pos < count]
+        hits.append(inside)
+        if inside.size < size:
+            return np.concatenate(hits)
+        last = pos[-1]
+
+
+def _sample_graph_blocks(
     sys: BilinearSystem,
     vertices: np.ndarray,
     n_scale: float,
@@ -145,52 +171,82 @@ def _sample_graph_scan(
     seed: int | np.random.SeedSequence,
     rate_scale: float = 1.0,
 ) -> GraphRealization:
-    """Draw every edge with arrival time <= t_max by scanning all pairs.
+    """Draw every edge with arrival time <= t_max, block by block.
 
     The oracle of :func:`coupling_test`: it shares no code with the merge
-    engine.  The scan touches all ~N^2/2 pairs in fixed-size blocks, so
-    memory stays flat, but the vertex count is capped at ``_MAX_VERTICES``.
+    engine.  Vertices with equal rate rows form a type, and every pair of
+    one type pair (a block) has the same edge probability
+    ``p = 1 - exp(-r t_max)``, ``r = rate_scale * kbar / n_scale``.  The
+    edges of a block are its Bernoulli(p) successes, found by geometric
+    skipping, and each edge's time is Exp(r) truncated at t_max.  With K
+    types this costs O(K^2 + N + edges); K(K+1)/2 type pairs or an
+    expected edge count above ``_MAX_PROPOSALS`` raise BudgetExceeded
+    before any draw.
     """
     vertices = np.asarray(vertices, dtype=float)
-    count = vertices.shape[0]
-    if count > _MAX_VERTICES:
-        raise BudgetExceeded(
-            f"{count} vertices exceeds the pair-scan cap {_MAX_VERTICES}"
-        )
-    if t_max < 0:
-        raise ValueError("t_max must be nonnegative")
+    if t_max < 0 or rate_scale < 0:
+        raise ValueError("t_max and rate_scale must be nonnegative")
     rng = np.random.default_rng(seed)
     rates = vertices[:, 1:]
-    block = sys.block
-    scale = rate_scale / n_scale
-    env = float(np.abs(rates).max(initial=0.0)) ** 2 * float(
-        np.abs(block).sum()
+    # vertices sorted by rate row; a type is a run of equal rows
+    order = np.lexsort(rates.T)
+    ranked = rates[order]
+    start = np.flatnonzero(
+        np.r_[order.size > 0, (ranked[1:] != ranked[:-1]).any(axis=1)]
     )
-    us, vs, ts = _no_edges()
-    for bi in range(0, count, _BLOCK):
-        ri = rates[bi : bi + _BLOCK]
-        for bj in range(bi, count, _BLOCK):
-            rj = rates[bj : bj + _BLOCK]
-            kbar = ri @ block @ rj.T
-            if kbar.min(initial=0.0) < -1e-9 * max(1.0, env):
-                raise NegativeRate(
-                    f"pair rate {kbar.min():.3e} is negative beyond tolerance"
-                )
-            np.clip(kbar, 0.0, None, out=kbar)
-            if bi == bj:
-                # keep strict upper triangle only
-                kbar[np.tril_indices_from(kbar)] = 0.0
-            taus = rng.standard_exponential(kbar.shape)
-            with np.errstate(divide="ignore"):
-                arrival = np.where(kbar > 0.0, taus / (scale * kbar), np.inf)
-            ii, jj = np.nonzero(arrival <= t_max)
-            if ii.size:
-                us.append(ii + bi)
-                vs.append(jj + bj)
-                ts.append(arrival[ii, jj])
+    sizes = np.diff(np.r_[start, order.size])
+    types = ranked[start]
+    n_types = start.size
+    if n_types * (n_types + 1) // 2 > _MAX_PROPOSALS:
+        raise BudgetExceeded(
+            f"{n_types} vertex types give {n_types * (n_types + 1) // 2} "
+            f"type pairs, which exceeds the budget {_MAX_PROPOSALS}"
+        )
+    kbar = types @ sys.block @ types.T
+    env = float(np.abs(types).max(initial=0.0)) ** 2 * float(
+        np.abs(sys.block).sum()
+    )
+    if kbar.min(initial=0.0) < -1e-9 * max(1.0, env):
+        raise NegativeRate(
+            f"pair rate {kbar.min():.3e} is negative beyond tolerance"
+        )
+    # blocks a <= b: pair count, edge rate and edge probability
+    a, b = np.triu_indices(n_types)
+    pairs = np.where(
+        a == b, sizes[a] * (sizes[a] - 1) // 2, sizes[a] * sizes[b]
+    ).astype(float)
+    rate = rate_scale / n_scale * np.clip(kbar[a, b], 0.0, None)
+    prob = -np.expm1(-rate * t_max)
+    expected = float((pairs * prob).sum())
+    if not expected <= _MAX_PROPOSALS:
+        raise BudgetExceeded(
+            f"expected {expected:.3g} edges exceeds the budget {_MAX_PROPOSALS}"
+        )
+    # each block's first success as a float geometric gap: kinetic-gas
+    # same-atom rates of ~1e-16 would overflow an integer geometric draw
+    live = np.flatnonzero(prob > 0.0)
+    with np.errstate(divide="ignore", over="ignore"):  # p = 1 or p tiny
+        log_q = np.log1p(-prob[live])
+        first = np.floor(np.log1p(-rng.random(live.size)) / log_q)
+    hit = first < pairs[live]
+    block_of, positions = [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
+    for k, pos, lq in zip(live[hit], first[hit], log_q[hit]):
+        found = _block_hits(rng, pos, lq, pairs[k])
+        block_of.append(np.full(found.size, k))
+        positions.append(found)
+    blk = np.concatenate(block_of)
+    pos = np.concatenate(positions).astype(np.int64)
+    # position -> (row, column) inside the block, then -> vertex indices
+    diag = a[blk] == b[blk]
+    row, col = np.divmod(pos, sizes[b[blk]])
+    row[diag], col[diag] = _unrank_pairs(pos[diag])
+    u = order[start[a[blk]] + row]
+    v = order[start[b[blk]] + col]
+    # arrival times: Exp(rate) conditioned on arriving by t_max
+    times = -np.log1p(-rng.random(blk.size) * prob[blk]) / rate[blk]
     return _realization(
         vertices, n_scale, t_max, rate_scale,
-        *(np.concatenate(part) for part in (us, vs, ts)),
+        np.minimum(u, v), np.maximum(u, v), np.minimum(times, t_max),
     )
 
 
@@ -325,11 +381,12 @@ def coupling_test(
     p_largest = np.empty(n_replicas)
     p_counts = np.empty(n_replicas)
     phi_cols = slice(0, 1 + sys.n)
+    _check_vertices(n)
     for r in range(n_replicas):
         rows = sample_atoms(
             measure, n, np.random.default_rng(child_seed(seed, r, 0))
         )
-        graph = _sample_graph_scan(
+        graph = _sample_graph_blocks(
             sys,
             rows,
             n,

@@ -53,6 +53,11 @@ _OUT_OF_RANGE = {
         ("coupling", "--n", "100", "--t", "1.5", "--replicas", "0", "--seed", "1"),
         "/params/replicas",
     ),
+    "coupling-bug-factor-neg": (
+        ("coupling", "--n", "100", "--t", "1.5", "--replicas", "2",
+         "--bug-factor=-1", "--seed", "1"),
+        "/params/bug_factor",
+    ),
     "gel-curve-tmax-neg": (("gel-curve", "--t-max", "-1"), "/params/t_max"),
     "restricted-xi0": (("restricted", "--times", "0.5", "--xi", "0"), "/params/xi"),
     "duality-n0": (
@@ -73,6 +78,10 @@ _OVER_BUDGET = {
     ),
     "duality-vertices": (
         "graph-duality", "--n", "20000000", "--t-minus", "1.5", "--t-plus", "2",
+        "--seed", "1",
+    ),
+    "coupling-vertices": (
+        "coupling", "--n", "20000000", "--t", "1.5", "--replicas", "2",
         "--seed", "1",
     ),
     "simulate-particles": (

@@ -6,7 +6,7 @@ from exact_chain import cluster_statistic, statistic_law, statistic_of_rows
 from scipy.stats import chi2
 
 import gelkit as gk
-from gelkit.graphs import _sample_graph_scan
+from gelkit.graphs import _sample_graph_blocks
 
 N = 5
 REPLICAS = 1_000
@@ -44,7 +44,7 @@ SAMPLERS = {
     "sequential": _particles("sequential"),
     "direct": _particles("direct"),
     "graph": _graph(gk.sample_graph),
-    "graph-scan": _graph(_sample_graph_scan),
+    "graph-blocks": _graph(_sample_graph_blocks),
 }
 
 

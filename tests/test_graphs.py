@@ -1,9 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import gelkit as gk
 from gelkit.errors import BudgetExceeded, NegativeRate, WindowInvalid
-from gelkit.graphs import GraphRealization, _histogram_distance
+from gelkit.graphs import (
+    GraphRealization,
+    _histogram_distance,
+    _sample_graph_blocks,
+    _unrank_pairs,
+)
 
 
 class TestHandBuiltGraph:
@@ -96,6 +103,92 @@ class TestSampling:
         sys_, meas = kac
         g = gk.graph_from_measure(sys_, meas, 250, 0.1, seed=3)
         assert g.vertices.shape[0] == 250
+
+
+class TestBlockOracle:
+    """The coupling oracle: Bernoulli edges by geometric skipping per block."""
+
+    def test_unrank_is_a_bijection(self):
+        for n in range(61):
+            i, j = _unrank_pairs(np.arange(n * (n - 1) // 2))
+            assert np.all((0 <= j) & (j < i) & (i < n))
+            assert len(set(zip(i.tolist(), j.tolist()))) == n * (n - 1) // 2
+
+    def test_unrank_large_positions(self):
+        pos = np.array([10**13, 5 * 10**13 - 1, 2**52])
+        i, j = _unrank_pairs(pos)
+        assert np.all((0 <= j) & (j < i))
+        assert np.array_equal(i * (i - 1) // 2 + j, pos)
+
+    def test_edges_well_formed(self, kac):
+        sys_, meas = kac
+        rows = gk.sample_atoms(meas, 400, np.random.default_rng(2))
+        g = _sample_graph_blocks(sys_, rows, 400, 0.3, seed=5)
+        assert g.edge_t.size > 0
+        assert np.all(g.edge_u < g.edge_v)
+        assert np.unique(np.column_stack([g.edge_u, g.edge_v]), axis=0).shape[0] == (
+            g.edge_u.size
+        )
+        assert np.all(np.diff(g.edge_t) >= 0)
+        assert np.all((g.edge_t >= 0) & (g.edge_t <= 0.3))
+
+    def test_edge_count_matches_expectation(self, kac):
+        sys_, meas = kac
+        n, t = 2_000, 0.2
+        rows = gk.sample_atoms(meas, n, np.random.default_rng(3))
+        rate = np.clip(rows[:, 1:] @ sys_.block @ rows[:, 1:].T, 0.0, None) / n
+        prob = -np.expm1(-rate * t)
+        expect = float(np.triu(prob, 1).sum())
+        g = _sample_graph_blocks(sys_, rows, n, t, seed=6)
+        assert abs(g.edge_t.size - expect) < 5.0 * np.sqrt(expect)
+
+    def test_equal_kinetic_gas_rows_edgeless(self, kac):
+        # each atom's rate with itself is a rounding residue of about 1e-16,
+        # of either sign
+        sys_, meas = kac
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for atom in meas.coords:
+                rows = np.tile(atom, (500, 1))
+                g = _sample_graph_blocks(sys_, rows, 500, 100.0, seed=1)
+                assert g.edge_t.size == 0
+
+    def test_huge_rate_gives_complete_graph(self, mult):
+        sys_, _ = mult
+        rows = np.tile([1.0, 1.0], (50, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = _sample_graph_blocks(sys_, rows, 50, 1.0, seed=1, rate_scale=1e6)
+        assert g.edge_t.size == 50 * 49 // 2
+        assert np.unique(g.edge_u * 50 + g.edge_v).size == 50 * 49 // 2
+
+    def test_zero_rate_is_edgeless(self, mult):
+        sys_, _ = mult
+        rows = np.tile([1.0, 1.0], (50, 1))
+        g = _sample_graph_blocks(sys_, rows, 50, 1.0, seed=1, rate_scale=0.0)
+        assert g.edge_t.size == 0
+        with pytest.raises(ValueError):
+            _sample_graph_blocks(sys_, rows, 50, 1.0, seed=1, rate_scale=-1.0)
+
+    def test_negative_rate_detected(self):
+        sys_ = gk.BilinearSystem(1, 1, [[1.0]], [[-4.0]])
+        rows = np.array([[1.0, 0.0, 1.0], [1.0, 0.0, 1.0]])
+        with pytest.raises(NegativeRate):
+            _sample_graph_blocks(sys_, rows, 2, 1.0, seed=1)
+
+    def test_type_pair_budget(self, mult):
+        sys_, _ = mult
+        # 4,500 distinct rows give about 1.01e7 type pairs
+        rows = np.column_stack([np.ones(4_500), np.arange(1.0, 4_501.0)])
+        with pytest.raises(BudgetExceeded):
+            _sample_graph_blocks(sys_, rows, 4_500, 0.1, seed=1)
+
+    def test_edge_budget(self, mult):
+        sys_, _ = mult
+        # all-monomer rows: about N^2 / 2 = 4.5e8 expected edges
+        rows = np.tile([1.0, 1.0], (30_000, 1))
+        with pytest.raises(BudgetExceeded):
+            _sample_graph_blocks(sys_, rows, 30_000, 1_000.0, seed=1)
 
 
 class TestTrajectory:
