@@ -17,7 +17,6 @@ from .errors import (
     DualNotSubcritical,
     ExplosionReached,
     GelkitError,
-    HookViolatesConservation,
     NegativeRate,
     NoConvergence,
     NumericError,
@@ -27,7 +26,6 @@ from .errors import (
     ToleranceFailure,
     WindowInvalid,
 )
-from .fenwick import FenwickTree
 from .graphs import (
     ComponentTrack,
     CouplingReport,
@@ -53,7 +51,6 @@ from .particles import (
     DirectPairSimulator,
     ParticleSystem,
     Snapshot,
-    StepRecord,
     child_seed,
     init_poisson,
     load_state,

@@ -71,11 +71,8 @@ class ToleranceFailure(NumericError):
 
 
 class RateUnderflow(NumericError):
-    """Total event rate is zero: the particle system is absorbed."""
-
-
-class HookViolatesConservation(GelkitError):
-    """A user hook modified a conserved coordinate of a particle."""
+    """The merge envelope rate of a particle run is not finite: the rows'
+    absolute coordinate totals overflow double precision."""
 
 
 class WindowInvalid(NumericError):

@@ -30,6 +30,7 @@ from .particles import (
     _CHUNK,
     _MAX_PARTICLES,
     ParticleSystem,
+    _check_scales,
     child_seed,
     contract,
     envelope,
@@ -105,6 +106,7 @@ def sample_graph(
     vertices = np.asarray(vertices, dtype=float)
     if t_max < 0:
         raise ValueError("t_max must be nonnegative")
+    _check_scales(n_scale, rate_scale)
     rng = np.random.default_rng(seed)
     cum, pair_cum = envelope(sys, vertices)
     weight = float(pair_cum[-1]) if pair_cum.size else 0.0

@@ -6,23 +6,19 @@ Particles are rows of a coordinate array; an unordered pair merges at rate
 envelope ``khat(x, y) = sum |a_kl| |pi_k(x)| |pi_l(y)| >= kbar`` (which does
 factorize) and thinned by the exact ratio.
 
-Without a hook, ``run`` never steps event by event.  The kernel is bilinear,
-so two clusters merge at the summed rate of their member pairs, and the
-clusters at time t are the connected components of a random graph on the
-run's starting rows whose edge {i, j} arrives at rate ``rate_scale *
-kbar(x_i, x_j) / n_scale``.  Each checkpoint interval draws a Poisson batch
-of pair proposals from the static envelope of the starting rows, keeps each
-with probability ``kbar / khat`` and contracts the kept edges into the
-current clusters, in fixed-size chunks; a run costs O(P + proposals).
-``events`` counts these static-envelope proposals.
+``run`` never steps event by event.  The kernel is bilinear, so two
+clusters merge at the summed rate of their member pairs, and the clusters
+at time t are the connected components of a random graph on the run's
+starting rows whose edge {i, j} arrives at rate ``rate_scale * kbar(x_i,
+x_j) / n_scale``.  Each checkpoint interval draws a Poisson batch of pair
+proposals from the static envelope of the starting rows, keeps each with
+probability ``kbar / khat`` and contracts the kept edges into the current
+clusters, in fixed-size chunks; a run costs O(P + proposals).  ``events``
+counts these static-envelope proposals.
 
-``step()`` and runs with a per-particle jump hook (internal evolution that
-preserves the conserved block, on the same clock via its own envelope
-channel) use the sequential event loop instead, because a hook changes
-signed coordinates and so the envelope weights.  It keeps one Fenwick tree
-per rate coordinate over absolute values, built on first use, so an event
-costs O((n+m) log P).  Rejected proposals advance time only; that, plus
-memoryless redraws at checkpoints, keeps the law exact.
+``DirectPairSimulator`` is the independent event-by-event reference: it
+evaluates every pair's rate at every event and shares no sampling code
+with the envelope engine.
 """
 
 from __future__ import annotations
@@ -37,19 +33,14 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     BudgetExceeded,
-    HookViolatesConservation,
     NegativeRate,
     RateUnderflow,
     SchemaError,
-    ToleranceFailure,
 )
-from .fenwick import FenwickTree
 from .system import AtomicMeasure, BilinearSystem, GelData, sample_atoms
 
-_BUFFER = 8192
-# proposals drawn and contracted at a time by the hook-free run
+# proposals drawn and contracted at a time by run
 _CHUNK = 1 << 15
-_RESYNC_DEFAULT = 1 << 20
 _MAGIC = b"GELK1"
 # header after the magic, by format version; v1 stored n_scale as an integer
 _HEADERS = {1: "<BII Q d d Q", 2: "<BII d d d Q"}
@@ -64,6 +55,26 @@ def child_seed(seed: int, *key: int) -> np.random.SeedSequence:
     runs and platforms.
     """
     return np.random.SeedSequence((int(seed), *map(int, key)))
+
+
+def _check_scales(n_scale: float, rate_scale: float) -> None:
+    """ValueError unless n_scale is positive and finite and rate_scale is
+    nonnegative and finite (0 switches merging off)."""
+    if not (math.isfinite(n_scale) and n_scale > 0):
+        raise ValueError(f"n_scale = {n_scale} must be positive and finite")
+    if not (math.isfinite(rate_scale) and rate_scale >= 0):
+        raise ValueError(f"rate_scale = {rate_scale} must be nonnegative and finite")
+
+
+def _checkpoints(checkpoint_times, t: float) -> list[float]:
+    """The checkpoint times in order; ValueError if one is not finite or
+    lies before the current time t."""
+    times = sorted(float(v) for v in checkpoint_times)
+    if not all(map(math.isfinite, times)):
+        raise ValueError("checkpoint times must be finite")
+    if times and times[0] < t - 1e-12:
+        raise ValueError("checkpoint before current time")
+    return times
 
 
 def envelope(sys: BilinearSystem, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -161,17 +172,6 @@ class Snapshot:
     size_counts: np.ndarray
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    """Outcome of one proposed event."""
-
-    t: float
-    kind: str  # "merge" or "hook"
-    p: int
-    q: int
-    accepted: bool
-
-
 def snapshot(
     sys: BilinearSystem,
     rows: np.ndarray,
@@ -227,7 +227,7 @@ def snapshot(
 
 
 class ParticleSystem:
-    """Mutable simulation state; one instance per thread."""
+    """Mutable simulation state: the particle table and its clock."""
 
     def __init__(
         self,
@@ -237,240 +237,21 @@ class ParticleSystem:
         rng: np.random.Generator,
         rate_scale: float = 1.0,
         t: float = 0.0,
-        resync_interval: int = _RESYNC_DEFAULT,
     ):
         coords = np.array(coords, dtype=float)
         if coords.ndim != 2 or coords.shape[1] != 1 + sys.n + sys.m:
             raise ValueError("coords must be (P, 1+n+m)")
-        if n_scale <= 0:
-            raise ValueError("n_scale must be positive")
+        _check_scales(n_scale, rate_scale)
         self.sys = sys
         self.coords = coords
         self.n_scale = float(n_scale)
         self.rate_scale = float(rate_scale)
         self.t = float(t)
         self.rng = rng
-        self.resync_interval = int(resync_interval)
-        self.capacity = coords.shape[0]
-        self.alive = np.ones(self.capacity, dtype=bool)
-        self.n_particles = self.capacity
+        self.alive = np.ones(coords.shape[0], dtype=bool)
+        self.n_particles = coords.shape[0]
         self.events = 0
         self.merges = 0
-        self.s_hat = np.abs(coords[:, 1:]).sum(axis=0)
-        # the sequential loop's index, built by _index on first use
-        self._abs: np.ndarray | None = None
-        self.trees: list[FenwickTree] | None = None
-        # nonzero envelope entries, upper triangle doubled into full weight
-        kk, ll = np.nonzero(sys.block_abs)
-        self._env_k = kk
-        self._env_l = ll
-        self._env_a = sys.block_abs[kk, ll]
-        self._u_buf = np.empty(0)
-        self._u_pos = 0
-        self._e_buf = np.empty(0)
-        self._e_pos = 0
-        self._hook = None
-        self._hook_bound = 0.0
-        self._hook_rate_fn = None
-        self._phi_tree: FenwickTree | None = None
-
-    # -- randomness ---------------------------------------------------
-
-    def _uniform(self) -> float:
-        if self._u_pos >= self._u_buf.size:
-            self._u_buf = self.rng.random(_BUFFER)
-            self._u_pos = 0
-        u = self._u_buf[self._u_pos]
-        self._u_pos += 1
-        return float(u)
-
-    def _exponential(self) -> float:
-        if self._e_pos >= self._e_buf.size:
-            self._e_buf = self.rng.standard_exponential(_BUFFER)
-            self._e_pos = 0
-        e = self._e_buf[self._e_pos]
-        self._e_pos += 1
-        return float(e)
-
-    # -- rates ---------------------------------------------------------
-
-    def merge_envelope_rate(self) -> float:
-        s = self.s_hat
-        return (
-            0.5
-            * self.rate_scale
-            / self.n_scale
-            * float(self._env_a @ (s[self._env_k] * s[self._env_l]))
-        )
-
-    def hook_envelope_rate(self) -> float:
-        if self._hook is None:
-            return 0.0
-        self._index()
-        return self._hook_bound * self._phi_tree.total
-
-    # -- hook ----------------------------------------------------------
-
-    def set_hook(self, hook, rate_bound: float, rate_fn=None) -> None:
-        """Enable per-particle jumps at rate <= rate_bound * phi(x).
-
-        ``hook(t, row)`` returns the particle's new coordinate row; it must
-        leave coordinates 0..n (absorbed count and conserved block) exactly
-        unchanged.  ``rate_fn(row)``, if given, is the actual jump rate and
-        is thinned against the bound.
-        """
-        if rate_bound < 0:
-            raise ValueError("rate bound must be nonnegative")
-        self._hook = hook
-        self._hook_bound = float(rate_bound)
-        self._hook_rate_fn = rate_fn
-        if hook is not None and self.trees is not None and self._phi_tree is None:
-            self._phi_tree = FenwickTree(self._phi().tolist())
-
-    # -- sequential index ------------------------------------------------
-
-    def _phi(self) -> np.ndarray:
-        """Each particle's hook weight pi0 + sum(plus); 0 for dead slots."""
-        phi = self.coords[:, 0] + self.coords[:, 1 : 1 + self.sys.n].sum(axis=1)
-        phi[~self.alive] = 0.0
-        return phi
-
-    def _index(self) -> None:
-        """Build the sequential loop's Fenwick trees and ``s_hat`` if stale."""
-        if self.trees is not None:
-            return
-        self._abs = np.abs(self.coords[:, 1:])
-        self._abs[~self.alive] = 0.0
-        self.s_hat = self._abs.sum(axis=0)
-        self.trees = [FenwickTree(col.tolist()) for col in self._abs.T]
-        if self._hook is not None:
-            self._phi_tree = FenwickTree(self._phi().tolist())
-
-    # -- dynamics ------------------------------------------------------
-
-    def _pick_coordinate_pair(self) -> tuple[int, int]:
-        s = self.s_hat
-        cum = np.cumsum(self._env_a * s[self._env_k] * s[self._env_l])
-        idx = int(np.searchsorted(cum, self._uniform() * cum[-1], side="right"))
-        idx = min(idx, cum.size - 1)
-        return int(self._env_k[idx]), int(self._env_l[idx])
-
-    def _apply_merge(self, p: int, q: int) -> None:
-        coords = self.coords
-        coords[p] += coords[q]
-        coords[q] = 0.0
-        new_abs = np.abs(coords[p, 1:])
-        old_p = self._abs[p].copy()
-        old_q = self._abs[q].copy()
-        self._abs[p] = new_abs
-        self._abs[q] = 0.0
-        for k, tree in enumerate(self.trees):
-            tree.set_value(p, float(new_abs[k]))
-            tree.set_value(q, 0.0)
-        self.s_hat += new_abs - old_p - old_q
-        if self._phi_tree is not None:
-            n = self.sys.n
-            self._phi_tree.set_value(
-                p, float(coords[p, 0] + coords[p, 1 : 1 + n].sum())
-            )
-            self._phi_tree.set_value(q, 0.0)
-        self.alive[q] = False
-        self.n_particles -= 1
-        self.merges += 1
-
-    def _apply_hook(self, p: int) -> bool:
-        row = self.coords[p]
-        if self._hook_rate_fn is not None:
-            phi = float(row[0] + row[1 : 1 + self.sys.n].sum())
-            actual = float(self._hook_rate_fn(row))
-            if actual > self._hook_bound * phi * (1.0 + 1e-12):
-                raise HookViolatesConservation(
-                    f"hook rate {actual} exceeds bound {self._hook_bound}*phi"
-                )
-            if self._uniform() * self._hook_bound * phi >= actual:
-                return False
-        new_row = np.asarray(self._hook(self.t, row.copy()), dtype=float)
-        if new_row.shape != row.shape:
-            raise HookViolatesConservation("hook changed the coordinate layout")
-        n = self.sys.n
-        if not np.array_equal(new_row[: 1 + n], row[: 1 + n]):
-            raise HookViolatesConservation(
-                "hook modified the absorbed count or a conserved coordinate"
-            )
-        self.coords[p] = new_row
-        new_abs = np.abs(new_row[1:])
-        delta = new_abs - self._abs[p]
-        self._abs[p] = new_abs
-        for k in range(self.sys.n, self.sys.dim):
-            if delta[k] != 0.0:
-                self.trees[k].increment(p, float(delta[k]))
-        self.s_hat += delta
-        return True
-
-    def _resync(self) -> None:
-        self._abs[~self.alive] = 0.0
-        fresh = self._abs.copy()
-        fresh_sums = fresh.sum(axis=0)
-        drift = np.abs(fresh_sums - self.s_hat)
-        scale = np.maximum(1.0, fresh_sums)
-        if np.any(drift > 1e-6 * scale):
-            raise ToleranceFailure(
-                f"coordinate-sum drift {drift.max():.3e} beyond 1e-6; "
-                "float accumulation is unreliable at this scale"
-            )
-        self.s_hat = fresh_sums
-        for k, tree in enumerate(self.trees):
-            tree.rebuild(fresh[:, k].tolist())
-        if self._phi_tree is not None:
-            self._phi_tree.rebuild(self._phi().tolist())
-
-    def _rates(self) -> tuple[float, float, float]:
-        """Merge, hook and total envelope rates; no merge below two particles."""
-        merge_rate = self.merge_envelope_rate() if self.n_particles >= 2 else 0.0
-        hook_rate = self.hook_envelope_rate()
-        total = merge_rate + hook_rate
-        if not math.isfinite(total):
-            raise RateUnderflow(f"envelope rate {total}; rates are not finite")
-        return merge_rate, hook_rate, total
-
-    def _propose(
-        self, merge_rate: float, hook_rate: float, total: float
-    ) -> tuple[str, int, int, bool]:
-        """One proposed event at the current time: hook or merge, thinned.
-
-        Returns ``(kind, p, q, accepted)``; the clock is the caller's.
-        """
-        self.events += 1
-        if self.events % self.resync_interval == 0:
-            self._resync()
-        if hook_rate > 0.0 and self._uniform() * total >= merge_rate:
-            p = self._phi_tree.find(self._uniform() * self._phi_tree.total)
-            return "hook", p, p, self._apply_hook(p)
-        k, l = (0, 0) if self._env_a.size == 1 else self._pick_coordinate_pair()
-        tree_k, tree_l = self.trees[k], self.trees[l]
-        p = tree_k.find(self._uniform() * tree_k.total)
-        q = tree_l.find(self._uniform() * tree_l.total)
-        if p == q or not (self.alive[p] and self.alive[q]):
-            return "merge", p, q, False
-        if self.sys.m:  # else the envelope is the kernel
-            kbar, khat = _pair_rates(
-                self.sys, self.coords[[p], 1:], self.coords[[q], 1:], True
-            )
-            if kbar[0] <= 0.0 or self._uniform() * khat[0] >= kbar[0]:
-                return "merge", p, q, False
-        self._apply_merge(p, q)
-        return "merge", p, q, True
-
-    def step(self) -> StepRecord:
-        """Advance by exactly one proposed event (merge or hook attempt)."""
-        self._index()
-        merge_rate, hook_rate, total = self._rates()
-        if total <= 0.0:
-            raise RateUnderflow(f"envelope rate {total}; absorbing state")
-        self.t += self._exponential() / total
-        return StepRecord(self.t, *self._propose(merge_rate, hook_rate, total))
-
-    # -- observables ----------------------------------------------------
 
     def snapshot(self, xi: int | None = None) -> Snapshot:
         return snapshot(self.sys, self.coords[self.alive], self.n_scale, self.t, xi)
@@ -478,45 +259,30 @@ class ParticleSystem:
     def run(self, checkpoint_times, xi: int | None = None) -> list[Snapshot]:
         """Advance through the given times, with a snapshot at each.
 
-        Without a hook the run is one batched graph draw per checkpoint
-        interval (see the module docstring); with one it is the sequential
-        event loop.  Either way the state after each checkpoint (``coords``,
+        Each checkpoint interval is one thinned Poisson batch of edges on
+        the run's starting rows, contracted into the current clusters (see
+        the module docstring).  The state after each checkpoint (``coords``,
         ``alive``, ``n_particles``, ``merges``, ``events``) is what
-        ``snapshot``, ``step`` and ``dump_state`` see.  An absorbing state
-        (nothing left to happen) freezes the remaining checkpoints.
+        ``snapshot`` and ``dump_state`` see.  Checkpoints must be finite
+        and not before the current time.  Below two particles nothing
+        happens, so the remaining checkpoints freeze.
         """
-        times = sorted(float(v) for v in checkpoint_times)
-        if times and times[0] < self.t - 1e-12:
-            raise ValueError("checkpoint before current time")
-        if self._hook is None:
-            return self._run_batched(times, xi)
-        self._index()
-        out: list[Snapshot] = []
-        for target in times:
-            # checkpoints are crossed by discarding the pending waiting
-            # time and redrawing after the snapshot: exact by memorylessness
-            while True:
-                merge_rate, hook_rate, total = self._rates()
-                if total <= 0.0:
-                    break
-                wait = self._exponential() / total
-                if self.t + wait > target:
-                    break
-                self.t += wait
-                self._propose(merge_rate, hook_rate, total)
-            self.t = target
-            out.append(self.snapshot(xi))
-        return out
-
-    def _run_batched(self, times: list[float], xi: int | None) -> list[Snapshot]:
-        """Hook-free run: thinned Poisson edges on the starting rows, contracted."""
-        # the run rewrites the table, so the sequential index goes stale
-        self._abs = self.trees = self._phi_tree = None
+        times = _checkpoints(checkpoint_times, self.t)
         start = np.flatnonzero(self.alive)
         rows = self.coords[start]
         cum, pair_cum = envelope(self.sys, rows)
-        self.s_hat = cum[:, -1].copy() if start.size else np.zeros(self.sys.dim)
-        merge_rate = self._rates()[0]
+        merge_rate = 0.0
+        if self.n_particles >= 2:
+            s = cum[:, -1]
+            kk, ll = np.nonzero(self.sys.block_abs)
+            merge_rate = (
+                0.5
+                * self.rate_scale
+                / self.n_scale
+                * float(self.sys.block_abs[kk, ll] @ (s[kk] * s[ll]))
+            )
+        if not math.isfinite(merge_rate):
+            raise RateUnderflow(f"envelope rate {merge_rate} is not finite")
         labels = np.arange(start.size, dtype=np.int32)  # cluster of each row
         clusters = start.size
         out: list[Snapshot] = []
@@ -552,9 +318,6 @@ class ParticleSystem:
         self.alive[slots] = True
         self.merges += self.n_particles - clusters
         self.n_particles = clusters
-        self.s_hat = np.abs(sums[:, 1:]).sum(axis=0)
-
-    # -- persistence -----------------------------------------------------
 
     def dump_state(self, path) -> None:
         """Write the particle table in the documented binary layout."""
@@ -633,8 +396,7 @@ def init_poisson(
 ) -> ParticleSystem:
     """Poissonized start: particle count ~ Poisson(n_scale * total mass),
     data i.i.d. from the normalized measure."""
-    if n_scale <= 0:
-        raise ValueError("n_scale must be positive")
+    _check_scales(n_scale, rate_scale)
     if n_scale * measure.total_mass > _MAX_PARTICLES:
         raise BudgetExceeded(
             f"expected {n_scale * measure.total_mass:.3g} particles exceeds "
@@ -664,6 +426,7 @@ class DirectPairSimulator:
         rng: np.random.Generator,
         rate_scale: float = 1.0,
     ):
+        _check_scales(n_scale, rate_scale)
         self.sys = sys
         self.coords = np.array(coords, dtype=float)
         self.n_scale = float(n_scale)
@@ -674,15 +437,26 @@ class DirectPairSimulator:
         self.n_particles = self.coords.shape[0]
 
     def _pair_rates(self):
+        """Live rows, the merge rate of each unordered live pair, and the
+        pairs' upper-triangle indices; NegativeRate if a pair's ``kbar`` is
+        below ``-1e-9`` of its envelope ``khat``, beyond rounding."""
         rows = np.flatnonzero(self.alive)
         pts = self.coords[rows][:, 1:]
-        mat = pts @ self.sys.block @ pts.T
-        np.clip(mat, 0.0, None, out=mat)
         iu = np.triu_indices(rows.size, k=1)
-        return rows, mat[iu] * (self.rate_scale / self.n_scale), iu
+        kbar = (pts @ self.sys.block @ pts.T)[iu]
+        khat = (np.abs(pts) @ self.sys.block_abs @ np.abs(pts).T)[iu]
+        if (kbar < -1e-9 * khat).any():
+            raise NegativeRate(
+                f"negative merge rate {kbar.min()} encountered in simulation"
+            )
+        np.clip(kbar, 0.0, None, out=kbar)
+        return rows, kbar * (self.rate_scale / self.n_scale), iu
 
     def run(self, checkpoint_times, xi: int | None = None) -> list[Snapshot]:
-        times = sorted(float(v) for v in checkpoint_times)
+        """Advance through the given times, one merge event at a time, with
+        a snapshot at each; checkpoints must be finite and not before the
+        current time."""
+        times = _checkpoints(checkpoint_times, self.t)
         out = []
         for target in times:
             while True:

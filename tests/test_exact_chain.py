@@ -16,12 +16,9 @@ LEVEL = 1e-3
 ROWS = {"multiplicative": [0] * N, "kinetic-gas": [0, 1, 2, 3, 0]}
 
 
-def _particles(engine):
+def _particles(cls):
     def run(sys_, rows, t, rng, rate_scale):
-        cls = gk.DirectPairSimulator if engine == "direct" else gk.ParticleSystem
         ps = cls(sys_, rows, N, rng, rate_scale=rate_scale)
-        if engine == "sequential":
-            ps.set_hook(lambda t, row: row, 0.0)  # no jumps, but the event loop
         ps.run([t])
         return statistic_of_rows(ps.coords[ps.alive])
 
@@ -40,12 +37,13 @@ def _graph(sampler):
 
 
 SAMPLERS = {
-    "batched": _particles("batched"),
-    "sequential": _particles("sequential"),
-    "direct": _particles("direct"),
+    "batched": _particles(gk.ParticleSystem),
+    "direct": _particles(gk.DirectPairSimulator),
     "graph": _graph(gk.sample_graph),
     "graph-blocks": _graph(_sample_graph_blocks),
 }
+# each sampler's fixed seed key, so that adding or dropping one re-seeds none
+SEED_KEY = {"batched": 0, "direct": 2, "graph": 3, "graph-blocks": 4}
 
 
 def chi2_pvalue(preset, sampler, seed, rate_scale=1.0):
@@ -77,7 +75,7 @@ def chi2_pvalue(preset, sampler, seed, rate_scale=1.0):
 @pytest.mark.parametrize("sampler", list(SAMPLERS))
 @pytest.mark.parametrize("preset", list(ROWS))
 def test_exact_law(preset, sampler):
-    seed = gk.child_seed(2027, list(ROWS).index(preset), list(SAMPLERS).index(sampler))
+    seed = gk.child_seed(2027, list(ROWS).index(preset), SEED_KEY[sampler])
     assert chi2_pvalue(preset, sampler, seed) > LEVEL
 
 

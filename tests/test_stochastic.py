@@ -5,7 +5,6 @@ import pytest
 
 import gelkit as gk
 from gelkit.errors import (
-    HookViolatesConservation,
     NegativeRate,
     RateUnderflow,
     SchemaError,
@@ -29,6 +28,13 @@ class TestSeeding:
         assert not np.array_equal(a, b)
 
 
+# (n_scale, rate_scale) pairs that every sampler refuses
+BAD_SCALES = [
+    (0.0, 1.0), (-1.0, 1.0), (np.nan, 1.0), (np.inf, 1.0),
+    (1.0, -1.0), (1.0, np.nan), (1.0, np.inf),
+]
+
+
 class TestInit:
     def test_poisson_count_scale(self, mult):
         sys_, meas = mult
@@ -43,6 +49,21 @@ class TestInit:
         sys_, meas = mult
         with pytest.raises(ValueError):
             gk.init_poisson(sys_, meas, 0, 1)
+
+    @pytest.mark.parametrize("entry", ["particles", "direct", "graph"])
+    def test_bad_scales_rejected(self, kac, entry):
+        sys_, meas = kac
+        rows = gk.sample_atoms(meas, 10, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        make = {
+            "particles": lambda n, r: gk.ParticleSystem(sys_, rows, n, rng, rate_scale=r),
+            "direct": lambda n, r: gk.DirectPairSimulator(sys_, rows, n, rng, rate_scale=r),
+            "graph": lambda n, r: gk.sample_graph(sys_, rows, n, 1.0, rng, rate_scale=r),
+        }[entry]
+        for n_scale, rate_scale in BAD_SCALES:
+            with pytest.raises(ValueError, match="_scale"):
+                make(n_scale, rate_scale)
+        make(10.0, 0.0)  # a zero rate scale switches merging off
 
     def test_bad_coords_shape(self, mult):
         sys_, _ = mult
@@ -76,19 +97,13 @@ class TestDynamics:
         ps.run([1.0])
         assert ps.n_particles == p0 - ps.merges
 
-    def test_step_records(self, mult):
-        ps = small_system(mult, seed=2)
-        rec = ps.step()
-        assert rec.kind == "merge"
-        assert rec.t == ps.t
-        assert isinstance(rec.accepted, bool)
-
-    def test_rate_underflow_single_particle(self, mult):
+    def test_rate_underflow_nonfinite_envelope(self, mult):
+        # the envelope rate squares the coordinate totals, 4e400 here
         sys_, _ = mult
-        coords = np.array([[1.0, 1.0]])
-        ps = gk.ParticleSystem(sys_, coords, 1, np.random.default_rng(0))
-        with pytest.raises(RateUnderflow):
-            ps.step()
+        coords = np.array([[1.0, 1e200]] * 2)
+        ps = gk.ParticleSystem(sys_, coords, 2, np.random.default_rng(0))
+        with pytest.raises(RateUnderflow), np.errstate(over="ignore"):
+            ps.run([1.0])
 
     def test_run_freezes_when_absorbing(self, mult):
         sys_, _ = mult
@@ -98,20 +113,21 @@ class TestDynamics:
         assert [s.t for s in snaps] == [5.0, 10.0, 20.0]
         assert snaps[-1].n_particles == 1
 
-    def test_resync_path_clean(self, mult, monkeypatch):
-        # only the sequential loop resyncs; a zero-rate hook selects it
-        sys_, meas = mult
-        ps = gk.init_poisson(sys_, meas, 500, 11)
-        ps.set_hook(lambda t, row: row, 0.0)
-        ps.resync_interval = 64
-        resyncs = []
-        resync = ps._resync
-        monkeypatch.setattr(
-            ps, "_resync", lambda: resyncs.append(ps.events) or resync()
-        )
-        ps.run([1.5])
-        assert ps.events > 64
-        assert resyncs and resyncs[0] == 64  # the check actually fired
+    @pytest.mark.parametrize(
+        "cls", [gk.ParticleSystem, gk.DirectPairSimulator], ids=["particles", "direct"]
+    )
+    def test_bad_checkpoints_rejected(self, kac, cls):
+        sys_, meas = kac
+        rows = gk.sample_atoms(meas, 30, np.random.default_rng(0))
+        sim = cls(sys_, rows, 30, np.random.default_rng(1))
+        for bad in ([np.nan], [np.inf], [0.5, np.nan]):
+            with pytest.raises(ValueError, match="finite"):
+                sim.run(bad)
+        assert (sim.t, sim.n_particles) == (0.0, 30)
+        sim.run([1.0])
+        with pytest.raises(ValueError, match="before"):
+            sim.run([0.5])
+        assert sim.t == 1.0
 
     def test_kinetic_momentum_stays_small(self, kac):
         sys_, meas = kac
@@ -150,22 +166,7 @@ class TestDynamics:
 
 
 class TestBatchedState:
-    """A hook-free run leaves the state the sequential loop and dumps expect."""
-
-    def test_step_after_run(self, kac):
-        sys_, meas = kac
-        ps = gk.init_poisson(sys_, meas, 300, 31)
-        ps.step()  # builds the sequential index, which the run makes stale
-        ps.run([0.05])
-        assert ps.trees is None
-        live = ps.coords[ps.alive]
-        assert ps.s_hat == pytest.approx(np.abs(live[:, 1:]).sum(axis=0), rel=1e-12)
-        t0, events = ps.t, ps.events
-        rec = ps.step()
-        assert rec.t > t0 and ps.events == events + 1
-        assert len(ps.trees) == sys_.dim
-        for k, tree in enumerate(ps.trees):
-            assert tree.total == pytest.approx(ps.s_hat[k], rel=1e-12, abs=1e-12)
+    """A run leaves the state that later runs, snapshots and dumps expect."""
 
     def test_runs_chain(self, kac):
         sys_, meas = kac
@@ -219,80 +220,10 @@ class TestBatchedState:
         # kbar(x, y) = x+ y+ + x_par y_par is -1 on the cross pair below
         sys_ = gk.BilinearSystem(1, 1, [[1.0]], [[1.0]])
         coords = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, -2.0]])
-        ps = gk.ParticleSystem(sys_, coords, 2, np.random.default_rng(0))
-        with pytest.raises(NegativeRate):
-            ps.run([10.0])
-
-
-class TestHook:
-    @staticmethod
-    def _speed_shuffle(rng):
-        def hook(t, row):
-            speed = np.sqrt(max(row[2], 0.0))
-            v = rng.standard_normal(3)
-            v *= speed / max(np.linalg.norm(v), 1e-300)
-            row[3:] = v
-            return row
-
-        return hook
-
-    def test_hook_runs_and_conserves(self, kac):
-        sys_, meas = kac
-        ps = gk.init_poisson(sys_, meas, 400, 5)
-        before = ps.coords[ps.alive][:, :3].sum(axis=0)
-        ps.set_hook(self._speed_shuffle(np.random.default_rng(1)), 2.0)
-        ps.run([0.05])
-        after = ps.coords[ps.alive][:, :3].sum(axis=0)
-        assert np.allclose(before, after, rtol=1e-12)
-
-    def test_violating_hook_raises(self, kac):
-        sys_, meas = kac
-        ps = gk.init_poisson(sys_, meas, 200, 6)
-
-        def bad(t, row):
-            row[1] += 1.0
-            return row
-
-        ps.set_hook(bad, 2.0)
-        with pytest.raises(HookViolatesConservation):
-            ps.run([0.5])
-
-    def test_thinned_hook_rate(self, kac):
-        sys_, meas = kac
-        ps = gk.init_poisson(sys_, meas, 300, 7)
-        calls = []
-
-        def hook(t, row):
-            calls.append(t)
-            return row
-
-        # actual rate is half the bound: thinning keeps roughly half
-        ps.set_hook(hook, 2.0, rate_fn=lambda row: 1.0 * (row[0] + row[1]))
-        ps.run([0.05])
-        assert calls  # some jumps happened
-
-    def test_step_matches_run(self, kac):
-        # run() and step() share one proposal body, so stepping a twin
-        # system through run()'s event count lands on the same state
-        sys_, meas = kac
-        twins = [gk.init_poisson(sys_, meas, 300, 4) for _ in range(2)]
-        for ps in twins:
-            ps.set_hook(self._speed_shuffle(np.random.default_rng(1)), 2.0)
-        ran, stepped = twins
-        ran.run([0.1])
-        assert ran.merges > 0 and ran.events > ran.merges
-        for _ in range(ran.events):
-            stepped.step()
-        assert stepped.coords.tobytes() == ran.coords.tobytes()
-        assert stepped.alive.tobytes() == ran.alive.tobytes()
-        assert stepped.merges == ran.merges
-
-    def test_hook_rate_fn_above_bound_raises(self, kac):
-        sys_, meas = kac
-        ps = gk.init_poisson(sys_, meas, 200, 8)
-        ps.set_hook(lambda t, row: row, 1.0, rate_fn=lambda row: 1e6)
-        with pytest.raises(HookViolatesConservation):
-            ps.run([0.5])
+        for cls in (gk.ParticleSystem, gk.DirectPairSimulator):
+            ps = cls(sys_, coords, 2, np.random.default_rng(0))
+            with pytest.raises(NegativeRate):
+                ps.run([10.0])
 
 
 class TestPersistence:
