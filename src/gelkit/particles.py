@@ -16,6 +16,9 @@ probability ``kbar / khat`` and contracts the kept edges into the current
 clusters, in fixed-size chunks; a run costs O(P + proposals).  ``events``
 counts these static-envelope proposals.
 
+A sampler's ``coords`` is the table of its live clusters and nothing else,
+one row each, ordered by the cluster's lowest starting row.
+
 ``DirectPairSimulator`` is the independent event-by-event reference: it
 evaluates every pair's rate at every event and shares no sampling code
 with the envelope engine.
@@ -26,6 +29,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from sys import float_info
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -59,11 +63,23 @@ def child_seed(seed: int, *key: int) -> np.random.SeedSequence:
 
 def _check_scales(n_scale: float, rate_scale: float) -> None:
     """ValueError unless n_scale is positive and finite and rate_scale is
-    nonnegative and finite (0 switches merging off)."""
-    if not (math.isfinite(n_scale) and n_scale > 0):
+    nonnegative and finite (0 switches merging off).  The bounds are
+    compared, not converted: an integer past the double range is refused."""
+    if not 0 < n_scale <= float_info.max:
         raise ValueError(f"n_scale = {n_scale} must be positive and finite")
-    if not (math.isfinite(rate_scale) and rate_scale >= 0):
+    if not 0 <= rate_scale <= float_info.max:
         raise ValueError(f"rate_scale = {rate_scale} must be nonnegative and finite")
+
+
+def _check_table(sys: BilinearSystem, coords) -> np.ndarray:
+    """The rows as a fresh float table; ValueError unless it is (P, 1+n+m),
+    finite, with nonnegative conserved coordinates."""
+    coords = np.array(coords, dtype=float)
+    if coords.ndim != 2 or coords.shape[1] != 1 + sys.n + sys.m:
+        raise ValueError("coords must be (P, 1+n+m)")
+    if not np.isfinite(coords).all() or (coords[:, 1 : 1 + sys.n] < 0.0).any():
+        raise ValueError("rows must be finite with nonnegative conserved coordinates")
+    return coords
 
 
 def _checkpoints(checkpoint_times, t: float) -> list[float]:
@@ -154,6 +170,13 @@ def contract(
     return comp[labels], clusters
 
 
+def _cluster_sums(rows: np.ndarray, labels: np.ndarray, clusters: int) -> np.ndarray:
+    """Each cluster's row sum, one row per label."""
+    return np.column_stack(
+        [np.bincount(labels, weights=col, minlength=clusters) for col in rows.T]
+    )
+
+
 @dataclass(frozen=True)
 class Snapshot:
     """Observables of the particle population at one time."""
@@ -227,7 +250,7 @@ def snapshot(
 
 
 class ParticleSystem:
-    """Mutable simulation state: the particle table and its clock."""
+    """Mutable simulation state: the table of live clusters and its clock."""
 
     def __init__(
         self,
@@ -238,38 +261,38 @@ class ParticleSystem:
         rate_scale: float = 1.0,
         t: float = 0.0,
     ):
-        coords = np.array(coords, dtype=float)
-        if coords.ndim != 2 or coords.shape[1] != 1 + sys.n + sys.m:
-            raise ValueError("coords must be (P, 1+n+m)")
+        self.coords = _check_table(sys, coords)
         _check_scales(n_scale, rate_scale)
+        if not 0 <= t <= float_info.max:
+            raise ValueError(f"t = {t} must be nonnegative and finite")
         self.sys = sys
-        self.coords = coords
         self.n_scale = float(n_scale)
         self.rate_scale = float(rate_scale)
         self.t = float(t)
         self.rng = rng
-        self.alive = np.ones(coords.shape[0], dtype=bool)
-        self.n_particles = coords.shape[0]
         self.events = 0
         self.merges = 0
 
+    @property
+    def n_particles(self) -> int:
+        return self.coords.shape[0]
+
     def snapshot(self, xi: int | None = None) -> Snapshot:
-        return snapshot(self.sys, self.coords[self.alive], self.n_scale, self.t, xi)
+        return snapshot(self.sys, self.coords, self.n_scale, self.t, xi)
 
     def run(self, checkpoint_times, xi: int | None = None) -> list[Snapshot]:
         """Advance through the given times, with a snapshot at each.
 
         Each checkpoint interval is one thinned Poisson batch of edges on
         the run's starting rows, contracted into the current clusters (see
-        the module docstring).  The state after each checkpoint (``coords``,
-        ``alive``, ``n_particles``, ``merges``, ``events``) is what
-        ``snapshot`` and ``dump_state`` see.  Checkpoints must be finite
+        the module docstring).  After each checkpoint ``coords`` holds each
+        cluster's row sum, ordered by the cluster's lowest starting row, and
+        ``merges`` and ``events`` are updated.  Checkpoints must be finite
         and not before the current time.  Below two particles nothing
         happens, so the remaining checkpoints freeze.
         """
         times = _checkpoints(checkpoint_times, self.t)
-        start = np.flatnonzero(self.alive)
-        rows = self.coords[start]
+        rows = self.coords
         cum, pair_cum = envelope(self.sys, rows)
         merge_rate = 0.0
         if self.n_particles >= 2:
@@ -283,8 +306,8 @@ class ParticleSystem:
             )
         if not math.isfinite(merge_rate):
             raise RateUnderflow(f"envelope rate {merge_rate} is not finite")
-        labels = np.arange(start.size, dtype=np.int32)  # cluster of each row
-        clusters = start.size
+        clusters = self.n_particles
+        labels = np.arange(clusters, dtype=np.int32)  # cluster of each row
         out: list[Snapshot] = []
         for target in times:
             if merge_rate > 0.0 and target > self.t:
@@ -298,30 +321,13 @@ class ParticleSystem:
                     )
                     labels, clusters = contract(labels, clusters, p[keep], q[keep])
             self.t = target
-            self._write_clusters(start, rows, labels, clusters)
+            self.merges += self.n_particles - clusters
+            self.coords = _cluster_sums(rows, labels, clusters)
             out.append(self.snapshot(xi))
         return out
 
-    def _write_clusters(
-        self, start: np.ndarray, rows: np.ndarray, labels: np.ndarray, clusters: int
-    ) -> None:
-        """Store each cluster's row sum at its lowest starting slot."""
-        sums = np.empty((clusters, rows.shape[1]))
-        for j in range(rows.shape[1]):
-            sums[:, j] = np.bincount(labels, weights=rows[:, j], minlength=clusters)
-        first = np.full(clusters, start.size, dtype=np.intp)
-        np.minimum.at(first, labels, np.arange(start.size))
-        slots = start[first]
-        self.coords[start] = 0.0
-        self.alive[start] = False
-        self.coords[slots] = sums
-        self.alive[slots] = True
-        self.merges += self.n_particles - clusters
-        self.n_particles = clusters
-
     def dump_state(self, path) -> None:
         """Write the particle table in the documented binary layout."""
-        rows = self.coords[self.alive]
         header = _MAGIC + struct.pack(
             _HEADERS[2],
             2,
@@ -330,12 +336,12 @@ class ParticleSystem:
             self.n_scale,
             self.t,
             self.rate_scale,
-            rows.shape[0],
+            self.n_particles,
         )
         try:
             with open(path, "wb") as fh:
                 fh.write(header)
-                fh.write(rows.astype("<f8").tobytes())
+                fh.write(self.coords.astype("<f8").tobytes())
         except OSError as exc:
             raise SchemaError(str(path), f"cannot write dump: {exc.strerror}") from None
 
@@ -369,22 +375,14 @@ def load_state(
         raise SchemaError(str(path), f"truncated dump: fewer than {count} rows")
     if len(blob) > end:
         raise SchemaError(str(path), f"{len(blob) - end} bytes after the {count} rows")
-    for name, value in (("N", n_scale), ("rate_scale", rate_scale)):
-        if not (math.isfinite(value) and value > 0.0):
-            raise SchemaError(str(path), f"{name} = {value} is not positive and finite")
-    if not (math.isfinite(t) and t >= 0.0):
-        raise SchemaError(str(path), f"t = {t} is not nonnegative and finite")
     coords = np.frombuffer(
         blob, dtype="<f8", count=count * width, offset=off
     ).reshape(count, width)
-    if not np.isfinite(coords).all() or (coords[:, 1 : 1 + n] < 0.0).any():
-        raise SchemaError(
-            str(path), "rows must be finite with nonnegative conserved coordinates"
-        )
     rng = np.random.default_rng(seed)
-    return ParticleSystem(
-        sys, coords, n_scale, rng, rate_scale=rate_scale, t=t
-    )
+    try:
+        return ParticleSystem(sys, coords, n_scale, rng, rate_scale=rate_scale, t=t)
+    except ValueError as exc:
+        raise SchemaError(str(path), str(exc)) from None
 
 
 def init_poisson(
@@ -396,12 +394,13 @@ def init_poisson(
 ) -> ParticleSystem:
     """Poissonized start: particle count ~ Poisson(n_scale * total mass),
     data i.i.d. from the normalized measure."""
-    _check_scales(n_scale, rate_scale)
-    if n_scale * measure.total_mass > _MAX_PARTICLES:
+    # divided, not multiplied: n_scale may be an integer past the double range
+    if n_scale > _MAX_PARTICLES / measure.total_mass:
         raise BudgetExceeded(
-            f"expected {n_scale * measure.total_mass:.3g} particles exceeds "
-            f"the budget {_MAX_PARTICLES}"
+            f"N = {n_scale} times mass {measure.total_mass:.3g} exceeds "
+            f"the particle budget {_MAX_PARTICLES}"
         )
+    _check_scales(n_scale, rate_scale)
     rng = np.random.default_rng(seed)
     count = int(rng.poisson(n_scale * measure.total_mass))
     if count == 0:
@@ -426,23 +425,24 @@ class DirectPairSimulator:
         rng: np.random.Generator,
         rate_scale: float = 1.0,
     ):
+        self.coords = _check_table(sys, coords)
         _check_scales(n_scale, rate_scale)
         self.sys = sys
-        self.coords = np.array(coords, dtype=float)
         self.n_scale = float(n_scale)
         self.rate_scale = float(rate_scale)
         self.rng = rng
         self.t = 0.0
-        self.alive = np.ones(self.coords.shape[0], dtype=bool)
-        self.n_particles = self.coords.shape[0]
+
+    @property
+    def n_particles(self) -> int:
+        return self.coords.shape[0]
 
     def _pair_rates(self):
-        """Live rows, the merge rate of each unordered live pair, and the
-        pairs' upper-triangle indices; NegativeRate if a pair's ``kbar`` is
-        below ``-1e-9`` of its envelope ``khat``, beyond rounding."""
-        rows = np.flatnonzero(self.alive)
-        pts = self.coords[rows][:, 1:]
-        iu = np.triu_indices(rows.size, k=1)
+        """The merge rate of each unordered pair of rows and the pairs'
+        upper-triangle indices; NegativeRate if a pair's ``kbar`` is below
+        ``-1e-9`` of its envelope ``khat``, beyond rounding."""
+        pts = self.coords[:, 1:]
+        iu = np.triu_indices(self.n_particles, k=1)
         kbar = (pts @ self.sys.block @ pts.T)[iu]
         khat = (np.abs(pts) @ self.sys.block_abs @ np.abs(pts).T)[iu]
         if (kbar < -1e-9 * khat).any():
@@ -450,19 +450,18 @@ class DirectPairSimulator:
                 f"negative merge rate {kbar.min()} encountered in simulation"
             )
         np.clip(kbar, 0.0, None, out=kbar)
-        return rows, kbar * (self.rate_scale / self.n_scale), iu
+        return kbar * (self.rate_scale / self.n_scale), iu
 
     def run(self, checkpoint_times, xi: int | None = None) -> list[Snapshot]:
         """Advance through the given times, one merge event at a time, with
         a snapshot at each; checkpoints must be finite and not before the
-        current time."""
+        current time.  A merge adds row q into row p < q and deletes row q,
+        so rows stay ordered by each cluster's lowest starting row."""
         times = _checkpoints(checkpoint_times, self.t)
         out = []
         for target in times:
-            while True:
-                if self.n_particles < 2:
-                    break
-                rows, rates, iu = self._pair_rates()
+            while self.n_particles >= 2:
+                rates, iu = self._pair_rates()
                 total = float(rates.sum())
                 if total <= 0.0:
                     break
@@ -473,14 +472,9 @@ class DirectPairSimulator:
                 pick = self.rng.random() * total
                 idx = int(np.searchsorted(np.cumsum(rates), pick, side="right"))
                 idx = min(idx, rates.size - 1)
-                p = int(rows[iu[0][idx]])
-                q = int(rows[iu[1][idx]])
+                p, q = int(iu[0][idx]), int(iu[1][idx])
                 self.coords[p] += self.coords[q]
-                self.coords[q] = 0.0
-                self.alive[q] = False
-                self.n_particles -= 1
+                self.coords = np.delete(self.coords, q, axis=0)
             self.t = target
-            out.append(
-                snapshot(self.sys, self.coords[self.alive], self.n_scale, self.t, xi)
-            )
+            out.append(snapshot(self.sys, self.coords, self.n_scale, self.t, xi))
         return out

@@ -88,6 +88,13 @@ _OVER_BUDGET = {
         "simulate", "--times", "0.5", "--n", "1000000000000000000000",
         "--seed", "1",
     ),
+    "simulate-huge-n": (
+        "simulate", "--times", "0.5", "--n", "1" + "0" * 400, "--seed", "1",
+    ),
+    "convergence-huge-n": (
+        "convergence", "--times", "0.5", "--n-list", "1" + "0" * 400,
+        "--replicas", "1", "--seed", "1",
+    ),
     "gel-curve-points": ("gel-curve", "--t-max", "2", "--points", "100000000000"),
 }
 

@@ -20,7 +20,7 @@ def _particles(cls):
     def run(sys_, rows, t, rng, rate_scale):
         ps = cls(sys_, rows, N, rng, rate_scale=rate_scale)
         ps.run([t])
-        return statistic_of_rows(ps.coords[ps.alive])
+        return statistic_of_rows(ps.coords)
 
     return run
 

@@ -206,7 +206,7 @@ class TestSimulatorAgreement:
         direct = ds.run([0.4])[0]
         assert direct.n_particles < 40
         ps = gk.ParticleSystem(
-            sys_, ds.coords[ds.alive], 40, np.random.default_rng(7), t=ds.t
+            sys_, ds.coords, 40, np.random.default_rng(7), t=ds.t
         )
         particle = ps.snapshot()
         for field in dataclasses.fields(direct):
@@ -311,7 +311,7 @@ class TestDumpFuzz:
         dump_path.write_bytes(_dump_bytes(sys_, rows, n_scale, t, rate_scale))
         valid = (
             np.isfinite([n_scale, t, rate_scale]).all()
-            and n_scale > 0 and t >= 0 and rate_scale > 0
+            and n_scale > 0 and t >= 0 and rate_scale >= 0
             and np.isfinite(rows).all() and (rows[:, 1 : 1 + sys_.n] >= 0).all()
         )
         if valid:

@@ -31,7 +31,7 @@ class TestSeeding:
 # (n_scale, rate_scale) pairs that every sampler refuses
 BAD_SCALES = [
     (0.0, 1.0), (-1.0, 1.0), (np.nan, 1.0), (np.inf, 1.0),
-    (1.0, -1.0), (1.0, np.nan), (1.0, np.inf),
+    (1.0, -1.0), (1.0, np.nan), (1.0, np.inf), (10**400, 1.0),
 ]
 
 
@@ -65,6 +65,26 @@ class TestInit:
                 make(n_scale, rate_scale)
         make(10.0, 0.0)  # a zero rate scale switches merging off
 
+    @pytest.mark.parametrize(
+        "cls", [gk.ParticleSystem, gk.DirectPairSimulator], ids=["particles", "direct"]
+    )
+    def test_bad_rows_rejected(self, kac, cls):
+        sys_, meas = kac
+        rows = gk.sample_atoms(meas, 3, np.random.default_rng(0))
+        # a NaN, an infinite sign-odd coordinate, a negative conserved one
+        for cell, value in [((0, 0), np.nan), ((1, -1), np.inf), ((2, 1), -1.0)]:
+            bad = rows.copy()
+            bad[cell] = value
+            with pytest.raises(ValueError, match="finite"):
+                cls(sys_, bad, 10, np.random.default_rng(1))
+
+    def test_bad_time_rejected(self, kac):
+        sys_, meas = kac
+        rows = gk.sample_atoms(meas, 3, np.random.default_rng(0))
+        for t in (-1.0, np.nan, np.inf, 10**400):
+            with pytest.raises(ValueError, match="t = "):
+                gk.ParticleSystem(sys_, rows, 10, np.random.default_rng(1), t=t)
+
     def test_bad_coords_shape(self, mult):
         sys_, _ = mult
         with pytest.raises(ValueError):
@@ -86,9 +106,9 @@ class TestDynamics:
 
     def test_total_coordinates_conserved(self, mult):
         ps = small_system(mult, seed=3)
-        before = ps.coords[ps.alive].sum(axis=0)
+        before = ps.coords.sum(axis=0)
         ps.run([1.5])
-        after = ps.coords[ps.alive].sum(axis=0)
+        after = ps.coords.sum(axis=0)
         assert np.allclose(before, after, rtol=1e-12)
 
     def test_particle_count_drops_by_merges(self, mult):
@@ -193,12 +213,12 @@ class TestBatchedState:
         assert snap.t == resumed.t == 0.15
         assert snap.n_particles < ps.n_particles
         assert np.allclose(
-            resumed.coords[resumed.alive].sum(axis=0),
-            ps.coords[ps.alive].sum(axis=0),
+            resumed.coords.sum(axis=0),
+            ps.coords.sum(axis=0),
             rtol=1e-12,
         )
 
-    def test_live_rows_keep_totals(self, kac, mult):
+    def test_live_rows_keep_totals(self, kac):
         sys_, meas = kac
         ps = gk.init_poisson(sys_, meas, 500, 34)
         start = ps.coords.sum(axis=0)
@@ -207,14 +227,19 @@ class TestBatchedState:
         assert [s.n_particles for s in snaps] == sorted(
             (s.n_particles for s in snaps), reverse=True
         )
-        assert ps.n_particles == int(ps.alive.sum()) == p0 - ps.merges
-        assert not ps.coords[~ps.alive].any()  # merged-away slots are empty
-        assert np.allclose(ps.coords[ps.alive].sum(axis=0), start, rtol=1e-12)
-        # a cluster keeps its lowest starting slot
-        trio = gk.ParticleSystem(mult[0], np.ones((3, 2)), 3, np.random.default_rng(0))
-        trio.run([50.0])
-        assert trio.alive.tolist() == [True, False, False]
-        assert trio.coords.tolist() == [[3.0, 3.0], [0.0, 0.0], [0.0, 0.0]]
+        assert ps.n_particles == p0 - ps.merges
+        assert np.allclose(ps.coords.sum(axis=0), start, rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "cls", [gk.ParticleSystem, gk.DirectPairSimulator], ids=["particles", "direct"]
+    )
+    def test_table_keeps_lowest_row_order(self, mult, cls):
+        # the zero-mass rows 0 and 2 never merge; rows 1 and 3 do, into row 1
+        rows = [[1.0, 0.0], [1.0, 1.0], [1.0, 0.0], [1.0, 1.0]]
+        ps = cls(mult[0], rows, 1, np.random.default_rng(0))
+        ps.run([50.0])
+        assert ps.coords.tolist() == [[1.0, 0.0], [2.0, 2.0], [1.0, 0.0]]
+        assert ps.n_particles == 3
 
     def test_negative_pair_rate_raises(self):
         # kbar(x, y) = x+ y+ + x_par y_par is -1 on the cross pair below
@@ -236,7 +261,7 @@ class TestPersistence:
         ps2 = gk.load_state(sys_, path, 1)
         assert ps2.t == ps.t
         assert ps2.rate_scale == ps.rate_scale
-        assert np.array_equal(ps2.coords[ps2.alive], ps.coords[ps.alive])
+        assert np.array_equal(ps2.coords, ps.coords)
 
     def test_fractional_scale_round_trip(self, kac, tmp_path):
         sys_, meas = kac
@@ -245,6 +270,17 @@ class TestPersistence:
         path = tmp_path / "state.bin"
         ps.dump_state(path)
         assert gk.load_state(sys_, path, 1).n_scale == 1000.5
+
+    def test_zero_rate_scale_round_trip(self, kac, tmp_path):
+        sys_, meas = kac
+        rows = gk.sample_atoms(meas, 5, np.random.default_rng(3))
+        ps = gk.ParticleSystem(sys_, rows, 50, np.random.default_rng(4), rate_scale=0.0)
+        ps.run([1.0])
+        path = tmp_path / "state.bin"
+        ps.dump_state(path)
+        ps2 = gk.load_state(sys_, path, 1)
+        assert (ps2.rate_scale, ps2.t) == (0.0, 1.0)
+        assert np.array_equal(ps2.coords, rows)
 
     def test_version_one_dump_loads(self, kac, tmp_path):
         # v1 header: magic, then version, n, m, integer n_scale, t,
