@@ -93,21 +93,15 @@ from .system import (
     BilinearSystem,
     GelData,
     HypothesisReport,
-    TypeVector,
     check_hypotheses,
     first_moments,
     gram_plus,
     load_system,
-    merge,
-    merge_rate,
     merge_rate_matrix,
     moment_matrix,
-    par_bound_constant,
-    reflect,
     sample_atoms,
     system_measure_from_json,
     system_measure_to_json,
-    total_size,
 )
 
 __version__ = "0.1.0"

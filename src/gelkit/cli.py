@@ -373,7 +373,7 @@ def _exec_restricted(model, measure, rate_scale, seed, params, out: Path) -> Non
         flory = TruncatedFlory(model, measure, params["xi"], rate_scale)
     except ValueError as exc:
         # either xi is below an initial species or the measure is not initial
-        initial = all(a.pi0 == 1 for a in measure.atoms)
+        initial = (measure.coords[:, 0] == 1.0).all()
         raise SchemaError("/params/xi" if initial else "/system", str(exc)) from None
     states = flory.integrate(max(times), outputs=times)
     n, m = model.n, model.m
@@ -390,7 +390,7 @@ def _exec_restricted(model, measure, rate_scale, seed, params, out: Path) -> Non
     dens_path = (
         Path(dens_name) if dens_name else out.parent / (out.stem + "_densities.csv")
     )
-    k = len(measure.atoms)
+    k = len(measure)
     dheader = ["t"] + [f"n_species_{i + 1}" for i in range(k)] + ["density"]
     drows = []
     for st in states:

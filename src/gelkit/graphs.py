@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import ks_2samp
 
 from .errors import BudgetExceeded, NegativeRate, WindowInvalid
 from .particles import (
@@ -409,6 +408,8 @@ def coupling_test(
         snap = ps.run([t])[0]
         p_largest[r] = float(snap.gel_largest.g[phi_cols].sum())
         p_counts[r] = snap.n_particles
+    from scipy.stats import ks_2samp  # imported here: it is slow to import
+
     ks1 = ks_2samp(g_largest, p_largest, method="asymp")
     ks2 = ks_2samp(g_counts, p_counts, method="asymp")
     return CouplingReport(

@@ -66,7 +66,7 @@ class MomentState:
 
 
 def initial_state(measure: AtomicMeasure) -> MomentState:
-    n = len(measure.atoms[0].plus)
+    n = measure.n
     return MomentState(
         0.0,
         gram_plus(measure),

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .system import AtomicMeasure, BilinearSystem, TypeVector
+from .system import AtomicMeasure, BilinearSystem
 
 __all__ = [
     "multiplicative",
@@ -32,7 +32,7 @@ __all__ = [
 def multiplicative() -> tuple[BilinearSystem, AtomicMeasure]:
     """Mass-product kernel, monodisperse unit-mass start."""
     sys = BilinearSystem(1, 0, [[1.0]], np.zeros((0, 0)), ("absorbed", "mass"))
-    measure = AtomicMeasure((TypeVector(1, (1.0,)),), (1.0,), initial=True)
+    measure = AtomicMeasure([[1.0, 1.0]], [1.0], 1)
     return sys, measure
 
 
@@ -42,11 +42,7 @@ def bidisperse(
 ) -> tuple[BilinearSystem, AtomicMeasure]:
     """Mass-product kernel started from two mass species."""
     sys = BilinearSystem(1, 0, [[1.0]], np.zeros((0, 0)), ("absorbed", "mass"))
-    measure = AtomicMeasure(
-        tuple(TypeVector(1, (float(v),)) for v in masses),
-        tuple(weights),
-        initial=True,
-    )
+    measure = AtomicMeasure([[1.0, v] for v in masses], weights, 1)
     return sys, measure
 
 
@@ -72,10 +68,12 @@ def _kinetic_system() -> BilinearSystem:
     )
 
 
-def _velocity_atom(v) -> TypeVector:
-    v = tuple(float(c) for c in v)
-    energy = v[0] * v[0] + v[1] * v[1] + v[2] * v[2]
-    return TypeVector(1, (1.0, energy), v)
+def _velocity_measure(v: np.ndarray) -> AtomicMeasure:
+    # one unit-mass atom per velocity row, weighted uniformly
+    energy = v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1] + v[:, 2] * v[:, 2]
+    ones = np.ones(len(v))
+    rows = np.column_stack((ones, ones, energy, v))
+    return AtomicMeasure(rows, ones / len(v), 2)
 
 
 def kinetic_gas() -> tuple[BilinearSystem, AtomicMeasure]:
@@ -87,14 +85,10 @@ def kinetic_gas() -> tuple[BilinearSystem, AtomicMeasure]:
     """
     lo = math.sqrt(3.0 - math.sqrt(6.0))
     hi = math.sqrt(3.0 + math.sqrt(6.0))
-    atoms = (
-        _velocity_atom((lo, 0.0, 0.0)),
-        _velocity_atom((-lo, 0.0, 0.0)),
-        _velocity_atom((0.0, hi, 0.0)),
-        _velocity_atom((0.0, -hi, 0.0)),
+    vel = np.array(
+        [(lo, 0.0, 0.0), (-lo, 0.0, 0.0), (0.0, hi, 0.0), (0.0, -hi, 0.0)]
     )
-    measure = AtomicMeasure(atoms, (0.25,) * 4, initial=True)
-    return _kinetic_system(), measure
+    return _kinetic_system(), _velocity_measure(vel)
 
 
 def kinetic_gas_sample(
@@ -111,14 +105,9 @@ def kinetic_gas_sample(
         raise ValueError("need at least one velocity draw")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x6B696E)))
     vel = rng.standard_normal((k, 3))
-    atoms: list[TypeVector] = []
-    for v in vel:
-        atoms.append(_velocity_atom(v))
-        if mirrored:
-            atoms.append(_velocity_atom(-v))
-    w = 1.0 / len(atoms)
-    measure = AtomicMeasure(tuple(atoms), (w,) * len(atoms), initial=True)
-    return _kinetic_system(), measure
+    if mirrored:  # v, -v for each draw, in draw order
+        vel = np.stack((vel, -vel), axis=1).reshape(-1, 3)
+    return _kinetic_system(), _velocity_measure(vel)
 
 
 PRESETS = {

@@ -36,7 +36,7 @@ def enumerate_types(
     Sorted by (size, composition) so downstream indexing is reproducible.
     Raises BudgetExceeded when the space outgrows ``max_types``.
     """
-    sizes = [sum(a.plus) for a in measure.atoms]
+    sizes = measure.coords[:, 1 : 1 + measure.n].sum(axis=1).tolist()
     if not sizes:
         return []
     if min(sizes) <= 0.0:
@@ -90,30 +90,28 @@ class TruncatedFlory:
         max_types: int = 100_000,
         max_pairs: int = 2_000_000,
     ):
-        if not all(a.pi0 == 1 for a in measure.atoms):
+        if not (measure.coords[:, 0] == 1.0).all():
             raise ValueError("truncated dynamics start from an initial measure")
         self.sys = sys
         self.measure = measure
         self.xi = float(xi)
         self.rate_scale = float(rate_scale)
         self.types = enumerate_types(measure, xi, max_types)
-        if not self.types or max(sum(a.plus) for a in measure.atoms) > xi + 1e-12:
+        species = measure.coords  # (k, 1+n+m)
+        if not self.types or species[:, 1 : 1 + sys.n].sum(axis=1).max() > xi + 1e-12:
             raise ValueError(
                 f"xi={xi} excludes an initial species; nothing to resolve"
             )
         t_count = len(self.types)
         self.index = {comp: i for i, comp in enumerate(self.types)}
-        species = measure.coords  # (k, 1+n+m)
         comp_mat = np.array(self.types, dtype=float)
         self.coords = comp_mat @ species  # type data rows, pi0 included
         self.sizes = self.coords[:, 1 : 1 + sys.n].sum(axis=1)
         self.phi_vec = self.coords[:, 0] + self.sizes
         # initial densities: each species starts as its own singleton type
         dens0 = np.zeros(t_count)
-        for a_idx, (atom, w) in enumerate(zip(measure.atoms, measure.weights)):
-            comp = tuple(
-                1 if j == a_idx else 0 for j in range(len(measure.atoms))
-            )
+        for a_idx, w in enumerate(measure.weight_array):
+            comp = tuple(1 if j == a_idx else 0 for j in range(len(measure)))
             dens0[self.index[comp]] += w
         self.initial_densities = dens0
         self._build_pairs(max_pairs)

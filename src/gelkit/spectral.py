@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMeasure, NoConvergence
+from .errors import DegenerateMeasure, NoConvergence, SchemaError
 from .system import AtomicMeasure, BilinearSystem, gram_plus
 
 _GRAM_TOL = 1e-9
@@ -88,8 +88,17 @@ def gelation(
 
     The Perron vector ``psi`` is normalized to ``psi^T Q psi = 1`` and is
     componentwise positive; a sign-mixed eigenvector means the measure
-    does not satisfy the admissibility hypotheses.
+    does not satisfy the admissibility hypotheses.  A measure that is not
+    mirror symmetric (hypothesis A1) is refused with a :class:`SchemaError`
+    at ``/atoms``: the limit theory, which reads only the conserved block,
+    does not describe it.
     """
+    if not measure.mirror_symmetric:
+        raise SchemaError(
+            "/atoms",
+            "the measure is not mirror symmetric (hypothesis A1): some atom's "
+            "reflection is missing or carries another weight",
+        )
     q = gram_plus(measure)
     lam_mat = criticality_matrix(sys, measure)
     chol = np.linalg.cholesky(q)

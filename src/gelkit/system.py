@@ -7,11 +7,11 @@ particle data vectors.  A particle's data is
   integer; every initial particle starts with ``pi0 = 1``),
 * ``plus`` -- ``n`` nonnegative conserved coordinates (mass, energy, ...),
 * ``par`` -- ``m`` sign-odd coordinates (momentum, ...), negated by
-  :func:`reflect`.
+  reflection.
 
 The total merge rate of two particles is the bilinear form
 
-    merge_rate(x, y) = plus(x) . A_plus plus(y) + par(x) . A_par par(y)
+    rate(x, y) = plus(x) . A_plus plus(y) + par(x) . A_par par(y)
 
 which must be nonnegative wherever the dynamics can reach.  ``pi0`` does not
 enter the rate; it is bookkeeping that the limit theory and all gel
@@ -19,18 +19,17 @@ observables are expressed in.
 
 Array convention used across the package: particles as rows of shape
 ``(1 + n + m,)`` with column 0 = ``pi0``, columns ``1..n`` = ``plus``,
-columns ``n+1..n+m`` = ``par``.
+columns ``n+1..n+m`` = ``par``.  Merging two particles adds their rows.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
 from .errors import NegativeRate, SchemaError
 
@@ -118,96 +117,6 @@ class BilinearSystem:
         return a
 
 
-@dataclass(frozen=True)
-class TypeVector:
-    """Immutable particle data: absorbed count plus conserved coordinates."""
-
-    pi0: int
-    plus: tuple[float, ...]
-    par: tuple[float, ...] = ()
-
-    def __post_init__(self):
-        # beyond 2**53 the float coordinate row would not hold pi0 exactly
-        if not isinstance(self.pi0, int) or not 1 <= self.pi0 <= 2**53:
-            raise ValueError("pi0 must be a positive integer of at most 2**53")
-        object.__setattr__(self, "plus", tuple(float(v) for v in self.plus))
-        object.__setattr__(self, "par", tuple(float(v) for v in self.par))
-        if any(v < 0 for v in self.plus):
-            raise ValueError("plus coordinates must be nonnegative")
-
-    @property
-    def total_size(self) -> float:
-        """pi0 plus the sum of the conserved coordinates."""
-        return self.pi0 + sum(self.plus)
-
-    def as_array(self) -> np.ndarray:
-        """Row vector (pi0, plus..., par...)."""
-        return np.array((self.pi0, *self.plus, *self.par), dtype=float)
-
-
-def merge(x: TypeVector, y: TypeVector) -> TypeVector:
-    """Data of the particle formed when ``x`` and ``y`` coalesce: the
-    componentwise sum, including the absorbed count."""
-    if len(x.plus) != len(y.plus) or len(x.par) != len(y.par):
-        raise ValueError("cannot merge particles of different coordinate layout")
-    return TypeVector(
-        x.pi0 + y.pi0,
-        tuple(a + b for a, b in zip(x.plus, y.plus)),
-        tuple(a + b for a, b in zip(x.par, y.par)),
-    )
-
-
-def reflect(x: TypeVector) -> TypeVector:
-    """Mirror image of a particle: sign-odd coordinates negated, everything
-    else unchanged.  An involution."""
-    return TypeVector(x.pi0, x.plus, tuple(-v for v in x.par))
-
-
-def _pair_form(a: np.ndarray, u: Sequence[float], v: Sequence[float]) -> float:
-    # Accumulate over i <= j with the off-diagonal terms symmetrized as
-    # u_i v_j + u_j v_i.  This makes the result bitwise invariant under
-    # swapping u and v and under jointly negating both vectors.
-    total = 0.0
-    k = len(u)
-    for i in range(k):
-        row = a[i]
-        ui, vi = u[i], v[i]
-        if row[i] != 0.0:
-            total += row[i] * (ui * vi)
-        for j in range(i + 1, k):
-            if row[j] != 0.0:
-                total += row[j] * (ui * v[j] + u[j] * vi)
-    return total
-
-
-def merge_rate(sys: BilinearSystem, x: TypeVector, y: TypeVector) -> float:
-    """Total merge rate of the pair ``(x, y)``.
-
-    Exactly symmetric in its arguments and invariant under reflecting both,
-    bit for bit.  Raises :class:`NegativeRate` if the form evaluates negative
-    beyond tolerance, which means the system/measure pair is invalid.
-    """
-    if len(x.plus) != sys.n or len(x.par) != sys.m:
-        raise ValueError("x does not match the system's coordinate layout")
-    if len(y.plus) != sys.n or len(y.par) != sys.m:
-        raise ValueError("y does not match the system's coordinate layout")
-    rate = _pair_form(sys.a_plus, x.plus, y.plus) + _pair_form(
-        sys.a_par, x.par, y.par
-    )
-    if rate < 0.0:
-        envelope = _pair_form(
-            sys.block_abs,
-            tuple(map(abs, x.plus + x.par)),
-            tuple(map(abs, y.plus + y.par)),
-        )
-        if rate < -COORD_TOL * (1.0 + envelope):
-            raise NegativeRate(
-                f"merge rate {rate} < 0; kernel is not nonnegative on this pair"
-            )
-        rate = 0.0
-    return rate
-
-
 def merge_rate_matrix(
     sys: BilinearSystem, coords_a: np.ndarray, coords_b: np.ndarray
 ) -> np.ndarray:
@@ -215,7 +124,9 @@ def merge_rate_matrix(
 
     ``coords_a`` is ``(p, 1+n+m)`` and ``coords_b`` is ``(q, 1+n+m)``;
     returns the ``(p, q)`` rate matrix.  Mathematically symmetric but makes
-    no bit-level guarantees; use :func:`merge_rate` for those.
+    no bit-level guarantees.  Raises :class:`NegativeRate` if a rate
+    evaluates negative beyond tolerance, which means the system/measure
+    pair is invalid; rates negative within tolerance are clipped to 0.
     """
     rates = coords_a[:, 1:] @ sys.block @ coords_b[:, 1:].T
     low = rates.min() if rates.size else 0.0
@@ -231,84 +142,102 @@ def merge_rate_matrix(
     return rates
 
 
-@dataclass(frozen=True)
+def _row_order(rows: np.ndarray) -> np.ndarray:
+    # lexicographic order of the rows, column 0 (pi0) as the primary key
+    return np.lexsort(rows.T[::-1])
+
+
+def _same_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Rowwise: equal ``pi0`` and every other coordinate within
+    :data:`COORD_TOL`, relative with a floor of 1."""
+    scale = np.maximum(1.0, np.maximum(np.abs(a[:, 1:]), np.abs(b[:, 1:])))
+    close = np.abs(a[:, 1:] - b[:, 1:]) <= COORD_TOL * scale
+    return (a[:, 0] == b[:, 0]) & close.all(axis=1)
+
+
+@dataclass(frozen=True, eq=False)
 class AtomicMeasure:
     """A finite weighted collection of particle types.
 
-    With ``initial=True`` the measure is usable as time-zero data: every atom
-    must then have ``pi0 == 1``.  Atoms must be pairwise distinct (within
-    :data:`COORD_TOL`) and weights strictly positive.
+    ``coords`` holds one atom per row in the array convention, ``weight_array``
+    its strictly positive weights, and ``n`` the number of conserved
+    coordinates.  Rows must be distinct: two rows with equal ``pi0`` whose
+    other coordinates agree within :data:`COORD_TOL` are one atom.  The
+    check sorts the rows and compares neighbours, so it is exact for rows
+    that are equal or farther apart than the tolerance.
     """
 
-    atoms: tuple[TypeVector, ...]
-    weights: tuple[float, ...]
-    initial: bool = False
+    coords: np.ndarray
+    weight_array: np.ndarray
+    n: int
 
     def __post_init__(self):
-        object.__setattr__(self, "atoms", tuple(self.atoms))
-        object.__setattr__(
-            self, "weights", tuple(float(w) for w in self.weights)
-        )
-        if len(self.atoms) != len(self.weights):
-            raise ValueError("atoms and weights must have equal length")
-        if any(w <= 0 for w in self.weights):
+        coords = np.array(self.coords, dtype=float)
+        w = np.array(self.weight_array, dtype=float)
+        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
+            raise ValueError("n must be a positive integer")
+        object.__setattr__(self, "n", int(self.n))
+        if coords.ndim != 2 or coords.shape[1] < 1 + self.n:
+            raise ValueError(f"coords must be a (k, 1+n+m) array with n = {self.n}")
+        if w.shape != (len(coords),):
+            raise ValueError("coords and weights must have equal length")
+        if not (np.isfinite(coords).all() and np.isfinite(w).all()):
+            raise ValueError("coordinates and weights must be finite")
+        if (w <= 0.0).any():
             raise ValueError("weights must be strictly positive")
-        if self.atoms:
-            n, m = len(self.atoms[0].plus), len(self.atoms[0].par)
-            for a in self.atoms:
-                if len(a.plus) != n or len(a.par) != m:
-                    raise ValueError(
-                        "all atoms must share one coordinate layout"
-                    )
-        if self.initial and any(a.pi0 != 1 for a in self.atoms):
-            raise ValueError("initial measures must have pi0 == 1 on every atom")
-        for i, a in enumerate(self.atoms):
-            for b in self.atoms[i + 1 :]:
-                if a.pi0 == b.pi0 and _close(a, b):
-                    raise ValueError(f"atoms must be pairwise distinct: {a} ~ {b}")
+        # beyond 2**53 the float row would not hold pi0 exactly
+        pi0 = coords[:, 0]
+        if not ((pi0 >= 1.0) & (pi0 <= 2.0**53) & (pi0 == np.floor(pi0))).all():
+            raise ValueError("pi0 must be a positive integer of at most 2**53")
+        if (coords[:, 1 : 1 + self.n] < 0.0).any():
+            raise ValueError("plus coordinates must be nonnegative")
+        order = _row_order(coords)
+        same = _same_rows(coords[order[1:]], coords[order[:-1]])
+        if same.any():
+            i = int(np.argmax(same))
+            a, b = sorted(order[i : i + 2])
+            raise ValueError(f"atoms must be pairwise distinct: rows {a} and {b}")
+        coords.setflags(write=False)
+        w.setflags(write=False)
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "weight_array", w)
 
     def __len__(self) -> int:
-        return len(self.atoms)
+        return len(self.weight_array)
+
+    @property
+    def m(self) -> int:
+        """Number of sign-odd coordinates."""
+        return self.coords.shape[1] - 1 - self.n
 
     @property
     def total_mass(self) -> float:
-        return float(sum(self.weights))
-
-    def items(self) -> Iterable[tuple[TypeVector, float]]:
-        return zip(self.atoms, self.weights)
+        # summed left to right: seeded population sizes depend on every bit
+        return float(sum(self.weight_array.tolist()))
 
     @cached_property
-    def coords(self) -> np.ndarray:
-        """Atoms stacked as rows ``(k, 1+n+m)``."""
-        if not self.atoms:
-            raise ValueError("empty measure has no coordinate layout")
-        rows = np.stack([a.as_array() for a in self.atoms])
-        rows.setflags(write=False)
-        return rows
-
-    @cached_property
-    def weight_array(self) -> np.ndarray:
-        w = np.array(self.weights, dtype=float)
-        w.setflags(write=False)
-        return w
+    def mirror_symmetric(self) -> bool:
+        """Hypothesis A1: negating the sign-odd coordinates of every atom
+        gives the same measure, rows and weights within :data:`COORD_TOL`.
+        Sorts the rows and their reflections alike and compares them row by
+        row.  True when there are no sign-odd coordinates."""
+        if self.m == 0:
+            return True
+        mirror = self.coords.copy()
+        mirror[:, 1 + self.n :] *= -1.0
+        a, b = _row_order(self.coords), _row_order(mirror)
+        w_a, w_b = self.weight_array[a], self.weight_array[b]
+        return bool(
+            _same_rows(self.coords[a], mirror[b]).all()
+            and (np.abs(w_a - w_b) <= COORD_TOL * np.maximum(1.0, w_b)).all()
+        )
 
     def scaled(self, factors) -> "AtomicMeasure":
         """New measure with weights multiplied by ``factors`` (scalar or
-        per-atom array); atoms with factor 0 are dropped."""
-        f = np.broadcast_to(np.asarray(factors, dtype=float), (len(self.atoms),))
-        keep = f > 0.0
-        return AtomicMeasure(
-            tuple(a for a, k in zip(self.atoms, keep) if k),
-            tuple(w * fi for w, fi, k in zip(self.weights, f, keep) if k),
-            initial=self.initial,
-        )
-
-
-def _close(a: TypeVector, b: TypeVector, tol: float = COORD_TOL) -> bool:
-    return all(
-        abs(p - q) <= tol * max(1.0, abs(p), abs(q))
-        for p, q in zip(a.plus + a.par, b.plus + b.par)
-    )
+        per-atom array); atoms whose new weight is not positive are dropped."""
+        w = self.weight_array * np.asarray(factors, dtype=float)
+        keep = w > 0.0
+        return AtomicMeasure(self.coords[keep], w[keep], self.n)
 
 
 @dataclass(frozen=True)
@@ -343,11 +272,6 @@ class GelData:
         return self.g[1 + n :]
 
 
-def total_size(x: TypeVector) -> float:
-    """``pi0`` plus the sum of conserved coordinates; additive under merge."""
-    return x.total_size
-
-
 def moment_matrix(
     measure: AtomicMeasure, i_set: Sequence[int], j_set: Sequence[int]
 ) -> np.ndarray:
@@ -357,8 +281,6 @@ def moment_matrix(
     conserved block, ``n+1..`` the sign-odd block.  An empty measure has
     all moments zero.
     """
-    if not measure.atoms:
-        return np.zeros((len(list(i_set)), len(list(j_set))))
     c = measure.coords
     w = measure.weight_array
     ci = c[:, list(i_set)]
@@ -368,25 +290,13 @@ def moment_matrix(
 
 def gram_plus(measure: AtomicMeasure) -> np.ndarray:
     """Second-moment matrix of the conserved coordinates (n x n)."""
-    if not measure.atoms:
-        raise ValueError("empty measure has no coordinate layout")
-    n = len(measure.atoms[0].plus)
-    idx = range(1, n + 1)
+    idx = range(1, measure.n + 1)
     return moment_matrix(measure, idx, idx)
 
 
 def first_moments(measure: AtomicMeasure) -> np.ndarray:
     """Vector of first moments ``<coord_i>`` for all 1+n+m coordinates."""
     return measure.weight_array @ measure.coords
-
-
-def par_bound_constant(measure: AtomicMeasure) -> float:
-    """Smallest C with ``sum(par^2) <= C * total_size^2`` on every atom."""
-    best = 0.0
-    for a in measure.atoms:
-        s = a.total_size
-        best = max(best, sum(v * v for v in a.par) / (s * s))
-    return best
 
 
 @dataclass(frozen=True)
@@ -414,38 +324,21 @@ class HypothesisReport:
         )
 
 
-def check_hypotheses(
-    sys: BilinearSystem,
-    measure: AtomicMeasure,
-    tol: float = COORD_TOL,
-) -> HypothesisReport:
+def check_hypotheses(sys: BilinearSystem, measure: AtomicMeasure) -> HypothesisReport:
     """Diagnostic report on the standard admissibility hypotheses.
 
-    Mirror symmetry asks that reflecting the measure leaves it unchanged;
-    nondegeneracy that the conserved coordinates are linearly independent in
-    L2 of the measure; irreducibility that the atoms form one connected
-    component under strictly positive merge rates.  A single atom counts as
+    Mirror symmetry (:attr:`AtomicMeasure.mirror_symmetric`) asks that
+    reflecting the measure leaves it unchanged; nondegeneracy that the
+    conserved coordinates are linearly independent in L2 of the measure;
+    irreducibility that the atoms form one connected component under
+    strictly positive merge rates.  A single atom counts as
     irreducible when its self-rate is positive (the dynamics are then
     nondegenerate even though the measure is a point mass; the point-mass
-    flag is reported separately).
+    flag is reported separately).  Tolerances are :data:`COORD_TOL`.
     """
-    atoms, w = measure.atoms, measure.weights
-    k = len(atoms)
+    k = len(measure)
     if k == 0:
         raise ValueError("cannot check hypotheses of an empty measure")
-
-    # A1: each atom's mirror image present, with matching weight.
-    mirror_ok = True
-    for a, wa in measure.items():
-        ra = reflect(a)
-        match = None
-        for b, wb in measure.items():
-            if a.pi0 == b.pi0 and _close(ra, b, tol):
-                match = wb
-                break
-        if match is None or abs(match - wa) > tol * max(1.0, wa):
-            mirror_ok = False
-            break
 
     # A2: third moments; finite by construction for atomic measures.
     c = np.abs(measure.coords[:, 1:])
@@ -455,23 +348,24 @@ def check_hypotheses(
     q = gram_plus(measure)
     eigs = np.linalg.eigvalsh(q)
     ratio = float(eigs[0] / eigs[-1]) if eigs[-1] > 0 else 0.0
-    gram_ok = ratio > tol
+    gram_ok = ratio > COORD_TOL
 
     # A4: connectivity under positive merge rates.
+    from scipy.sparse.csgraph import connected_components  # slow to import
+
     rates = merge_rate_matrix(sys, measure.coords, measure.coords)
     scale = max(1.0, float(rates.max()))
-    adj = rates > tol * scale
+    adj = rates > COORD_TOL * scale
     components = int(connected_components(adj, directed=False)[0])
     point_mass = k == 1
     irreducible = components == 1 and (not point_mass or adj[0, 0])
 
-    a5 = all(a.pi0 == 1 for a in atoms)
     return HypothesisReport(
-        mirror_symmetric=mirror_ok,
+        mirror_symmetric=measure.mirror_symmetric,
         third_moments_finite=True,
         gram_nondegenerate=gram_ok,
         irreducible=irreducible,
-        unit_absorbed_count=a5,
+        unit_absorbed_count=bool((measure.coords[:, 0] == 1.0).all()),
         point_mass=point_mass,
         gram_eigenvalue_ratio=ratio,
         max_third_moment=max_third,
@@ -524,6 +418,8 @@ def _expect(obj, key, kind, pointer):
 def _number_list(val, pointer) -> list[float]:
     if not isinstance(val, list):
         raise SchemaError(pointer, "expected an array")
+    if all(type(v) is float and -_FLOAT_MAX <= v <= _FLOAT_MAX for v in val):
+        return val  # the common case, without a pointer string per entry
     return [_number(v, f"{pointer}/{i}") for i, v in enumerate(val)]
 
 
@@ -552,7 +448,7 @@ def system_measure_from_json(
         )
     except ValueError as exc:
         raise SchemaError(pointer or "/", str(exc)) from exc
-    atoms, weights = [], []
+    rows, weights = [], []
     for i, entry in enumerate(_expect(obj, "atoms", list, pointer)):
         p = f"{pointer}/atoms/{i}"
         if not isinstance(entry, dict):
@@ -565,17 +461,18 @@ def system_measure_from_json(
             raise SchemaError(f"{p}/plus", f"expected {n} entries")
         if len(par) != m:
             raise SchemaError(f"{p}/par", f"expected {m} entries")
-        try:
-            atoms.append(TypeVector(pi0, tuple(plus), tuple(par)))
-        except ValueError as exc:
-            raise SchemaError(p, str(exc)) from exc
+        # checked here as well as in AtomicMeasure, for the atom's pointer
+        # and because 2**53 + 1 rounds to 2**53 as a float
+        if not 1 <= pi0 <= 2**53:
+            raise SchemaError(p, "pi0 must be a positive integer of at most 2**53")
+        if min(plus, default=0.0) < 0.0:
+            raise SchemaError(p, "plus coordinates must be nonnegative")
+        rows.append([pi0, *plus, *par])
         weights.append(wgt)
-    if not atoms:
+    if not rows:
         raise SchemaError(f"{pointer}/atoms", "expected at least one atom")
     try:
-        measure = AtomicMeasure(
-            tuple(atoms), tuple(weights), initial=all(a.pi0 == 1 for a in atoms)
-        )
+        measure = AtomicMeasure(rows, weights, n)
     except ValueError as exc:
         raise SchemaError(f"{pointer}/atoms", str(exc)) from exc
     return sys, measure
@@ -589,8 +486,8 @@ def system_measure_to_json(sys: BilinearSystem, measure: AtomicMeasure) -> dict:
         "A_plus": sys.a_plus.tolist(),
         "A_par": sys.a_par.tolist(),
         "atoms": [
-            {"pi0": a.pi0, "plus": list(a.plus), "par": list(a.par), "w": w}
-            for a, w in measure.items()
+            {"pi0": int(r[0]), "plus": r[1 : 1 + sys.n], "par": r[1 + sys.n :], "w": w}
+            for r, w in zip(measure.coords.tolist(), measure.weight_array.tolist())
         ],
     }
 

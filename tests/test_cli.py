@@ -195,6 +195,53 @@ class TestExitCodes:
         assert "/system" in capsys.readouterr().err
 
 
+# every command whose output relies on the limit theory, with small params
+_LIMIT_RUNS = {
+    "tg": (),
+    "gel-curve": ("--t-max", "0.3", "--points", "5"),
+    "moments": ("--times", "0.05,0.2"),
+    "graph-duality": (
+        "--n", "200", "--t-minus", "0.15", "--t-plus", "0.2", "--seed", "1",
+    ),
+    "convergence": (
+        "--times", "0.2", "--n-list", "100", "--replicas", "1", "--seed", "1",
+    ),
+}
+
+# the finite-N commands, exact for any kernel nonnegative on the support
+_FINITE_RUNS = {
+    "simulate": ("--times", "0.2", "--n", "500", "--seed", "1"),
+    "graph": ("--times", "0.2", "--n", "300", "--seed", "1"),
+    "coupling": ("--n", "100", "--t", "0.2", "--replicas", "3", "--seed", "1"),
+}
+
+
+class TestMirrorSymmetry:
+    """A measure without mirror symmetry (hypothesis A1) is refused by the
+    limit commands; before, ``tg`` reported t_g = 0.10554 on this file."""
+
+    @pytest.fixture
+    def asym(self, tmp_path):
+        doc = gelkit.system_measure_to_json(
+            *gelkit.kinetic_gas_sample(3, seed=5, mirrored=False)
+        )
+        path = tmp_path / "asym.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    @pytest.mark.parametrize("kind", list(_LIMIT_RUNS))
+    def test_limit_commands_exit_2(self, kind, asym, out_dir, capsys):
+        assert run_cli(kind, "--system", str(asym), *_LIMIT_RUNS[kind]) == 2
+        err = capsys.readouterr().err
+        assert "/atoms" in err and "hypothesis A1" in err
+        assert not list(out_dir.glob(f"{COMMANDS[kind].out.split('.')[0]}*"))
+
+    @pytest.mark.parametrize("kind", list(_FINITE_RUNS))
+    def test_finite_commands_run(self, kind, asym, out_dir):
+        assert run_cli(kind, "--system", str(asym), *_FINITE_RUNS[kind]) == 0
+        assert (out_dir / COMMANDS[kind].out).exists()
+
+
 class TestFormatting:
     def test_seventeen_digit_floats(self, out_dir):
         run_cli(
@@ -565,6 +612,22 @@ def _run_module(*argv, out_dir):
         capture_output=True, text=True,
         env={**os.environ, "GELKIT_OUT": str(out_dir), "PYTHONPATH": path},
     )
+
+
+def test_import_leaves_slow_scipy_modules_out():
+    # scipy.stats takes most of a second to import and scipy.sparse a
+    # quarter; only coupling and the finite-N samplers need them
+    src = str(Path(gelkit.__file__).resolve().parents[1])
+    code = (
+        "import sys, gelkit.cli; "
+        "print(sorted({'scipy.stats', 'scipy.sparse'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestInstalledEntryPoint:

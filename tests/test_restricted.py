@@ -78,9 +78,7 @@ class TestTruncatedDynamics:
 
     def test_initial_measure_required(self, mult):
         sys_, _ = mult
-        meas = gk.AtomicMeasure(
-            (gk.TypeVector(2, (1.0,), ()),), (1.0,), initial=False
-        )
+        meas = gk.AtomicMeasure([[2.0, 1.0]], [1.0], 1)
         with pytest.raises(ValueError):
             gk.TruncatedFlory(sys_, meas, 3)
 

@@ -64,13 +64,7 @@ class TestGelation:
 
     def test_degenerate_measure_raises(self):
         sys_ = gk.BilinearSystem(2, 0, [[1.0, 0.5], [0.5, 1.0]], [])
-        meas = gk.AtomicMeasure(
-            (
-                gk.TypeVector(1, (1.0, 1.0), ()),
-                gk.TypeVector(1, (2.0, 2.0), ()),
-            ),
-            (0.5, 0.5),
-        )
+        meas = gk.AtomicMeasure([[1.0, 1.0, 1.0], [1.0, 2.0, 2.0]], [0.5, 0.5], 2)
         with pytest.raises(DegenerateMeasure):
             gk.gelation(sys_, meas)
 

@@ -7,86 +7,49 @@ import gelkit as gk
 from gelkit.errors import NegativeRate, SchemaError
 
 
-def vec(pi0, plus, par=()):
-    return gk.TypeVector(pi0, tuple(plus), tuple(par))
+def rows(*atoms):
+    return np.array(atoms, dtype=float)
 
 
 class TestKernel:
+    """Anchors of ``merge_rate_matrix``, the one rate kernel."""
+
     def test_multiplicative_masses(self, mult):
         sys_, _ = mult
-        rate = gk.merge_rate(sys_, vec(2, [2.0]), vec(3, [3.0]))
-        assert rate == 6.0
+        rate = gk.merge_rate_matrix(sys_, rows([2, 2.0]), rows([3, 3.0]))
+        assert rate.tolist() == [[6.0]]
 
     def test_kinetic_same_velocity_is_zero(self, kac):
         sys_, _ = kac
         v = (0.3, -0.2, 0.9)
         e = sum(c * c for c in v)
-        x = vec(1, [1.0, e], v)
-        assert gk.merge_rate(sys_, x, x) == 0.0
+        x = rows([1, 1.0, e, *v])
+        assert gk.merge_rate_matrix(sys_, x, x)[0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_kinetic_opposite_unit_speed(self, kac):
         sys_, _ = kac
-        x = vec(1, [1.0, 1.0], (1.0, 0.0, 0.0))
-        y = vec(1, [1.0, 1.0], (-1.0, 0.0, 0.0))
-        assert gk.merge_rate(sys_, x, y) == 4.0
-
-    def test_symmetry_is_bitwise(self, kac):
-        sys_, _ = kac
-        x = vec(1, [1.1, 0.37], (0.21, -0.53, 0.11))
-        y = vec(2, [0.9, 2.41], (-0.77, 0.13, 0.59))
-        assert gk.merge_rate(sys_, x, y) == gk.merge_rate(sys_, y, x)
-
-    def test_reflection_invariance_bitwise(self, kac):
-        sys_, _ = kac
-        x = vec(1, [1.3, 0.7], (0.4, -0.1, 0.25))
-        y = vec(1, [0.8, 1.9], (-0.6, 0.33, -0.45))
-        assert gk.merge_rate(sys_, gk.reflect(x), gk.reflect(y)) == gk.merge_rate(
-            sys_, x, y
-        )
+        x = rows([1, 1.0, 1.0, 1.0, 0.0, 0.0])
+        y = rows([1, 1.0, 1.0, -1.0, 0.0, 0.0])
+        assert gk.merge_rate_matrix(sys_, x, y).tolist() == [[4.0]]
 
     def test_rate_matrix_matches_scalar(self, kac):
         sys_, meas = kac
         coords = meas.coords
         mat = gk.merge_rate_matrix(sys_, coords, coords)
-        for i, (xi, _) in enumerate(meas.items()):
-            for j, (xj, _) in enumerate(meas.items()):
-                assert mat[i, j] == pytest.approx(
-                    gk.merge_rate(sys_, xi, xj), abs=1e-12
+        for i, x in enumerate(coords[:, 1:]):
+            for j, y in enumerate(coords[:, 1:]):
+                form = sum(
+                    x[a] * sys_.block[a, b] * y[b]
+                    for a in range(sys_.dim)
+                    for b in range(sys_.dim)
                 )
+                assert mat[i, j] == pytest.approx(max(form, 0.0), abs=1e-12)
 
     def test_negative_rate_raises(self):
         sys_ = gk.BilinearSystem(1, 1, [[1.0]], [[-4.0]])
-        x = vec(1, [1.0], (1.0,))
+        x = rows([1, 1.0, 1.0])
         with pytest.raises(NegativeRate):
-            gk.merge_rate(sys_, x, x)
-
-
-class TestTypeVector:
-    def test_merge_sums_componentwise(self):
-        x = vec(1, [1.0, 2.0], (0.5,))
-        y = vec(3, [0.25, 1.0], (-0.5,))
-        z = gk.merge(x, y)
-        assert z.pi0 == 4
-        assert z.plus == (1.25, 3.0)
-        assert z.par == (0.0,)
-
-    def test_reflect_is_involution(self):
-        x = vec(2, [1.0], (0.3, -0.7))
-        assert gk.reflect(gk.reflect(x)) == x
-        assert gk.reflect(x).plus == x.plus
-
-    def test_total_size(self):
-        assert gk.total_size(vec(2, [1.5, 0.5], (9.0,))) == 4.0
-
-    def test_invalid_vectors(self):
-        with pytest.raises(ValueError):
-            vec(0, [1.0])
-        with pytest.raises(ValueError):
-            vec(1, [-0.5])
-
-    def test_as_array_layout(self):
-        x = vec(2, [1.0, 3.0], (-0.5,))
-        assert np.array_equal(x.as_array(), [2.0, 1.0, 3.0, -0.5])
+            gk.merge_rate_matrix(sys_, x, x)
 
 
 class TestSystemValidation:
@@ -119,29 +82,81 @@ class TestSystemValidation:
 
 class TestAtomicMeasure:
     def test_duplicate_atoms_rejected(self):
-        a = vec(1, [1.0])
         with pytest.raises(ValueError):
-            gk.AtomicMeasure((a, a), (0.5, 0.5))
+            gk.AtomicMeasure(rows([1, 1.0], [1, 1.0]), [0.5, 0.5], 1)
+
+    def test_atoms_within_tolerance_rejected(self):
+        # equal pi0, coordinates 1e-10 apart: one atom under COORD_TOL
+        with pytest.raises(ValueError, match="rows 0 and 2"):
+            gk.AtomicMeasure(
+                rows([1, 1.0, 0.5], [1, 2.0, 0.5], [1, 1.0, 0.5 + 1e-10]),
+                [0.25, 0.5, 0.25],
+                1,
+            )
+
+    def test_atoms_differing_only_in_pi0_accepted(self):
+        meas = gk.AtomicMeasure(rows([1, 1.0], [2, 1.0]), [0.5, 0.5], 1)
+        assert len(meas) == 2
 
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(ValueError):
-            gk.AtomicMeasure((vec(1, [1.0]),), (0.0,))
+            gk.AtomicMeasure(rows([1, 1.0]), [0.0], 1)
+
+    @pytest.mark.parametrize(
+        "coords, weights",
+        [
+            pytest.param([1.0, 1.0], [1.0], id="one-dim"),
+            pytest.param([[1.0, 1.0]], [1.0, 1.0], id="length-mismatch"),
+            pytest.param([[1.0]], [1.0], id="no-plus-column"),
+            pytest.param([[1.0, np.nan]], [1.0], id="nan-coord"),
+            pytest.param([[1.0, 1.0]], [np.inf], id="inf-weight"),
+            pytest.param([[0.0, 1.0]], [1.0], id="pi0-zero"),
+            pytest.param([[1.5, 1.0]], [1.0], id="pi0-fraction"),
+            pytest.param([[2.0**53 + 2, 1.0]], [1.0], id="pi0-past-2**53"),
+            pytest.param([[1.0, -0.5]], [1.0], id="negative-plus"),
+        ],
+    )
+    def test_invalid_rows_rejected(self, coords, weights):
+        with pytest.raises(ValueError):
+            gk.AtomicMeasure(coords, weights, 1)
+
+    def test_coords_layout(self):
+        meas = gk.AtomicMeasure(rows([2, 1.0, 3.0, -0.5]), [1.0], 2)
+        assert np.array_equal(meas.coords, [[2.0, 1.0, 3.0, -0.5]])
+        assert (meas.n, meas.m) == (2, 1)
+        assert not meas.coords.flags.writeable
+        assert not meas.weight_array.flags.writeable
 
     def test_empty_measure_moments_are_zero(self):
-        empty = gk.AtomicMeasure((), ())
+        empty = gk.AtomicMeasure(np.zeros((0, 2)), [], 1)
         assert empty.total_mass == 0.0
         assert gk.moment_matrix(empty, [0], [0]) == np.zeros((1, 1))
 
-    def test_empty_measure_has_no_layout(self):
-        empty = gk.AtomicMeasure((), ())
-        with pytest.raises(ValueError):
-            empty.coords
+    def test_empty_measure_keeps_its_layout(self):
+        empty = gk.AtomicMeasure(np.zeros((0, 4)), [], 2)
+        assert empty.coords.shape == (0, 4)
+        assert np.array_equal(gk.gram_plus(empty), np.zeros((2, 2)))
 
     def test_scaled_drops_zeroed_atoms(self, bidi):
         _, meas = bidi
         thinned = meas.scaled([1.0, 0.0])
-        assert len(thinned.atoms) == 1
+        assert len(thinned) == 1
         assert thinned.total_mass == pytest.approx(0.5)
+
+    def test_mirror_weights_compared_within_tolerance(self, kac):
+        _, meas = kac
+        assert meas.mirror_symmetric
+        w = meas.weight_array.copy()
+        w[0] += 0.5e-9
+        assert gk.AtomicMeasure(meas.coords, w, 2).mirror_symmetric
+        w[0] += 1e-9
+        assert not gk.AtomicMeasure(meas.coords, w, 2).mirror_symmetric
+
+    def test_missing_reflection_detected(self, kac):
+        _, meas = kac
+        half = gk.AtomicMeasure(meas.coords[::2], meas.weight_array[::2], 2)
+        assert not half.mirror_symmetric
+        assert gk.AtomicMeasure(rows([1, 1.0]), [1.0], 1).mirror_symmetric
 
     def test_moment_anchors(self, mult):
         _, meas = mult
@@ -153,10 +168,6 @@ class TestAtomicMeasure:
         q = gk.gram_plus(meas)
         # energy moments of the two-speed quadrature: <e> = 3, <e^2> = 15
         assert np.allclose(q, [[1.0, 3.0], [3.0, 15.0]], atol=1e-12)
-
-    def test_par_bound_constant(self, kac):
-        _, meas = kac
-        assert gk.par_bound_constant(meas) > 0.0
 
 
 class TestHypotheses:
@@ -175,40 +186,34 @@ class TestHypotheses:
 
     def test_mirror_asymmetry_detected(self):
         sys_ = gk.BilinearSystem(1, 1, [[1.0]], [[-0.5]])
-        meas = gk.AtomicMeasure((vec(1, [1.0], (0.7,)),), (1.0,))
+        meas = gk.AtomicMeasure(rows([1, 1.0, 0.7]), [1.0], 1)
         rep = gk.check_hypotheses(sys_, meas)
         assert not rep.mirror_symmetric
         assert not rep.all_pass
 
     def test_absorbed_count_above_one_detected(self):
         sys_ = gk.BilinearSystem(1, 0, [[1.0]], [])
-        meas = gk.AtomicMeasure(
-            (vec(1, [1.0]), vec(2, [2.0])), (0.5, 0.5), initial=False
-        )
+        meas = gk.AtomicMeasure(rows([1, 1.0], [2, 2.0]), [0.5, 0.5], 1)
         rep = gk.check_hypotheses(sys_, meas)
         assert not rep.unit_absorbed_count
 
     def test_disconnected_support_detected(self):
         sys_ = gk.BilinearSystem(2, 0, [[1.0, 0.0], [0.0, 1.0]], [])
-        meas = gk.AtomicMeasure(
-            (vec(1, [1.0, 0.0]), vec(1, [0.0, 1.0])), (0.5, 0.5)
-        )
+        meas = gk.AtomicMeasure(rows([1, 1.0, 0.0], [1, 0.0, 1.0]), [0.5, 0.5], 2)
         rep = gk.check_hypotheses(sys_, meas)
         assert rep.components == 2
         assert not rep.irreducible
 
     def test_degenerate_gram_detected(self):
         sys_ = gk.BilinearSystem(2, 0, [[1.0, 1.0], [1.0, 1.0]], [])
-        meas = gk.AtomicMeasure(
-            (vec(1, [1.0, 1.0]), vec(1, [2.0, 2.0])), (0.5, 0.5)
-        )
+        meas = gk.AtomicMeasure(rows([1, 1.0, 1.0], [1, 2.0, 2.0]), [0.5, 0.5], 2)
         rep = gk.check_hypotheses(sys_, meas)
         assert not rep.gram_nondegenerate
 
     def test_empty_measure_rejected(self, mult):
         sys_, _ = mult
         with pytest.raises(ValueError):
-            gk.check_hypotheses(sys_, gk.AtomicMeasure((), ()))
+            gk.check_hypotheses(sys_, gk.AtomicMeasure(np.zeros((0, 2)), [], 1))
 
 
 class TestJson:
@@ -220,6 +225,29 @@ class TestJson:
         assert np.array_equal(sys2.block, sys_.block)
         assert np.array_equal(meas2.coords, meas.coords)
         assert np.array_equal(meas2.weight_array, meas.weight_array)
+
+    @pytest.mark.parametrize("pi0", [0, 2**53 + 1], ids=["zero", "past-2**53"])
+    def test_pi0_out_of_range_pointer(self, pi0):
+        doc = {
+            "n": 1,
+            "m": 0,
+            "A_plus": [[1.0]],
+            "A_par": [],
+            "atoms": [{"pi0": pi0, "plus": [1.0], "par": [], "w": 1.0}],
+        }
+        with pytest.raises(SchemaError) as err:
+            gk.system_measure_from_json(doc)
+        assert err.value.pointer == "/atoms/0"
+        doc["atoms"][0]["pi0"] = 2**53
+        atom = gk.system_measure_to_json(*gk.system_measure_from_json(doc))["atoms"][0]
+        assert atom["pi0"] == 2**53 and type(atom["pi0"]) is int
+
+    def test_duplicate_atoms_pointer(self):
+        atom = {"pi0": 1, "plus": [1.0], "par": [], "w": 0.5}
+        doc = {"n": 1, "m": 0, "A_plus": [[1.0]], "A_par": [], "atoms": [atom, atom]}
+        with pytest.raises(SchemaError) as err:
+            gk.system_measure_from_json(doc)
+        assert err.value.pointer == "/atoms"
 
     def test_missing_key_pointer(self):
         with pytest.raises(SchemaError) as err:
@@ -274,7 +302,7 @@ class TestPresets:
         sys_, meas = gk.kinetic_gas_sample(6, seed=3)
         rep = gk.check_hypotheses(sys_, meas)
         assert rep.mirror_symmetric
-        assert len(meas.atoms) == 12
+        assert len(meas) == 12
 
     def test_sample_atoms_shape(self, bidi):
         _, meas = bidi
