@@ -32,6 +32,8 @@ from dataclasses import dataclass
 from sys import float_info
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     BudgetExceeded,
@@ -156,11 +158,6 @@ def contract(
     ``connected_components`` numbers components by their lowest node, so
     labels stay ordered by each cluster's lowest row.
     """
-    # imported here, as scipy.sparse takes a quarter second to import and
-    # the limit commands never merge
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
-
     a, b = labels[p], labels[q]
     cross = a != b
     if not cross.any():
@@ -297,24 +294,24 @@ class ParticleSystem:
         times = _checkpoints(checkpoint_times, self.t)
         rows = self.coords
         cum, pair_cum = envelope(self.sys, rows)
-        envelope_rate = 0.0
+        merge_rate = 0.0
         if self.n_particles >= 2:
             s = cum[:, -1]
             kk, ll = np.nonzero(self.sys.block_abs)
-            envelope_rate = (
+            merge_rate = (
                 0.5
                 * self.rate_scale
                 / self.n_scale
                 * float(self.sys.block_abs[kk, ll] @ (s[kk] * s[ll]))
             )
-        if not math.isfinite(envelope_rate):
-            raise RateUnderflow(f"envelope rate {envelope_rate} is not finite")
+        if not math.isfinite(merge_rate):
+            raise RateUnderflow(f"envelope rate {merge_rate} is not finite")
         clusters = self.n_particles
         labels = np.arange(clusters, dtype=np.int32)  # cluster of each row
         out: list[Snapshot] = []
         for target in times:
-            if envelope_rate > 0.0 and target > self.t:
-                count = int(self.rng.poisson(envelope_rate * (target - self.t)))
+            if merge_rate > 0.0 and target > self.t:
+                count = int(self.rng.poisson(merge_rate * (target - self.t)))
                 while count and clusters >= 2:
                     size = min(count, _CHUNK)
                     count -= size

@@ -30,6 +30,7 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 from .errors import NegativeRate, SchemaError
 
@@ -142,11 +143,6 @@ def merge_rate_matrix(
     return rates
 
 
-def _row_order(rows: np.ndarray) -> np.ndarray:
-    # lexicographic order of the rows, column 0 (pi0) as the primary key
-    return np.lexsort(rows.T[::-1])
-
-
 def _same_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Rowwise: equal ``pi0`` and every other coordinate within
     :data:`COORD_TOL`, relative with a floor of 1."""
@@ -191,7 +187,7 @@ class AtomicMeasure:
             raise ValueError("pi0 must be a positive integer of at most 2**53")
         if (coords[:, 1 : 1 + self.n] < 0.0).any():
             raise ValueError("plus coordinates must be nonnegative")
-        order = _row_order(coords)
+        order = np.lexsort(coords.T[::-1])  # column 0 (pi0) the primary key
         same = _same_rows(coords[order[1:]], coords[order[:-1]])
         if same.any():
             i = int(np.argmax(same))
@@ -217,19 +213,41 @@ class AtomicMeasure:
 
     @cached_property
     def mirror_symmetric(self) -> bool:
-        """Hypothesis A1: negating the sign-odd coordinates of every atom
-        gives the same measure, rows and weights within :data:`COORD_TOL`.
-        Sorts the rows and their reflections alike and compares them row by
-        row.  True when there are no sign-odd coordinates."""
-        if self.m == 0:
-            return True
+        """Hypothesis A1: negating the sign-odd coordinates of any atom gives
+        an atom of the measure, one atom under the distinctness rule, whose
+        weight is within ``COORD_TOL max(1, w)`` of its own.  True when there
+        are no sign-odd coordinates.
+
+        Sorted together with the atoms, a reflection lands next to the atom
+        that matches it unless noise below the tolerance sorts them apart;
+        the reflections that no neighbour matches are compared with every
+        atom near them, so the check is exact."""
+        k = len(self)
         mirror = self.coords.copy()
         mirror[:, 1 + self.n :] *= -1.0
-        a, b = _row_order(self.coords), _row_order(mirror)
-        w_a, w_b = self.weight_array[a], self.weight_array[b]
-        return bool(
-            _same_rows(self.coords[a], mirror[b]).all()
-            and (np.abs(w_a - w_b) <= COORD_TOL * np.maximum(1.0, w_b)).all()
+        rows = np.vstack([mirror, self.coords])  # reflections first
+        w = np.tile(self.weight_array, 2)
+
+        def match(a, b):  # reflections a against atoms b
+            close = np.abs(w[b] - w[a]) <= COORD_TOL * np.maximum(1.0, w[a])
+            return close & _same_rows(rows[a], rows[b])
+
+        order = np.lexsort(rows.T[::-1])
+        a = np.minimum(order[:-1], order[1:])
+        b = np.maximum(order[:-1], order[1:])
+        matched = np.zeros(k, dtype=bool)
+        matched[a[(a < k) & (b >= k) & match(a, b)]] = True
+        rest = np.flatnonzero(~matched)
+        if not rest.size:
+            return True
+        from scipy.spatial import cKDTree  # slow to import, rarely needed
+
+        # every atom that matches a reflection lies in this max-norm ball
+        radius = 2.0 * COORD_TOL * np.maximum(1.0, np.abs(rows[rest, 1:]).max(axis=1))
+        balls = cKDTree(self.coords).query_ball_point(rows[rest], radius, p=np.inf)
+        return all(
+            match(np.full(len(js), i), k + np.array(js, dtype=np.intp)).any()
+            for i, js in zip(rest, balls)
         )
 
     def scaled(self, factors) -> "AtomicMeasure":
@@ -351,8 +369,6 @@ def check_hypotheses(sys: BilinearSystem, measure: AtomicMeasure) -> HypothesisR
     gram_ok = ratio > COORD_TOL
 
     # A4: connectivity under positive merge rates.
-    from scipy.sparse.csgraph import connected_components  # slow to import
-
     rates = merge_rate_matrix(sys, measure.coords, measure.coords)
     scale = max(1.0, float(rates.max()))
     adj = rates > COORD_TOL * scale
@@ -418,8 +434,6 @@ def _expect(obj, key, kind, pointer):
 def _number_list(val, pointer) -> list[float]:
     if not isinstance(val, list):
         raise SchemaError(pointer, "expected an array")
-    if all(type(v) is float and -_FLOAT_MAX <= v <= _FLOAT_MAX for v in val):
-        return val  # the common case, without a pointer string per entry
     return [_number(v, f"{pointer}/{i}") for i, v in enumerate(val)]
 
 

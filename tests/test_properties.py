@@ -132,7 +132,8 @@ class TestKernelInvariance:
 def grid_measure(draw):
     """Layout, rows and weights on a coarse grid: rows are equal or differ
     by far more than COORD_TOL, and about half the draws add each row's
-    reflection with the same weight."""
+    reflection with the same weight, its first plus coordinate moved by a
+    shift below the tolerance where the reflection is a new row."""
     n = draw(st.integers(1, 2))
     m = draw(st.integers(0, 2))
     k = draw(st.integers(1, 5))
@@ -144,7 +145,12 @@ def grid_measure(draw):
     ]
     weights = [draw(st.sampled_from([0.25, 1.0])) for _ in range(k)]
     if draw(st.booleans()):
-        rows += [r[: 1 + n] + [-v for v in r[1 + n :]] for r in rows]
+        shift = draw(st.sampled_from([0.0, 1e-13]))
+        rows += [
+            [r[0], r[1] + (shift if any(r[1 + n :]) else 0.0), *r[2 : 1 + n]]
+            + [-v for v in r[1 + n :]]
+            for r in rows
+        ]
         weights += weights
     return n, np.array(rows), np.array(weights)
 
@@ -158,7 +164,7 @@ def _close_pair(a, b) -> bool:
 
 class TestMeasureChecks:
     @given(grid_measure())
-    def test_sorted_checks_match_pairwise(self, case):
+    def test_checks_match_pairwise(self, case):
         n, rows, weights = case
         k = len(rows)
         distinct = not any(

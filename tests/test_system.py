@@ -152,6 +152,16 @@ class TestAtomicMeasure:
         w[0] += 1e-9
         assert not gk.AtomicMeasure(meas.coords, w, 2).mirror_symmetric
 
+    def test_reflection_matched_within_tolerance(self):
+        # the partners differ by noise in a plus coordinate and by sign in
+        # par, so sorting the rows and their reflections apart pairs them
+        # wrongly; the pairwise rule calls this measure symmetric
+        coords = rows([1, 1, 3.0000000000001, 0.5], [1, 1, 3.0, -0.5])
+        assert gk.AtomicMeasure(coords, [0.5, 0.5], 2).mirror_symmetric
+        assert not gk.AtomicMeasure(coords, [0.5, 0.6], 2).mirror_symmetric
+        coords[0, 2] = 3.00001
+        assert not gk.AtomicMeasure(coords, [0.5, 0.5], 2).mirror_symmetric
+
     def test_missing_reflection_detected(self, kac):
         _, meas = kac
         half = gk.AtomicMeasure(meas.coords[::2], meas.weight_array[::2], 2)
