@@ -28,7 +28,7 @@ import numpy as np
 
 from . import _rk
 from .errors import DualNotSubcritical, ExplosionReached, NumericError
-from .spectral import gelation
+from .spectral import SpectralResult, gelation
 from .survival import gel_data, solve_fixed_point, survival_probabilities
 from .system import AtomicMeasure, BilinearSystem, GelData, gram_plus, moment_matrix
 
@@ -74,17 +74,25 @@ def initial_state(measure: AtomicMeasure) -> MomentState:
     )
 
 
+def _derivative(
+    a_plus: np.ndarray, q: np.ndarray, z: np.ndarray, rate_scale: float
+) -> np.ndarray:
+    """(dQ, dz) at (q, z), packed as :func:`_pack` lays them out."""
+    n = len(z) - 1
+    out = np.empty(n * n + n + 1)
+    zp = z[1:]
+    za = zp @ a_plus
+    np.multiply(rate_scale, q @ a_plus @ q, out=out[: n * n].reshape(n, n))
+    np.multiply(rate_scale, za @ q, out=out[n * n + 1 :])
+    out[n * n] = rate_scale * float(za @ zp)
+    return out
+
+
 def moment_rhs(
     sys: BilinearSystem, state: MomentState, rate_scale: float = 1.0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Time derivatives (dQ, dz) at the given state."""
-    q, z = state.q, state.z
-    zp = z[1:]
-    dq = rate_scale * (q @ sys.a_plus @ q)
-    dz = np.empty_like(z)
-    dz[1:] = rate_scale * (zp @ sys.a_plus @ q)
-    dz[0] = rate_scale * float(zp @ sys.a_plus @ zp)
-    return dq, dz
+    return _unpack(state.n, _derivative(sys.a_plus, state.q, state.z, rate_scale))
 
 
 def _pack(q: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -109,8 +117,10 @@ def _check_cauchy_schwarz(t: float, q: np.ndarray, z: np.ndarray) -> None:
 
 
 def _rhs_fn(sys: BilinearSystem, n: int, rate_scale: float):
+    a_plus = sys.a_plus
+
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        return _pack(*moment_rhs(sys, MomentState(t, *_unpack(n, y)), rate_scale))
+        return _derivative(a_plus, *_unpack(n, y), rate_scale)
 
     return rhs
 
@@ -118,9 +128,10 @@ def _rhs_fn(sys: BilinearSystem, n: int, rate_scale: float):
 def _accept(n: int):
     def cb(t: float, y: np.ndarray) -> np.ndarray:
         q, z = _unpack(n, y)
-        q = (q + q.T) / 2.0
-        _check_cauchy_schwarz(t, q, z)
-        return _pack(q, z)
+        sym = (q + q.T) / 2.0
+        _check_cauchy_schwarz(t, sym, z)
+        # a state left unchanged keeps the integrator's last stage as its slope
+        return None if np.array_equal(sym, q) else _pack(sym, z)
 
     return cb
 
@@ -223,15 +234,18 @@ def supercritical_moments(
     measure: AtomicMeasure,
     t: float,
     rate_scale: float = 1.0,
+    spectral: SpectralResult | None = None,
 ) -> MomentState:
     """Sol-phase second moments after gelation, via the duality tilt.
 
     Thin the initial measure by the survival probabilities at time t,
     verify the tilted system gels later than t by at least half of
     ``t - t_g`` (its gap is about ``t - t_g``), then evaluate the ordinary
-    moment flow from the tilted moments up to t.
+    moment flow from the tilted moments up to t.  ``spectral`` is the
+    measure's own gelation result, solved here when not given.
     """
-    spectral = gelation(sys, measure, rate_scale)
+    if spectral is None:
+        spectral = gelation(sys, measure, rate_scale)
     if t <= spectral.t_g:
         raise ValueError(
             f"t={t} is subcritical (t_g={spectral.t_g}); integrate directly"
@@ -258,11 +272,12 @@ def moments_at(
     rate_scale: float = 1.0,
 ) -> tuple[MomentState, str]:
     """Moments of the sol at time t with the phase label."""
-    t_g = gelation(sys, measure, rate_scale).t_g
-    if t <= t_g:
+    spectral = gelation(sys, measure, rate_scale)
+    if t <= spectral.t_g:
         state = integrate_subcritical(sys, initial_state(measure), t, rate_scale)
         return state, "sol-subcritical"
-    return supercritical_moments(sys, measure, t, rate_scale), "supercritical-dual"
+    state = supercritical_moments(sys, measure, t, rate_scale, spectral)
+    return state, "supercritical-dual"
 
 
 def gel_growth_ode(
@@ -295,7 +310,7 @@ def gel_growth_ode(
     def coeffs(t: float) -> tuple[np.ndarray, np.ndarray]:
         got = coeff_cache.get(t)
         if got is None:
-            state = supercritical_moments(sys, measure, t, rate_scale)
+            state = supercritical_moments(sys, measure, t, rate_scale, spectral)
             got = (state.q, state.z[1:])
             coeff_cache[t] = got
         return got
@@ -309,7 +324,8 @@ def gel_growth_ode(
         dg[1 : 1 + n] = rate_scale * (q @ flow)
         return dg
 
-    out = sorted({float(v) for v in (outputs or [])} | {float(t_to)})
+    given = [] if outputs is None else outputs
+    out = sorted({float(v) for v in given} | {float(t_to)})
     out = [v for v in out if v >= t_start]
     traj = _rk.integrate(
         rhs, t_start, g0, t_to, rtol=rtol, atol=1e-10, outputs=out,

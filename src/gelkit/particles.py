@@ -32,8 +32,6 @@ from dataclasses import dataclass
 from sys import float_info
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     BudgetExceeded,
@@ -162,6 +160,9 @@ def contract(
     cross = a != b
     if not cross.any():
         return labels, clusters
+    from scipy.sparse import csr_matrix  # slow to import; the limit path never merges
+    from scipy.sparse.csgraph import connected_components
+
     graph = csr_matrix(
         (np.ones(int(cross.sum())), (a[cross], b[cross])),
         shape=(clusters, clusters),

@@ -27,6 +27,9 @@ from .system import AtomicMeasure, BilinearSystem, GelData, first_moments
 
 _NEG_TOL = 1e-12
 
+# candidate pairs tested at once by TruncatedFlory._build_pairs
+_PAIR_BLOCK = 1 << 20
+
 
 def enumerate_types(
     measure: AtomicMeasure, xi: float, max_types: int = 100_000
@@ -122,30 +125,56 @@ class TruncatedFlory:
         self.clamped = 0.0
 
     def _build_pairs(self, max_pairs: int) -> None:
+        """Every in-range pair (i, j >= i) with the type its merge makes.
+
+        A composition is read as a mixed-radix number, one digit per species,
+        and after each digit the prefix is replaced by its rank among the
+        types' prefixes, so keys stay below ``T * radix`` for any number of
+        species.  A merged composition is a type when every digit is in
+        range and every prefix is found.
+        """
         sys_block = self.sys.block
         rate = self.coords[:, 1:]
-        by_comp = self.index
-        ix, iy, iz, coeff = [], [], [], []
-        t_count = len(self.types)
-        comps = [np.array(c) for c in self.types]
-        for i in range(t_count):
-            for j in range(i, t_count):
-                if self.sizes[i] + self.sizes[j] > self.xi + 1e-12:
-                    continue
-                merged = by_comp.get(tuple(int(v) for v in comps[i] + comps[j]))
-                if merged is None:
-                    continue  # float-edge case: product fell out of range
-                ix.append(i)
-                iy.append(j)
-                iz.append(merged)
-                coeff.append(0.5 if i == j else 1.0)
-                if len(ix) > max_pairs:
-                    raise BudgetExceeded(
-                        f"more than {max_pairs} in-range pairs at xi={self.xi}"
-                    )
-        self._ix = np.array(ix, dtype=np.intp)
-        self._iy = np.array(iy, dtype=np.intp)
-        self._iz = np.array(iz, dtype=np.intp)
+        digits = np.array(self.types, dtype=np.int64).T  # one row per species
+        radix = digits.max(axis=1) + 1
+        levels = []
+        rank = np.zeros(digits.shape[1], dtype=np.int64)
+        for digit, base in zip(digits, radix):
+            key = rank * base + digit
+            levels.append(np.unique(key))
+            rank = np.searchsorted(levels[-1], key)
+        type_of_rank = np.empty(len(rank), dtype=np.intp)
+        type_of_rank[rank] = np.arange(len(rank))
+        t_count = len(rank)
+        block = max(1, _PAIR_BLOCK // t_count)
+        ix, iy, iz = [], [], []
+        count = 0
+        for start in range(0, t_count, block):
+            # candidate pairs (i, j >= i) of these rows, in (i, j) order
+            sizes = self.sizes[start : start + block, None] + self.sizes[None, start:]
+            i, j = np.nonzero(np.triu(sizes <= self.xi + 1e-12))
+            i += start
+            j += start
+            found = np.ones(len(i), dtype=bool)
+            rank = np.zeros(len(i), dtype=np.int64)
+            for digit, base, level in zip(digits, radix, levels):
+                merged = digit[i] + digit[j]
+                key = rank * base + merged
+                rank = np.minimum(np.searchsorted(level, key), len(level) - 1)
+                found &= (merged < base) & (level[rank] == key)
+            # a merged composition not found fell out of range (float edge)
+            count += int(found.sum())
+            if count > max_pairs:
+                raise BudgetExceeded(
+                    f"more than {max_pairs} in-range pairs at xi={self.xi}"
+                )
+            ix.append(i[found])
+            iy.append(j[found])
+            iz.append(type_of_rank[rank[found]])
+        self._ix = np.concatenate(ix)
+        self._iy = np.concatenate(iy)
+        self._iz = np.concatenate(iz)
+        self._coords_z = self.coords[self._iz]  # read at every RHS stage
         kv = np.einsum(
             "ij,ij->i", rate[self._ix] @ sys_block, rate[self._iy]
         )
@@ -157,7 +186,7 @@ class TruncatedFlory:
                     f"merge rate {low} < 0 on the composition space"
                 )
             kv = np.clip(kv, 0.0, None)
-        self._pair_rate = np.array(coeff) * kv
+        self._pair_rate = np.where(self._ix == self._iy, 0.5, 1.0) * kv
 
     # state vector layout: [densities (T), gel (1+n+m)]
     def _rhs(self, t: float, y: np.ndarray) -> np.ndarray:
@@ -175,7 +204,7 @@ class TruncatedFlory:
         # gel intake: boundary crossings (total pair flux minus what stayed
         # resolved) plus direct absorption of resolved particles
         total_flux = (n_vec * s_sol) @ self.coords
-        kept_flux = pair_flux @ self.coords[self._iz]
+        kept_flux = pair_flux @ self._coords_z
         absorb = (n_vec * s_gel) @ self.coords
         dgel = total_flux - kept_flux + absorb
         return self.rate_scale * np.concatenate((dn, dgel))
@@ -216,7 +245,8 @@ class TruncatedFlory:
         y0 = np.concatenate(
             (self.initial_densities, np.zeros(1 + self.sys.n + self.sys.m))
         )
-        out = sorted({float(v) for v in (outputs or [])} | {float(t_end)})
+        given = [] if outputs is None else outputs
+        out = sorted({float(v) for v in given} | {float(t_end)})
         traj = _rk.integrate(
             self._rhs,
             0.0,

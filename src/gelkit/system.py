@@ -30,7 +30,6 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
 from .errors import NegativeRate, SchemaError
 
@@ -40,6 +39,9 @@ COORD_TOL = 1e-9
 _SYMMETRY_TOL = 1e-12
 
 _FLOAT_MAX = float(np.finfo(float).max)
+
+# rate-matrix entries check_hypotheses holds at once
+_RATE_BLOCK = 1 << 16
 
 
 def _as_matrix(a, size: int, name: str) -> np.ndarray:
@@ -368,13 +370,27 @@ def check_hypotheses(sys: BilinearSystem, measure: AtomicMeasure) -> HypothesisR
     ratio = float(eigs[0] / eigs[-1]) if eigs[-1] > 0 else 0.0
     gram_ok = ratio > COORD_TOL
 
-    # A4: connectivity under positive merge rates.
-    rates = merge_rate_matrix(sys, measure.coords, measure.coords)
-    scale = max(1.0, float(rates.max()))
-    adj = rates > COORD_TOL * scale
-    components = int(connected_components(adj, directed=False)[0])
+    # A4: connectivity under positive merge rates, a block of rows at a
+    # time: one pass for the largest rate, one joining the positive pairs
+    from .particles import contract  # particles imports this module
+
+    coords = measure.coords
+    step = max(1, _RATE_BLOCK // k)
+    starts = range(0, k, step)
+    top = max(
+        float(merge_rate_matrix(sys, coords[a : a + step], coords).max())
+        for a in starts
+    )
+    cut = COORD_TOL * max(1.0, top)
+    labels, components = np.arange(k), k
+    for a in starts:
+        if components == 1:
+            break  # joining more pairs cannot split a component
+        rates = merge_rate_matrix(sys, coords[a : a + step], coords)
+        rows, cols = np.nonzero(rates > cut)
+        labels, components = contract(labels, components, rows + a, cols)
     point_mass = k == 1
-    irreducible = components == 1 and (not point_mass or adj[0, 0])
+    irreducible = components == 1 and (not point_mass or top > cut)
 
     return HypothesisReport(
         mirror_symmetric=measure.mirror_symmetric,

@@ -614,16 +614,25 @@ def _run_module(*argv, out_dir):
     )
 
 
-def test_import_leaves_scipy_stats_out():
-    # scipy.stats takes most of a second to import; only coupling needs it
+def _loaded_after_cli_import(module: str) -> str:
     src = str(Path(gelkit.__file__).resolve().parents[1])
-    code = "import sys, gelkit.cli; print('scipy.stats' in sys.modules)"
+    code = f"import sys, gelkit.cli; print({module!r} in sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip()
+
+
+def test_import_leaves_scipy_stats_out():
+    # scipy.stats takes most of a second to import; only coupling needs it
+    assert _loaded_after_cli_import("scipy.stats") == "False"
+
+
+def test_import_leaves_scipy_sparse_out():
+    # scipy.sparse costs about a quarter second; only merging clusters needs it
+    assert _loaded_after_cli_import("scipy.sparse") == "False"
 
 
 class TestInstalledEntryPoint:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import gelkit as gk
-from gelkit import _rk
+from gelkit import _rk, moments, survival
 from gelkit.errors import ExplosionReached
 
 
@@ -104,6 +104,28 @@ class TestExplosionTime:
         assert abs(zeta - 0.5) < 1e-6
 
 
+class TestPackedRhs:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_moment_rhs_bitwise(self, n):
+        rng = np.random.default_rng(n)
+        b = rng.uniform(0.1, 1.0, (n, n))
+        sys_ = gk.BilinearSystem(n, 0, b + b.T, [])
+        a, rs = sys_.a_plus, 1.3
+        rhs = moments._rhs_fn(sys_, n, rs)
+        for _ in range(20):
+            x = rng.normal(size=(n, n))
+            q = x @ x.T + n * np.eye(n)
+            z = rng.uniform(0.1, 2.0, n + 1)
+            dq, dz = gk.moment_rhs(sys_, gk.MomentState(0.0, q, z), rs)
+            assert np.array_equal(rhs(0.0, np.concatenate((q.ravel(), z))),
+                                  np.concatenate((dq.ravel(), dz)))
+            # the formula, in its evaluation order
+            zp = z[1:]
+            assert np.array_equal(dq, rs * (q @ a @ q))
+            assert np.array_equal(dz[1:], rs * (zp @ a @ q))
+            assert dz[0] == rs * float(zp @ a @ zp)
+
+
 class TestSupercritical:
     def test_dual_anchor(self, mult):
         sys_, meas = mult
@@ -144,6 +166,16 @@ class TestSupercritical:
         with pytest.raises(ExplosionReached):
             gk.supercritical_moments(sys_, meas, t_g * (1.0 + 1e-11))
 
+    @pytest.mark.parametrize("preset", ["mult", "bidi", "kac"])
+    def test_given_spectral_result_changes_nothing(self, preset, request):
+        sys_, meas = request.getfixturevalue(preset)
+        spectral = gk.gelation(sys_, meas)
+        t = 1.5 * spectral.t_g
+        with_it = gk.supercritical_moments(sys_, meas, t, spectral=spectral)
+        without = gk.supercritical_moments(sys_, meas, t)
+        assert np.array_equal(with_it.q, without.q)
+        assert np.array_equal(with_it.z, without.z)
+
     def test_dual_moments_decrease_in_time(self, mult):
         sys_, meas = mult
         qs = [
@@ -181,3 +213,22 @@ class TestGelGrowth:
         g = pts[-1][1]
         assert g.mass > 0.0
         assert np.all(g.conserved(2) > 0.0)
+
+    def test_array_outputs(self, mult):
+        sys_, meas = mult
+        pts = gk.gel_growth_ode(sys_, meas, 2.0, outputs=np.array([1.5, 2.0]))
+        assert [t for t, _ in pts] == [1.5, 2.0]
+
+    def test_one_spectral_solve_of_the_measure(self, mult, monkeypatch):
+        sys_, meas = mult
+        own = []
+
+        def counted(s, m, *args, **kwargs):
+            own.append(m is meas)
+            return gk.gelation(s, m, *args, **kwargs)
+
+        monkeypatch.setattr(moments, "gelation", counted)
+        monkeypatch.setattr(survival, "gelation", counted)
+        gk.gel_growth_ode(sys_, meas, 2.0)
+        assert own.count(True) == 1
+        assert own.count(False) > 10  # each tilted measure is still solved

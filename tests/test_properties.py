@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 from scipy.stats import ks_2samp
 
 import gelkit as gk
-from gelkit import cli
+from gelkit import cli, system
 from gelkit.errors import NegativeRate, SchemaError
 
 
@@ -189,6 +190,39 @@ class TestMeasureChecks:
             for i in range(len(rows))
         )
         assert meas.mirror_symmetric == symmetric
+
+
+@st.composite
+def split_measure(draw):
+    """Conserved-only systems whose positive-rate graph often splits:
+    plus coordinates on {0, 1, 2} and an A+ with zero entries."""
+    n = draw(st.integers(1, 3))
+    a_plus = np.diag([draw(st.sampled_from([0.5, 2.0])) for _ in range(n)])
+    for i in range(n):
+        for j in range(i + 1, n):
+            a_plus[i, j] = a_plus[j, i] = draw(st.sampled_from([0.0, 1.0]))
+    k = draw(st.integers(1, 9))
+    rows = np.unique(
+        [[1.0] + [draw(st.sampled_from([0.0, 1.0, 2.0])) for _ in range(n)]
+         for _ in range(k)],
+        axis=0,
+    )
+    measure = gk.AtomicMeasure(rows, np.ones(len(rows)), n)
+    return gk.BilinearSystem(n, 0, a_plus, []), measure
+
+
+class TestIrreducibility:
+    @given(split_measure(), st.integers(1, 12))
+    def test_blocks_match_dense_matrix(self, case, block):
+        sys_, meas = case
+        rates = gk.merge_rate_matrix(sys_, meas.coords, meas.coords)
+        adj = rates > 1e-9 * max(1.0, float(rates.max()))
+        components = int(connected_components(adj, directed=False)[0])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(system, "_RATE_BLOCK", block)
+            rep = gk.check_hypotheses(sys_, meas)
+        assert rep.components == components
+        assert rep.irreducible == (components == 1 and (len(meas) > 1 or adj[0, 0]))
 
 
 class TestMomentInvariants:

@@ -96,3 +96,88 @@ class TestTruncatedDynamics:
         st = states[0]
         assert st.gel.mass > 0.0
         assert st.phi_sol > 0.0
+
+    def test_array_outputs(self, mult):
+        sys_, meas = mult
+        states = gk.TruncatedFlory(sys_, meas, 4).integrate(
+            1.0, outputs=np.array([0.5, 1.0])
+        )
+        assert [st.t for st in states] == [0.5, 1.0]
+
+
+def _pair_oracle(model):
+    """The pair table by a double loop with a dict lookup per pair."""
+    ix, iy, iz, coeff = [], [], [], []
+    skipped = 0
+    comps = [np.array(c) for c in model.types]
+    for i in range(len(model.types)):
+        for j in range(i, len(model.types)):
+            if model.sizes[i] + model.sizes[j] > model.xi + 1e-12:
+                continue
+            merged = model.index.get(tuple(int(v) for v in comps[i] + comps[j]))
+            if merged is None:
+                skipped += 1  # float edge: product fell out of range
+                continue
+            ix.append(i)
+            iy.append(j)
+            iz.append(merged)
+            coeff.append(0.5 if i == j else 1.0)
+    ix, iy = np.array(ix, dtype=np.intp), np.array(iy, dtype=np.intp)
+    rate = model.coords[:, 1:]
+    kv = np.einsum("ij,ij->i", rate[ix] @ model.sys.block, rate[iy])
+    return ix, iy, np.array(iz, dtype=np.intp), np.array(coeff) * kv, skipped
+
+
+def _assert_pairs_match(model):
+    ix, iy, iz, rate, skipped = _pair_oracle(model)
+    tables = (model._ix, model._iy, model._iz, model._pair_rate)
+    for got, want in zip(tables, (ix, iy, iz, rate)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    return skipped
+
+
+class TestPairTable:
+    def test_bidisperse_matches_loop(self, bidi):
+        assert _assert_pairs_match(gk.TruncatedFlory(*bidi, 32)) == 0
+
+    @pytest.mark.parametrize("xi", [0.3, 0.6, 0.9, 1.2])
+    def test_sums_at_the_edge(self, xi):
+        # 0.1 + 0.2 rounds to just above 0.3, inside the 1e-12 slack
+        sys_ = gk.BilinearSystem(1, 0, [[1.0]], [])
+        meas = gk.AtomicMeasure([[1, 0.1], [1, 0.2], [1, 0.3]], [1.0] * 3, 1)
+        _assert_pairs_match(gk.TruncatedFlory(sys_, meas, xi))
+
+    @pytest.mark.parametrize(
+        "sizes, xi, skipped",
+        [
+            ([1688.8927983779404, 5911.12479432279, 9288.910391078673],
+             14355.588786212491, 1),
+            # here the count of the last species runs past its largest value
+            ([389409.72430939594, 89863.78253293752, 29954.594177645842],
+             539182.6951976251, 20),
+        ],
+    )
+    def test_product_out_of_range_skipped(self, sizes, xi, skipped):
+        # at this scale the pair sums and the enumeration round apart by
+        # more than the slack, so in-range pairs can merge to no type
+        sys_ = gk.BilinearSystem(1, 0, [[1.0]], [])
+        meas = gk.AtomicMeasure([[1, s] for s in sizes], [1.0] * 3, 1)
+        assert _assert_pairs_match(gk.TruncatedFlory(sys_, meas, xi)) == skipped
+
+    def test_many_species(self):
+        # 11 species that pair, then 64 that pair with nothing: a plain
+        # mixed-radix key would weigh the first 11 by a multiple of 2**64
+        sys_ = gk.BilinearSystem(1, 0, [[1.0]], [])
+        sizes = [1.0 + 0.01 * s for s in range(11)]
+        sizes += [1.5 + 0.001 * s for s in range(64)]
+        meas = gk.AtomicMeasure([[1, s] for s in sizes], [1.0] * 75, 1)
+        model = gk.TruncatedFlory(sys_, meas, 2.2)
+        assert _assert_pairs_match(model) == 0
+        assert len(model._ix) == 66
+
+    def test_pair_budget(self, bidi):
+        pairs = len(gk.TruncatedFlory(*bidi, 32)._ix)
+        gk.TruncatedFlory(*bidi, 32, max_pairs=pairs)
+        with pytest.raises(BudgetExceeded, match="in-range pairs"):
+            gk.TruncatedFlory(*bidi, 32, max_pairs=pairs - 1)
