@@ -10,8 +10,9 @@ its vertices.
 ``sample_graph`` draws the edges with the merge engine of
 ``ParticleSystem.run``: Poisson envelope proposals, thinned by
 ``kbar / khat`` and stamped with uniform arrival times, of which each pair
-keeps its first.  It costs O(N + proposals), under a budget on the expected
-proposal count.  Components come from ``particles.contract`` on edge
+keeps its first.  The envelope and its guide table are built once per
+graph, in O(N), and a proposal then costs expected O(1), under a budget on
+the expected proposal count.  Components come from ``particles.contract`` on edge
 prefixes.  ``_sample_graph_blocks`` is an independent sampler kept as the
 oracle of ``coupling_test``: it groups vertices into types of equal rate
 rows and draws each type pair's edges by geometric skipping, in
@@ -107,7 +108,7 @@ def sample_graph(
         raise ValueError("t_max must be nonnegative")
     _check_scales(n_scale, rate_scale)
     rng = np.random.default_rng(seed)
-    cum, pair_cum = envelope(sys, vertices)
+    cum, guide, pair_cum = envelope(sys, vertices)
     weight = float(pair_cum[-1]) if pair_cum.size else 0.0
     mean = 0.5 * rate_scale / n_scale * weight * t_max
     if not mean <= _MAX_PROPOSALS:
@@ -120,7 +121,9 @@ def sample_graph(
     while count:
         size = min(count, _CHUNK)
         count -= size
-        p, q, keep = envelope_proposals(rng, sys, vertices, cum, pair_cum, size)
+        p, q, keep = envelope_proposals(
+            rng, sys, vertices, cum, guide, pair_cum, size
+        )
         t = rng.random(size) * t_max
         p, q = p[keep], q[keep]
         us.append(np.minimum(p, q))

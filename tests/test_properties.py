@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.sparse.csgraph import connected_components
 from scipy.stats import ks_2samp
 
 import gelkit as gk
-from gelkit import cli, system
+from gelkit import cli, particles, system
 from gelkit.errors import NegativeRate, SchemaError
 
 
@@ -309,6 +310,99 @@ class TestSimulatorAgreement:
             direct.append(ds.n_particles)
         res = ks_2samp(batched, direct, method="asymp")
         assert res.pvalue > 1e-3
+
+
+class _FixedUniforms:
+    """Stands in for a generator whose next uniforms are given."""
+
+    def __init__(self, u: np.ndarray):
+        self.u = u
+
+    def random(self, size: int) -> np.ndarray:
+        assert size == self.u.size
+        return self.u
+
+
+@st.composite
+def guided_draws(draw):
+    """Cumulative |x_k| rows with zeros, ties, a 1e-12..1e12 spread or a
+    single row, and (coordinate, uniform) draws on them: 0, the largest
+    uniform below 1, random ones, the guide's bucket edges j / P, and ones
+    whose key is a cumulative entry (exactly so where the weights are small
+    integers and each total is a power of two)."""
+    d = draw(st.integers(1, 3))
+    size = draw(st.integers(1, 30))
+    if draw(st.booleans()):
+        weights = draw(arrays(float, (d, size), elements=st.sampled_from([0.0, 1.0, 3.0])))
+        # a last row that fills each total up to a power of two
+        top = 2.0 ** np.ceil(np.log2(np.maximum(weights.sum(axis=1), 1.0)))
+        weights = np.column_stack((weights, top - weights.sum(axis=1)))
+    else:
+        element = st.one_of(
+            st.sampled_from([0.0, 0.1, 0.3, 0.7, 1.0]),
+            st.floats(min_value=1e-12, max_value=1e12),
+        )
+        weights = draw(arrays(float, (d, size), elements=element))
+    cum = np.cumsum(weights, axis=1)
+    below_one = np.nextafter(1.0, 0.0)
+    coord = [draw(st.integers(0, d - 1)) for _ in range(2)]
+    u = [0.0, below_one]
+    for _ in range(draw(st.integers(0, 20))):
+        coord.append(draw(st.integers(0, d - 1)))
+        # what Generator.random returns: a multiple of 2**-53 below 1
+        u.append(draw(st.integers(0, 2**53 - 1)) * 2.0**-53)
+    edges = np.arange(cum.shape[1]) / cum.shape[1]
+    for k in range(d):
+        coord += [k] * edges.size
+        u += list(edges)
+        if cum[k, -1] > 0.0:
+            onto = np.minimum(cum[k] / cum[k, -1], below_one)
+            coord += [k] * onto.size
+            u += list(onto)
+    return cum, np.array(coord, dtype=np.intp), np.array(u)
+
+
+class TestGuidedDraws:
+    @given(guided_draws())
+    def test_lookup_matches_searchsorted(self, case):
+        cum, coord, u = case
+        with np.errstate(all="raise"):
+            guide = particles._guide(cum)
+            rows = particles._draw_rows(_FixedUniforms(u), cum, guide, coord)
+        last = cum.shape[1] - 1
+        want = [
+            min(np.searchsorted(cum[k], v * cum[k, -1], side="right"), last)
+            for k, v in zip(coord, u)
+        ]
+        assert rows.dtype == np.intp
+        assert rows.tolist() == want
+        assert guide.dtype == np.int32 and guide.shape == (cum.shape[0], last + 2)
+        assert guide.min() >= 0 and guide.max() <= last
+
+    def test_keys_onto_entries(self):
+        # total 8: each u = cum / 8 is exact, so every key is a cumulative
+        # entry, and the zero rows tie it with the entry before
+        cum = np.cumsum([[1.0, 0.0, 0.0, 1.0, 2.0, 0.0, 4.0]], axis=1)
+        u = np.append(cum[0, :-1] / 8.0, [0.0, np.nextafter(1.0, 0.0)])
+        assert (u[:-2] * 8.0 == cum[0, :-1]).all()
+        rows = particles._draw_rows(
+            _FixedUniforms(u), cum, particles._guide(cum), np.zeros(u.size, np.intp)
+        )
+        assert rows.tolist() == [3, 3, 3, 4, 6, 6, 0, 6]
+
+    def test_start_past_the_row(self):
+        # u = 1/2 is the edge of bucket 3 of 6; the key 0.5 * 3.6 rounds
+        # below cum[1] = 1.8000000000000003, while cum[1] * (6 / 3.6)
+        # rounds onto 3.0, so the guide starts one row past the answer
+        cum = np.cumsum([[0.7, 1.1, 0.1, 0.7, 0.7, 0.3]], axis=1)
+        guide = particles._guide(cum)
+        u = np.array([0.5])
+        assert guide[0, 3] == 2
+        assert np.searchsorted(cum[0], u * cum[0, -1], side="right").tolist() == [1]
+        rows = particles._draw_rows(
+            _FixedUniforms(u), cum, guide, np.zeros(1, np.intp)
+        )
+        assert rows.tolist() == [1]
 
 
 def _dump_bytes(

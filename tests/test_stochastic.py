@@ -1,9 +1,11 @@
+import dataclasses
 import struct
 
 import numpy as np
 import pytest
 
 import gelkit as gk
+from gelkit import graphs, particles
 from gelkit.errors import (
     NegativeRate,
     RateUnderflow,
@@ -249,6 +251,120 @@ class TestBatchedState:
             ps = cls(sys_, coords, 2, np.random.default_rng(0))
             with pytest.raises(NegativeRate):
                 ps.run([10.0])
+
+
+def _draw_rows_searchsorted(rng, cum, coord):
+    """The row draw without a guide table: one binary search per draw."""
+    u = rng.random(coord.size)
+    out = np.empty(coord.size, dtype=np.intp)
+    for k in range(cum.shape[0]):
+        sel = coord == k
+        if sel.any():
+            out[sel] = np.searchsorted(cum[k], u[sel] * cum[k, -1], side="right")
+    # a draw that rounds onto the total picks the last row, as find does
+    return np.minimum(out, cum.shape[1] - 1, out=out)
+
+
+def _same(a, b) -> bool:
+    """Equal arrays of equal dtype, through tuples, lists and dataclasses."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            _same(getattr(a, f.name), getattr(b, f.name))
+            for f in dataclasses.fields(a)
+        )
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    return type(a) is type(b) and a == b
+
+
+class TestGuidedDraws:
+    """The guide table changes what a row draw costs, never the row."""
+
+    @staticmethod
+    def _guided_and_plain(monkeypatch, go):
+        guided = go()
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                particles,
+                "_draw_rows",
+                lambda rng, cum, guide, coord: _draw_rows_searchsorted(rng, cum, coord),
+            )
+            plain = go()
+        return guided, plain
+
+    @pytest.mark.parametrize("chunk", [None, 300], ids=["chunk", "small-chunks"])
+    @pytest.mark.parametrize("preset", ["multiplicative", "kinetic-gas"])
+    def test_run_matches_searchsorted(self, monkeypatch, preset, chunk):
+        sys_, meas = gk.presets.from_name(preset)
+        if chunk:  # one guide table serves every chunk of the run
+            monkeypatch.setattr(particles, "_CHUNK", chunk)
+
+        def go():
+            ps = gk.init_poisson(sys_, meas, 3000, 41)
+            snaps = ps.run([0.1, 0.3, 0.6, 1.2])
+            return snaps, ps.coords, ps.events, ps.merges
+
+        guided, plain = self._guided_and_plain(monkeypatch, go)
+        assert guided[2] > 1000 and guided[3] > 0
+        assert _same(guided, plain)
+
+    @pytest.mark.parametrize("chunk", [None, 300], ids=["chunk", "small-chunks"])
+    @pytest.mark.parametrize("preset", ["multiplicative", "kinetic-gas"])
+    def test_graph_edges_match_searchsorted(self, monkeypatch, preset, chunk):
+        sys_, meas = gk.presets.from_name(preset)
+        if chunk:
+            monkeypatch.setattr(graphs, "_CHUNK", chunk)
+        rows = gk.sample_atoms(meas, 2000, np.random.default_rng(42))
+
+        def go():
+            g = gk.sample_graph(sys_, rows, 2000, 1.2, 43)
+            return g.edge_u, g.edge_v, g.edge_t
+
+        guided, plain = self._guided_and_plain(monkeypatch, go)
+        assert guided[0].size > 500
+        assert _same(guided, plain)
+
+    def test_zero_coordinate_total(self, kac):
+        # the third sign-odd coordinate of kinetic-gas is 0 on every atom,
+        # so its total is 0 in every run: no division by it, anywhere
+        sys_, meas = kac
+        ps = gk.init_poisson(sys_, meas, 500, 44)
+        with np.errstate(all="raise"):
+            cum, guide, _ = particles.envelope(sys_, ps.coords)
+            assert cum[-1, -1] == 0.0 and not guide[-1].any()
+            ps.run([0.2, 0.5])
+            gk.sample_graph(sys_, ps.coords, 500, 0.5, 45)
+            rep = gk.coupling_test(sys_, meas, 300, 0.5, n_replicas=2, seed=46)
+        assert ps.merges > 0 and rep.n_replicas == 2
+
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_tables_below_two_rows(self, kac, tmp_path, count):
+        sys_, meas = kac
+        rows = gk.sample_atoms(meas, count, np.random.default_rng(47))
+        cum, guide, _ = particles.envelope(sys_, rows)
+        assert cum.shape == (sys_.dim, count)
+        assert guide.shape == (sys_.dim, count + 1) and not guide.any()
+        ps = gk.ParticleSystem(sys_, rows, 10, np.random.default_rng(48))
+        path = tmp_path / "state.bin"
+        ps.dump_state(path)
+        for state in (ps, gk.load_state(sys_, path, 49)):
+            snaps = state.run([0.5, 1.0])
+            assert [s.n_particles for s in snaps] == [count, count]
+            assert state.events == 0
+            assert state.coords.shape == rows.shape and state.coords.dtype == float
+        edges = gk.sample_graph(sys_, rows, 10, 1.0, 50).edge_u
+        assert edges.size == 0
+
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_overflowing_total_raises_rate_underflow(self, mult, count):
+        # the mass total overflows to inf, and with three rows so does an
+        # entry before it; the guide skips the coordinate without a NaN
+        coords = np.array([[1.0, 1e308]] * count)
+        ps = gk.ParticleSystem(mult[0], coords, count, np.random.default_rng(0))
+        with pytest.raises(RateUnderflow), np.errstate(over="ignore", invalid="raise"):
+            ps.run([1.0])
 
 
 class TestPersistence:
