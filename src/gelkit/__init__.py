@@ -97,8 +97,8 @@ from .system import (
     first_moments,
     gram_plus,
     load_system,
-    merge_rate_matrix,
     moment_matrix,
+    pair_rates,
     sample_atoms,
     system_measure_from_json,
     system_measure_to_json,

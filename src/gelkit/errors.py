@@ -28,8 +28,10 @@ class NumericError(GelkitError):
 class NegativeRate(NumericError):
     """A merge rate evaluated negative beyond tolerance.
 
-    Signals a system/measure pair on which the bilinear form is not a
-    valid rate kernel.
+    The one rule, in :func:`gelkit.system.pair_rates`: a pair's rate
+    ``kbar`` is below ``-COORD_TOL`` (1e-9) times its envelope rate
+    ``khat = |x| . |A| |y|``.  Signals a system/measure pair on which the
+    bilinear form is not a valid rate kernel.
     """
 
 

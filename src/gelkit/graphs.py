@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceeded, NegativeRate, WindowInvalid
+from .errors import BudgetExceeded, WindowInvalid
 from .particles import (
     _CHUNK,
     _MAX_PARTICLES,
@@ -38,7 +38,7 @@ from .particles import (
 )
 from .spectral import gelation_time
 from .survival import solve_fixed_point, survival_probabilities, tilted_measure
-from .system import AtomicMeasure, BilinearSystem, sample_atoms
+from .system import AtomicMeasure, BilinearSystem, pair_rates, sample_atoms
 
 # budget on expected edge proposals, and on the oracle's type pairs and
 # expected edges
@@ -177,9 +177,9 @@ def _sample_graph_blocks(
 ) -> GraphRealization:
     """Draw every edge with arrival time <= t_max, block by block.
 
-    The oracle of :func:`coupling_test`: it shares no code with the merge
-    engine.  Vertices with equal rate rows form a type, and every pair of
-    one type pair (a block) has the same edge probability
+    The oracle of :func:`coupling_test`: it shares no sampling code with
+    the merge engine.  Vertices with equal rate rows form a type, and every
+    pair of one type pair (a block) has the same edge probability
     ``p = 1 - exp(-r t_max)``, ``r = rate_scale * kbar / n_scale``.  The
     edges of a block are its Bernoulli(p) successes, found by geometric
     skipping, and each edge's time is Exp(r) truncated at t_max.  With K
@@ -206,20 +206,12 @@ def _sample_graph_blocks(
             f"{n_types} vertex types give {n_types * (n_types + 1) // 2} "
             f"type pairs, which exceeds the budget {_MAX_PROPOSALS}"
         )
-    kbar = types @ sys.block @ types.T
-    env = float(np.abs(types).max(initial=0.0)) ** 2 * float(
-        np.abs(sys.block).sum()
-    )
-    if kbar.min(initial=0.0) < -1e-9 * max(1.0, env):
-        raise NegativeRate(
-            f"pair rate {kbar.min():.3e} is negative beyond tolerance"
-        )
     # blocks a <= b: pair count, edge rate and edge probability
     a, b = np.triu_indices(n_types)
     pairs = np.where(
         a == b, sizes[a] * (sizes[a] - 1) // 2, sizes[a] * sizes[b]
     ).astype(float)
-    rate = rate_scale / n_scale * np.clip(kbar[a, b], 0.0, None)
+    rate = rate_scale / n_scale * pair_rates(sys, types[a], types[b])[0]
     prob = -np.expm1(-rate * t_max)
     expected = float((pairs * prob).sum())
     if not expected <= _MAX_PROPOSALS:

@@ -104,13 +104,13 @@ def _unpack(n: int, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_cauchy_schwarz(t: float, q: np.ndarray, z: np.ndarray) -> None:
-    d = np.sqrt(np.diag(q))
-    bound = np.outer(d, d)
-    if np.any(np.abs(q) > bound * (1.0 + _CS_SLACK) + 1e-300):
+    diag = q.diagonal()
+    d = np.sqrt(diag)
+    if (np.abs(q) > d[:, None] * d * (1.0 + _CS_SLACK) + 1e-300).any():
         raise NumericError(
             f"Cauchy-Schwarz violated in Q at t={t}; integration unreliable"
         )
-    if np.any(z[1:] ** 2 > (z[0] * np.diag(q)) * (1.0 + _CS_SLACK) + 1e-300):
+    if (z[1:] ** 2 > (z[0] * diag) * (1.0 + _CS_SLACK) + 1e-300).any():
         raise NumericError(
             f"Cauchy-Schwarz violated in z at t={t}; integration unreliable"
         )

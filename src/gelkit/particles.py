@@ -46,13 +46,8 @@ from sys import float_info
 
 import numpy as np
 
-from .errors import (
-    BudgetExceeded,
-    NegativeRate,
-    RateUnderflow,
-    SchemaError,
-)
-from .system import AtomicMeasure, BilinearSystem, GelData, sample_atoms
+from .errors import BudgetExceeded, RateUnderflow, SchemaError
+from .system import AtomicMeasure, BilinearSystem, GelData, pair_rates, sample_atoms
 
 # proposals drawn and contracted at a time by run
 _CHUNK = 1 << 15
@@ -140,19 +135,6 @@ def _guide(cum: np.ndarray) -> np.ndarray:
     return guide
 
 
-def _pair_rates(sys: BilinearSystem, rp, rq, real) -> tuple[np.ndarray, np.ndarray]:
-    """``kbar`` and ``khat`` of row pairs; NegativeRate if a ``real`` pair's
-    ``kbar`` is below ``-1e-9 khat``, beyond rounding."""
-    kbar = np.einsum("ij,jk,ik->i", rp, sys.block, rq)
-    khat = np.einsum("ij,jk,ik->i", np.abs(rp), sys.block_abs, np.abs(rq))
-    bad = real & (kbar < -1e-9 * khat)
-    if bad.any():
-        raise NegativeRate(
-            f"negative merge rate {kbar[bad].min()} encountered in simulation"
-        )
-    return kbar, khat
-
-
 def _short(row: np.ndarray, at: np.ndarray, key: np.ndarray, last: int) -> np.ndarray:
     """The draws whose search goes on past row ``at``: ``row[at] <= key``,
     the condition of ``searchsorted(side="right")``, below the last row."""
@@ -208,8 +190,9 @@ def envelope_proposals(rng, sys, rows, cum, guide, pair_cum, size: int):
     q = _draw_rows(rng, cum, guide, ll[pick])
     keep = p != q
     if sys.m:
-        kbar, khat = _pair_rates(sys, rows[p, 1:], rows[q, 1:], keep)
-        keep &= rng.random(size) * khat < kbar
+        u = rng.random(size)
+        kbar, khat = pair_rates(sys, rows[p[keep], 1:], rows[q[keep], 1:])
+        keep[keep] = u[keep] * khat < kbar
     return p, q, keep
 
 
@@ -509,17 +492,10 @@ class DirectPairSimulator:
 
     def _pair_rates(self):
         """The merge rate of each unordered pair of rows and the pairs'
-        upper-triangle indices; NegativeRate if a pair's ``kbar`` is below
-        ``-1e-9`` of its envelope ``khat``, beyond rounding."""
+        upper-triangle indices."""
         pts = self.coords[:, 1:]
         iu = np.triu_indices(self.n_particles, k=1)
-        kbar = (pts @ self.sys.block @ pts.T)[iu]
-        khat = (np.abs(pts) @ self.sys.block_abs @ np.abs(pts).T)[iu]
-        if (kbar < -1e-9 * khat).any():
-            raise NegativeRate(
-                f"negative merge rate {kbar.min()} encountered in simulation"
-            )
-        np.clip(kbar, 0.0, None, out=kbar)
+        kbar = pair_rates(self.sys, pts[iu[0]], pts[iu[1]])[0]
         return kbar * (self.rate_scale / self.n_scale), iu
 
     def run(self, checkpoint_times, xi: int | None = None) -> list[Snapshot]:

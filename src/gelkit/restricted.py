@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _rk
-from .errors import BudgetExceeded, NegativeRate, ToleranceFailure
-from .system import AtomicMeasure, BilinearSystem, GelData, first_moments
+from .errors import BudgetExceeded, ToleranceFailure
+from .system import AtomicMeasure, BilinearSystem, GelData, first_moments, pair_rates
 
 _NEG_TOL = 1e-12
 
@@ -133,7 +133,6 @@ class TruncatedFlory:
         species.  A merged composition is a type when every digit is in
         range and every prefix is found.
         """
-        sys_block = self.sys.block
         rate = self.coords[:, 1:]
         digits = np.array(self.types, dtype=np.int64).T  # one row per species
         radix = digits.max(axis=1) + 1
@@ -175,17 +174,7 @@ class TruncatedFlory:
         self._iy = np.concatenate(iy)
         self._iz = np.concatenate(iz)
         self._coords_z = self.coords[self._iz]  # read at every RHS stage
-        kv = np.einsum(
-            "ij,ij->i", rate[self._ix] @ sys_block, rate[self._iy]
-        )
-        low = float(kv.min()) if kv.size else 0.0
-        if low < 0.0:
-            scale = max(1.0, float(np.abs(kv).max()))
-            if low < -1e-9 * scale:
-                raise NegativeRate(
-                    f"merge rate {low} < 0 on the composition space"
-                )
-            kv = np.clip(kv, 0.0, None)
+        kv = pair_rates(self.sys, rate[self._ix], rate[self._iy])[0]
         self._pair_rate = np.where(self._ix == self._iy, 0.5, 1.0) * kv
 
     # state vector layout: [densities (T), gel (1+n+m)]

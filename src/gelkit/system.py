@@ -40,7 +40,7 @@ _SYMMETRY_TOL = 1e-12
 
 _FLOAT_MAX = float(np.finfo(float).max)
 
-# rate-matrix entries check_hypotheses holds at once
+# pair rates check_hypotheses evaluates at once
 _RATE_BLOCK = 1 << 16
 
 
@@ -120,29 +120,27 @@ class BilinearSystem:
         return a
 
 
-def merge_rate_matrix(
-    sys: BilinearSystem, coords_a: np.ndarray, coords_b: np.ndarray
-) -> np.ndarray:
-    """Merge rates between two stacks of particle rows (vectorized).
+def pair_rates(
+    sys: BilinearSystem, x: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Merge rates ``kbar`` and envelope rates ``khat`` of particle pairs.
 
-    ``coords_a`` is ``(p, 1+n+m)`` and ``coords_b`` is ``(q, 1+n+m)``;
-    returns the ``(p, q)`` rate matrix.  Mathematically symmetric but makes
-    no bit-level guarantees.  Raises :class:`NegativeRate` if a rate
-    evaluates negative beyond tolerance, which means the system/measure
-    pair is invalid; rates negative within tolerance are clipped to 0.
+    ``x`` and ``y`` hold rate coordinates, ``(..., n+m)`` (rows without
+    ``pi0``), paired row by row; leading axes broadcast, so ``x[:, None]``
+    against ``y[None]`` gives every pair.  ``khat = |x| . |A| |y|`` bounds
+    ``kbar`` and its rounding error, so the one negative-rate rule is
+    relative with no scale constant: :class:`NegativeRate` wherever
+    ``kbar < -COORD_TOL * khat``.  The returned ``kbar`` is clipped at 0.
     """
-    rates = coords_a[:, 1:] @ sys.block @ coords_b[:, 1:].T
-    low = rates.min() if rates.size else 0.0
-    if low < 0.0:
-        scale = float(
-            np.abs(coords_a[:, 1:]).max() * np.abs(coords_b[:, 1:]).max()
-        ) * max(1.0, float(sys.block_abs.max()))
-        if low < -COORD_TOL * (1.0 + scale):
-            raise NegativeRate(
-                f"merge rate {low} < 0; kernel is not nonnegative on this support"
-            )
-        np.clip(rates, 0.0, None, out=rates)
-    return rates
+    kbar = np.einsum("...j,...j->...", x @ sys.block, y)
+    khat = np.einsum("...j,...j->...", np.abs(x) @ sys.block_abs, np.abs(y))
+    bad = kbar < -COORD_TOL * khat
+    if bad.any():
+        raise NegativeRate(
+            f"merge rate {kbar[bad].min():.6g} is below -{COORD_TOL} times its "
+            "envelope rate: the kernel is not nonnegative on this support"
+        )
+    return np.maximum(kbar, 0.0), khat
 
 
 def _same_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -371,24 +369,27 @@ def check_hypotheses(sys: BilinearSystem, measure: AtomicMeasure) -> HypothesisR
     gram_ok = ratio > COORD_TOL
 
     # A4: connectivity under positive merge rates, a block of rows at a
-    # time: one pass for the largest rate, one joining the positive pairs
+    # time against the rows from the block's first on: one pass for the
+    # largest rate, one joining the positive pairs
     from .particles import contract  # particles imports this module
 
-    coords = measure.coords
+    # column-major, so the kernel's einsum loops along the rows, not along
+    # each row's few coordinates: about 4x faster on 8,000 atoms
+    x = np.asfortranarray(measure.coords[:, 1:])
     step = max(1, _RATE_BLOCK // k)
     starts = range(0, k, step)
-    top = max(
-        float(merge_rate_matrix(sys, coords[a : a + step], coords).max())
-        for a in starts
-    )
+
+    def rates(a: int) -> np.ndarray:
+        return pair_rates(sys, x[a : a + step, None], x[None, a:])[0]
+
+    top = max(float(rates(a).max()) for a in starts)
     cut = COORD_TOL * max(1.0, top)
     labels, components = np.arange(k), k
     for a in starts:
         if components == 1:
             break  # joining more pairs cannot split a component
-        rates = merge_rate_matrix(sys, coords[a : a + step], coords)
-        rows, cols = np.nonzero(rates > cut)
-        labels, components = contract(labels, components, rows + a, cols)
+        rows, cols = np.nonzero(rates(a) > cut)
+        labels, components = contract(labels, components, rows + a, cols + a)
     point_mass = k == 1
     irreducible = components == 1 and (not point_mass or top > cut)
 

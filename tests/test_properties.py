@@ -20,15 +20,15 @@ from gelkit.errors import NegativeRate, SchemaError
 
 def _rate_or_none(sys_, x, y):
     try:
-        return float(gk.merge_rate_matrix(sys_, x, y)[0, 0])
+        return float(gk.pair_rates(sys_, x[:, 1:], y[:, 1:])[0][0])
     except NegativeRate:
         return None
 
 
 def _resolution(sys_, x, y) -> float:
     # the kernel's own tolerance: what it clips to 0 without raising
-    scale = np.abs(x[:, 1:]).max() * np.abs(y[:, 1:]).max()
-    return 1e-9 * (1.0 + scale * max(1.0, sys_.block_abs.max()))
+    khat = np.abs(x[0, 1:]) @ sys_.block_abs @ np.abs(y[0, 1:])
+    return system.COORD_TOL * float(khat)
 
 
 finite = st.floats(
@@ -98,7 +98,7 @@ def plus_measure(draw):
 
 
 class TestKernelInvariance:
-    """Properties of ``merge_rate_matrix``, up to its own resolution."""
+    """Properties of ``pair_rates``, up to its own resolution."""
 
     @given(system_and_pair())
     def test_symmetric_in_arguments(self, case):
@@ -216,7 +216,8 @@ class TestIrreducibility:
     @given(split_measure(), st.integers(1, 12))
     def test_blocks_match_dense_matrix(self, case, block):
         sys_, meas = case
-        rates = gk.merge_rate_matrix(sys_, meas.coords, meas.coords)
+        x = meas.coords[:, 1:]
+        rates = x @ sys_.block @ x.T
         adj = rates > 1e-9 * max(1.0, float(rates.max()))
         components = int(connected_components(adj, directed=False)[0])
         with pytest.MonkeyPatch.context() as mp:

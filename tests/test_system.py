@@ -11,12 +11,17 @@ def rows(*atoms):
     return np.array(atoms, dtype=float)
 
 
+def rate_matrix(sys_, a, b):
+    """Every pair's rate between two stacks of particle rows, (p, q)."""
+    return gk.pair_rates(sys_, a[:, None, 1:], b[None, :, 1:])[0]
+
+
 class TestKernel:
-    """Anchors of ``merge_rate_matrix``, the one rate kernel."""
+    """Anchors of ``pair_rates``, the one rate kernel."""
 
     def test_multiplicative_masses(self, mult):
         sys_, _ = mult
-        rate = gk.merge_rate_matrix(sys_, rows([2, 2.0]), rows([3, 3.0]))
+        rate = rate_matrix(sys_, rows([2, 2.0]), rows([3, 3.0]))
         assert rate.tolist() == [[6.0]]
 
     def test_kinetic_same_velocity_is_zero(self, kac):
@@ -24,18 +29,18 @@ class TestKernel:
         v = (0.3, -0.2, 0.9)
         e = sum(c * c for c in v)
         x = rows([1, 1.0, e, *v])
-        assert gk.merge_rate_matrix(sys_, x, x)[0, 0] == pytest.approx(0.0, abs=1e-12)
+        assert rate_matrix(sys_, x, x)[0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_kinetic_opposite_unit_speed(self, kac):
         sys_, _ = kac
         x = rows([1, 1.0, 1.0, 1.0, 0.0, 0.0])
         y = rows([1, 1.0, 1.0, -1.0, 0.0, 0.0])
-        assert gk.merge_rate_matrix(sys_, x, y).tolist() == [[4.0]]
+        assert rate_matrix(sys_, x, y).tolist() == [[4.0]]
 
     def test_rate_matrix_matches_scalar(self, kac):
         sys_, meas = kac
         coords = meas.coords
-        mat = gk.merge_rate_matrix(sys_, coords, coords)
+        mat = rate_matrix(sys_, coords, coords)
         for i, x in enumerate(coords[:, 1:]):
             for j, y in enumerate(coords[:, 1:]):
                 form = sum(
@@ -49,7 +54,78 @@ class TestKernel:
         sys_ = gk.BilinearSystem(1, 1, [[1.0]], [[-4.0]])
         x = rows([1, 1.0, 1.0])
         with pytest.raises(NegativeRate):
-            gk.merge_rate_matrix(sys_, x, x)
+            rate_matrix(sys_, x, x)
+
+
+# Each entry point below runs on two particles [1, s, s] (or a measure of
+# that one atom) and returns what a nonzero rate there would show: the rate
+# itself, merges, edges, or an irreducible report.  The systems of
+# TestNegativeRateRule give the pair the rate -tail s^2 against an envelope
+# rate of about 2 s^2.  The engine and the direct oracle run to t = 10 at
+# rate scale 1e3 / s^2, so that the pair is proposed.
+
+
+def _kernel(sys_, s):
+    return float(gk.pair_rates(sys_, rows([s, s]), rows([s, s]))[0][0])
+
+
+def _engine(sys_, s):
+    ps = gk.ParticleSystem(
+        sys_, np.tile([1.0, s, s], (2, 1)), 2, np.random.default_rng(0), 1e3 / s**2
+    )
+    ps.run([10.0])
+    assert ps.events > 100
+    return ps.merges
+
+
+def _direct(sys_, s):
+    ps = gk.DirectPairSimulator(
+        sys_, np.tile([1.0, s, s], (2, 1)), 2, np.random.default_rng(0), 1e3 / s**2
+    )
+    ps.run([10.0])
+    return 2 - ps.n_particles
+
+
+def _blocks(sys_, s):
+    from gelkit.graphs import _sample_graph_blocks
+
+    g = _sample_graph_blocks(sys_, np.tile([1.0, s, s], (2, 1)), 2, 10.0, seed=1)
+    return g.edge_t.size
+
+
+def _restricted(sys_, s):
+    # at xi = 4 the 1e-3 atom runs past the pair budget first
+    meas = gk.AtomicMeasure([[1.0, s, s]], [1.0], 1)
+    return float(np.abs(gk.TruncatedFlory(sys_, meas, 2.0)._pair_rate).sum())
+
+
+def _hypotheses(sys_, s):
+    rep = gk.check_hypotheses(sys_, gk.AtomicMeasure([[1.0, s, s]], [1.0], 1))
+    return int(rep.irreducible)
+
+
+class TestNegativeRateRule:
+    """One rule at every entry point: NegativeRate where kbar < -1e-9 khat,
+    kbar clipped to 0 above that, at any coordinate scale."""
+
+    entries = pytest.mark.parametrize(
+        "entry",
+        [_kernel, _engine, _direct, _blocks, _restricted, _hypotheses],
+        ids=["pair_rates", "particles", "direct", "blocks", "restricted",
+             "hypotheses"],
+    )
+    scales = pytest.mark.parametrize("s", [1.0, 1e-3])
+
+    @entries
+    @scales
+    def test_negative_beyond_tolerance_raises(self, entry, s):
+        with pytest.raises(NegativeRate):
+            entry(gk.BilinearSystem(1, 1, [[1.0]], [[-(1.0 + 1e-6)]]), s)
+
+    @entries
+    @scales
+    def test_negative_within_tolerance_clips(self, entry, s):
+        assert entry(gk.BilinearSystem(1, 1, [[1.0]], [[-(1.0 + 1e-12)]]), s) == 0
 
 
 class TestSystemValidation:
