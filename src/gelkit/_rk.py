@@ -15,6 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NoConvergence
+from .system import check_times
 
 # Butcher tableau (Dormand & Prince 1980).
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
@@ -56,8 +57,6 @@ class Trajectory:
     step_ts: list[float] = field(default_factory=list)
     step_ys: list[np.ndarray] = field(default_factory=list)
     stopped: bool = False
-    t_final: float = 0.0
-    y_final: np.ndarray | None = None
     n_accepted: int = 0
     n_rejected: int = 0
 
@@ -74,7 +73,6 @@ def integrate(
     stop: Callable[[float, np.ndarray], bool] | None = None,
     max_steps: int = 1_000_000,
     keep_steps: bool = False,
-    first_step: float | None = None,
 ) -> Trajectory:
     """Integrate y' = f(t, y) from t0 to t_end.
 
@@ -85,12 +83,8 @@ def integrate(
     """
     y = np.array(y0, dtype=float)
     t = float(t0)
-    if t_end < t:
-        raise ValueError("backward integration not supported")
-    out = sorted(float(v) for v in (outputs if outputs is not None else []))
-    for v in out:
-        if v < t0 - 1e-15 or v > t_end + 1e-15:
-            raise ValueError(f"output time {v} outside [{t0}, {t_end}]")
+    check_times([t_end], t)
+    out = check_times([] if outputs is None else outputs, t, t_end)
     traj = Trajectory()
 
     def emit_outputs():
@@ -100,20 +94,16 @@ def integrate(
 
     emit_outputs()
     if t_end == t:
-        traj.t_final, traj.y_final = t, y.copy()
         return traj
 
     fy = np.asarray(f(t, y), dtype=float)
-    if first_step is not None:
-        h = float(first_step)
-    else:
-        # conservative initial step from the state/derivative scales
-        span = t_end - t
-        scale = atol + rtol * np.abs(y)
-        d0 = float(np.max(np.abs(y) / scale)) if y.size else 0.0
-        d1 = float(np.max(np.abs(fy) / scale)) if y.size else 0.0
-        h = min(span, 0.01 * (d0 / d1) if d1 > 0 else 0.1 * span)
-        h = max(h, 1e-12 * span)
+    # conservative initial step from the state/derivative scales
+    span = t_end - t
+    scale = atol + rtol * np.abs(y)
+    d0 = float(np.max(np.abs(y) / scale)) if y.size else 0.0
+    d1 = float(np.max(np.abs(fy) / scale)) if y.size else 0.0
+    h = min(span, 0.01 * (d0 / d1) if d1 > 0 else 0.1 * span)
+    h = max(h, 1e-12 * span)
 
     k = np.empty((7, y.size))
     for _ in range(max_steps):
@@ -165,5 +155,4 @@ def integrate(
         raise NoConvergence(
             f"integrator exceeded {max_steps} steps at t={t} (step {h:.3e})"
         )
-    traj.t_final, traj.y_final = t, y.copy()
     return traj

@@ -38,6 +38,7 @@ from .restricted import TruncatedFlory
 from .spectral import gelation
 from .survival import gel_curve, gel_data
 from .system import (
+    check_rate_scale,
     load_system,
     read_json,
     system_measure_from_json,
@@ -595,15 +596,17 @@ def _read_config(path: str) -> tuple:
     rate_scale = raw.get("rate_scale", 2.0 if doubled else 1.0)
     if not isinstance(rate_scale, (int, float)) or isinstance(rate_scale, bool):
         raise SchemaError("/rate_scale", "expected a number")
-    if not 0 < rate_scale <= _sys.float_info.max:  # NaN, Infinity, 10**400
-        raise SchemaError("/rate_scale", "must be positive and finite")
+    try:  # NaN, Infinity, 10**400
+        rate_scale = check_rate_scale(rate_scale)
+    except ValueError as exc:
+        raise SchemaError("/rate_scale", str(exc)) from None
     params = raw.get("params", {})
     if not isinstance(params, dict):
         raise SchemaError("/params", "expected an object")
     out = raw.get("output")
     if out is not None and not isinstance(out, str):
         raise SchemaError("/output", "expected a file path")
-    return kind, model, measure, float(rate_scale), raw.get("seed"), params, out
+    return kind, model, measure, rate_scale, raw.get("seed"), params, out
 
 
 def _build_parser() -> argparse.ArgumentParser:

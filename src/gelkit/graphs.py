@@ -31,14 +31,16 @@ from .particles import (
     _MAX_PARTICLES,
     ParticleSystem,
     _check_scales,
+    _check_table,
+    _size_threshold,
     child_seed,
     contract,
     envelope,
     envelope_proposals,
 )
-from .spectral import gelation_time
-from .survival import solve_fixed_point, survival_probabilities, tilted_measure
-from .system import AtomicMeasure, BilinearSystem, pair_rates, sample_atoms
+from .spectral import gelation
+from .survival import solve_fixed_point, survival_probabilities
+from .system import AtomicMeasure, BilinearSystem, check_times, pair_rates, sample_atoms
 
 # budget on expected edge proposals, and on the oracle's type pairs and
 # expected edges
@@ -103,10 +105,9 @@ def sample_graph(
     the pair's exponential edge time.  An expected proposal count above
     ``_MAX_PROPOSALS`` raises BudgetExceeded before any draw.
     """
-    vertices = np.asarray(vertices, dtype=float)
-    if t_max < 0:
-        raise ValueError("t_max must be nonnegative")
+    vertices = _check_table(sys, vertices)
     _check_scales(n_scale, rate_scale)
+    (t_max,) = check_times([t_max])
     rng = np.random.default_rng(seed)
     cum, guide, pair_cum = envelope(sys, vertices)
     weight = float(pair_cum[-1]) if pair_cum.size else 0.0
@@ -187,9 +188,9 @@ def _sample_graph_blocks(
     expected edge count above ``_MAX_PROPOSALS`` raise BudgetExceeded
     before any draw.
     """
-    vertices = np.asarray(vertices, dtype=float)
-    if t_max < 0 or rate_scale < 0:
-        raise ValueError("t_max and rate_scale must be nonnegative")
+    vertices = _check_table(sys, vertices)
+    _check_scales(n_scale, rate_scale)
+    (t_max,) = check_times([t_max])
     rng = np.random.default_rng(seed)
     rates = vertices[:, 1:]
     # vertices sorted by rate row; a type is a run of equal rows
@@ -318,11 +319,8 @@ def trajectory(
     largest.  Checkpoints past the sampling horizon are rejected: edges
     there were never drawn.
     """
-    times = sorted(float(v) for v in checkpoint_times)
-    if times and times[-1] > graph.t_max + 1e-12:
-        raise ValueError("checkpoint beyond the sampled edge horizon")
-    if xi is None:
-        xi = int(np.ceil(np.sqrt(graph.n_scale)))
+    times = check_times(checkpoint_times, end=graph.t_max)
+    xi = _size_threshold(xi, graph.n_scale)
     count = graph.n_vertices
     labels = np.arange(count, dtype=np.int32)
     out = []
@@ -451,11 +449,11 @@ def duality_experiment(
     The window must satisfy t_gel < t_minus < t_plus < t_gel(tilted), else
     the comparison is meaningless and WindowInvalid is raised.
     """
-    t_gel = gelation_time(sys, measure, rate_scale=rate_scale)
-    coeff = solve_fixed_point(sys, measure, t_minus, rate_scale=rate_scale)
+    spectral = gelation(sys, measure, rate_scale)
+    coeff = solve_fixed_point(sys, measure, t_minus, rate_scale, spectral)
     rho = survival_probabilities(sys, measure, coeff)
-    tilted = tilted_measure(sys, measure, t_minus, rate_scale=rate_scale)
-    t_gel_tilted = gelation_time(sys, tilted, rate_scale=rate_scale)
+    tilted = measure.scaled(1.0 - rho)
+    t_gel, t_gel_tilted = spectral.t_g, gelation(sys, tilted, rate_scale).t_g
     if not (t_gel < t_minus < t_plus < t_gel_tilted):
         raise WindowInvalid(
             f"need t_gel={t_gel:.6g} < t_minus < t_plus < "

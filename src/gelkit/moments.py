@@ -31,6 +31,7 @@ from .errors import DualNotSubcritical, ExplosionReached, NumericError
 from .spectral import SpectralResult, gelation
 from .survival import gel_data, solve_fixed_point, survival_probabilities
 from .system import AtomicMeasure, BilinearSystem, GelData, gram_plus, moment_matrix
+from .system import check_rate_scale, check_times
 
 BLOWUP_THRESHOLD = 1e12
 
@@ -152,10 +153,10 @@ def integrate_subcritical(
     entry reaches the blowup threshold before ``t_end``.  With ``outputs``
     given, returns the states at those times instead of just the final state.
     """
+    check_rate_scale(rate_scale)
     t0, q0, z0 = state0.t, state0.q, state0.z
-    times = sorted(float(v) for v in (outputs if outputs is not None else []))
-    if t_end < t0 or (times and (times[0] < t0 or times[-1] > t_end)):
-        raise ValueError(f"times must lie in [{t0}, {t_end}]")
+    check_times([t_end], t0)
+    times = check_times([] if outputs is None else outputs, t0, t_end)
     q0_inv = np.linalg.inv(q0)
     v = z0[1:] @ q0_inv
 
@@ -195,6 +196,7 @@ def explosion_time(
     root extrapolates the blowup time.  Deliberately makes no use of the
     spectral formula, so the two routes cross-validate each other.
     """
+    check_rate_scale(rate_scale)
     n = state0.n
     # trial steps overshoot the pole; the step controller rejects them,
     # so the transient overflows are expected and harmless
@@ -292,10 +294,11 @@ def gel_growth_ode(
 
     The gel absorbs sol particles at a rate set by the current sol moments:
     dg_0 = rs * z A+ g_plus and dg_plus = rs * Q A+ g_plus, with (Q, z)
-    taken from the duality pipeline at each time.  Starts a whisker above
-    the gelation time with the fixed-point gel as initial data.  This is
-    the second, independent route to the gel curve.
+    taken from the duality pipeline at each time.  Starts at ``t_g (1 +
+    1e-3)``, or halfway to ``t_to`` if sooner, from the fixed-point gel, and
+    drops outputs before that start.  The second, independent gel curve.
     """
+    given = check_times([t_to, *([] if outputs is None else outputs)])
     spectral = gelation(sys, measure, rate_scale)
     t_g = spectral.t_g
     if t_to <= t_g:
@@ -324,9 +327,7 @@ def gel_growth_ode(
         dg[1 : 1 + n] = rate_scale * (q @ flow)
         return dg
 
-    given = [] if outputs is None else outputs
-    out = sorted({float(v) for v in given} | {float(t_to)})
-    out = [v for v in out if v >= t_start]
+    out = sorted({v for v in given if v >= t_start})
     traj = _rk.integrate(
         rhs, t_start, g0, t_to, rtol=rtol, atol=1e-10, outputs=out,
         max_steps=20_000,

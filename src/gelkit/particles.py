@@ -47,7 +47,8 @@ from sys import float_info
 import numpy as np
 
 from .errors import BudgetExceeded, RateUnderflow, SchemaError
-from .system import AtomicMeasure, BilinearSystem, GelData, pair_rates, sample_atoms
+from .system import AtomicMeasure, BilinearSystem, GelData, check_times, pair_rates
+from .system import sample_atoms
 
 # proposals drawn and contracted at a time by run
 _CHUNK = 1 << 15
@@ -88,15 +89,9 @@ def _check_table(sys: BilinearSystem, coords) -> np.ndarray:
     return coords
 
 
-def _checkpoints(checkpoint_times, t: float) -> list[float]:
-    """The checkpoint times in order; ValueError if one is not finite or
-    lies before the current time t."""
-    times = sorted(float(v) for v in checkpoint_times)
-    if not all(map(math.isfinite, times)):
-        raise ValueError("checkpoint times must be finite")
-    if times and times[0] < t - 1e-12:
-        raise ValueError("checkpoint before current time")
-    return times
+def _size_threshold(xi, n_scale: float):
+    """``xi``, or ``ceil(sqrt(n_scale))`` when it is None."""
+    return int(np.ceil(np.sqrt(n_scale))) if xi is None else xi
 
 
 def envelope(
@@ -254,8 +249,7 @@ def snapshot(
     xi: int | None = None,
 ) -> Snapshot:
     """Observables of a table of live particle rows at time t."""
-    if xi is None:
-        xi = int(np.ceil(np.sqrt(n_scale)))
+    xi = _size_threshold(xi, n_scale)
     n = sys.n
     inv = 1.0 / n_scale
     first = rows.sum(axis=0) * inv
@@ -314,12 +308,10 @@ class ParticleSystem:
     ):
         self.coords = _check_table(sys, coords)
         _check_scales(n_scale, rate_scale)
-        if not 0 <= t <= float_info.max:
-            raise ValueError(f"t = {t} must be nonnegative and finite")
         self.sys = sys
         self.n_scale = float(n_scale)
         self.rate_scale = float(rate_scale)
-        self.t = float(t)
+        (self.t,) = check_times([t])
         self.rng = rng
         self.events = 0
         self.merges = 0
@@ -342,7 +334,7 @@ class ParticleSystem:
         and not before the current time.  Below two particles nothing
         happens, so the remaining checkpoints freeze.
         """
-        times = _checkpoints(checkpoint_times, self.t)
+        times = check_times(checkpoint_times, self.t)
         rows = self.coords
         # bincount copies a strided column on every call; copy them once
         cols = np.ascontiguousarray(rows.T)
@@ -503,7 +495,7 @@ class DirectPairSimulator:
         a snapshot at each; checkpoints must be finite and not before the
         current time.  A merge adds row q into row p < q and deletes row q,
         so rows stay ordered by each cluster's lowest starting row."""
-        times = _checkpoints(checkpoint_times, self.t)
+        times = check_times(checkpoint_times, self.t)
         out = []
         for target in times:
             while self.n_particles >= 2:

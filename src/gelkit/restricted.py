@@ -23,9 +23,8 @@ import numpy as np
 
 from . import _rk
 from .errors import BudgetExceeded, ToleranceFailure
-from .system import AtomicMeasure, BilinearSystem, GelData, first_moments, pair_rates
-
-_NEG_TOL = 1e-12
+from .system import AtomicMeasure, BilinearSystem, GelData, pair_rates
+from .system import check_rate_scale, check_times
 
 # candidate pairs tested at once by TruncatedFlory._build_pairs
 _PAIR_BLOCK = 1 << 20
@@ -96,9 +95,8 @@ class TruncatedFlory:
         if not (measure.coords[:, 0] == 1.0).all():
             raise ValueError("truncated dynamics start from an initial measure")
         self.sys = sys
-        self.measure = measure
         self.xi = float(xi)
-        self.rate_scale = float(rate_scale)
+        self.rate_scale = check_rate_scale(rate_scale)
         self.types = enumerate_types(measure, xi, max_types)
         species = measure.coords  # (k, 1+n+m)
         if not self.types or species[:, 1 : 1 + sys.n].sum(axis=1).max() > xi + 1e-12:
@@ -118,10 +116,6 @@ class TruncatedFlory:
             dens0[self.index[comp]] += w
         self.initial_densities = dens0
         self._build_pairs(max_pairs)
-        rate = self.coords[:, 1:]  # coordinates entering the kernel
-        self._rate_coords = rate
-        self._block = sys.block
-        self.m0_rate = first_moments(measure)[1:]
         self.clamped = 0.0
 
     def _build_pairs(self, max_pairs: int) -> None:
@@ -182,8 +176,8 @@ class TruncatedFlory:
         t_count = len(self.types)
         n_vec = y[:t_count]
         gel = y[t_count:]
-        rate_c = self._rate_coords
-        a = self._block
+        rate_c = self.coords[:, 1:]  # coordinates entering the kernel
+        a = self.sys.block
         m_tr = n_vec @ rate_c
         s_sol = rate_c @ (a @ m_tr)
         s_gel = rate_c @ (a @ gel[1:])
@@ -234,8 +228,7 @@ class TruncatedFlory:
         y0 = np.concatenate(
             (self.initial_densities, np.zeros(1 + self.sys.n + self.sys.m))
         )
-        given = [] if outputs is None else outputs
-        out = sorted({float(v) for v in given} | {float(t_end)})
+        out = sorted(set(check_times([t_end, *([] if outputs is None else outputs)])))
         traj = _rk.integrate(
             self._rhs,
             0.0,

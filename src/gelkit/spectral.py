@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateMeasure, NoConvergence, SchemaError
-from .system import AtomicMeasure, BilinearSystem, gram_plus
+from .system import AtomicMeasure, BilinearSystem, check_rate_scale, gram_plus
 
 _GRAM_TOL = 1e-9
 _RESIDUAL_TOL = 1e-10
@@ -91,8 +91,9 @@ def gelation(
     does not satisfy the admissibility hypotheses.  A measure that is not
     mirror symmetric (hypothesis A1) is refused with a :class:`SchemaError`
     at ``/atoms``: the limit theory, which reads only the conserved block,
-    does not describe it.
+    does not describe it.  ``rate_scale`` must be positive and finite.
     """
+    check_rate_scale(rate_scale)
     if not measure.mirror_symmetric:
         raise SchemaError(
             "/atoms",

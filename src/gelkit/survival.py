@@ -30,6 +30,7 @@ from .system import (
     AtomicMeasure,
     BilinearSystem,
     GelData,
+    check_times,
     first_moments,
     gram_plus,
     moment_matrix,
@@ -129,8 +130,7 @@ def solve_fixed_point(
     takes more than 100 steps.  ``residual`` is ``|c - t * rate_scale *
     F(c)|_inf`` at the returned ``c``.
     """
-    if t < 0:
-        raise ValueError("time must be nonnegative")
+    check_times([t])
     if spectral is None:
         spectral = gelation(sys, measure, rate_scale)
     if t <= spectral.t_g * (1.0 + _CRITICAL_BAND):
@@ -183,11 +183,10 @@ def gel_curve(
     times,
     rate_scale: float = 1.0,
 ) -> np.ndarray:
-    """Rows ``(t, c_1..c_n, M, E_1..E_n)`` over a time grid; the
-    supercritical times are solved together as one Newton stack."""
+    """Rows ``(t, c_1..c_n, M, E_1..E_n)`` over a time grid, in its order;
+    the supercritical times are solved together as one Newton stack."""
+    check_times(np.ravel(times).tolist())
     t = np.asarray(times, dtype=float).reshape(-1)
-    if np.any(t < 0):
-        raise ValueError("time must be nonnegative")
     t_g = gelation(sys, measure, rate_scale).t_g
     c = np.zeros((t.size, sys.n))
     sup = t > t_g * (1.0 + _CRITICAL_BAND)

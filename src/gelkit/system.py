@@ -25,6 +25,7 @@ columns ``n+1..n+m`` = ``par``.  Merging two particles adds their rows.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -141,6 +142,28 @@ def pair_rates(
             "envelope rate: the kernel is not nonnegative on this support"
         )
     return np.maximum(kbar, 0.0), khat
+
+
+def check_times(values, start: float = 0.0, end: float = math.inf) -> list[float]:
+    """The times as sorted floats; ValueError unless each is finite and lies in
+    ``[start, end]``.  Each value is compared before it is converted, so an
+    integer past the double range is refused, not an OverflowError."""
+    values = list(values)
+    high = min(end, _FLOAT_MAX)
+    for v in values:
+        if not start <= v <= high:  # NaN fails both comparisons
+            raise ValueError(
+                f"t = {v} must be finite, not before {start} and not after {end}"
+            )
+    return sorted(map(float, values))
+
+
+def check_rate_scale(rate_scale) -> float:
+    """The rate scale of the limit solvers as a float; ValueError unless it
+    is positive and finite, compared before it is converted."""
+    if not 0 < rate_scale <= _FLOAT_MAX:
+        raise ValueError(f"rate_scale = {rate_scale} must be positive and finite")
+    return float(rate_scale)
 
 
 def _same_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:

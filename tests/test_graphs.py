@@ -262,6 +262,28 @@ class TestDuality:
         assert rep.fresh_c1_over_n < 0.05
         assert rep.histogram_distance < 0.1
 
+    def test_one_spectral_and_one_fixed_point_solve(self, mult, monkeypatch):
+        from gelkit import graphs, survival
+
+        sys_, meas = mult
+        own, fixed = [], []
+
+        def counted(s, m, *args, **kwargs):
+            own.append(m is meas)
+            return gk.gelation(s, m, *args, **kwargs)
+
+        def counted_fixed(*args, **kwargs):
+            fixed.append(args[1] is meas)
+            return gk.solve_fixed_point(*args, **kwargs)
+
+        monkeypatch.setattr(graphs, "gelation", counted)
+        monkeypatch.setattr(survival, "gelation", counted)
+        monkeypatch.setattr(graphs, "solve_fixed_point", counted_fixed)
+        monkeypatch.setattr(survival, "solve_fixed_point", counted_fixed)
+        gk.duality_experiment(sys_, meas, 500, 1.5, 2.0, seed=12)
+        assert own == [True, False]  # the measure, then the tilted measure
+        assert fixed == [True]
+
     def test_histogram_distance_bounds(self):
         a = np.array([1, 1, 2, 3])
         assert _histogram_distance(a, a.copy()) == 0.0

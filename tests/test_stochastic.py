@@ -52,7 +52,7 @@ class TestInit:
         with pytest.raises(ValueError):
             gk.init_poisson(sys_, meas, 0, 1)
 
-    @pytest.mark.parametrize("entry", ["particles", "direct", "graph"])
+    @pytest.mark.parametrize("entry", ["particles", "direct", "graph", "blocks"])
     def test_bad_scales_rejected(self, kac, entry):
         sys_, meas = kac
         rows = gk.sample_atoms(meas, 10, np.random.default_rng(0))
@@ -61,6 +61,9 @@ class TestInit:
             "particles": lambda n, r: gk.ParticleSystem(sys_, rows, n, rng, rate_scale=r),
             "direct": lambda n, r: gk.DirectPairSimulator(sys_, rows, n, rng, rate_scale=r),
             "graph": lambda n, r: gk.sample_graph(sys_, rows, n, 1.0, rng, rate_scale=r),
+            "blocks": lambda n, r: graphs._sample_graph_blocks(
+                sys_, rows, n, 1.0, rng, rate_scale=r
+            ),
         }[entry]
         for n_scale, rate_scale in BAD_SCALES:
             with pytest.raises(ValueError, match="_scale"):
@@ -68,7 +71,14 @@ class TestInit:
         make(10.0, 0.0)  # a zero rate scale switches merging off
 
     @pytest.mark.parametrize(
-        "cls", [gk.ParticleSystem, gk.DirectPairSimulator], ids=["particles", "direct"]
+        "cls",
+        [
+            gk.ParticleSystem,
+            gk.DirectPairSimulator,
+            lambda sys_, rows, n, rng: gk.sample_graph(sys_, rows, n, 1.0, rng),
+            lambda sys_, rows, n, rng: graphs._sample_graph_blocks(sys_, rows, n, 1.0, rng),
+        ],
+        ids=["particles", "direct", "graph", "blocks"],
     )
     def test_bad_rows_rejected(self, kac, cls):
         sys_, meas = kac
@@ -78,6 +88,10 @@ class TestInit:
             bad = rows.copy()
             bad[cell] = value
             with pytest.raises(ValueError, match="finite"):
+                cls(sys_, bad, 10, np.random.default_rng(1))
+        # a 1-D table and a table one column too wide
+        for bad in (rows[:, 0], np.hstack([rows, rows[:, :1]])):
+            with pytest.raises(ValueError, match=r"\(P, 1\+n\+m\)"):
                 cls(sys_, bad, 10, np.random.default_rng(1))
 
     def test_bad_time_rejected(self, kac):

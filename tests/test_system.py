@@ -1,10 +1,13 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import gelkit as gk
+from gelkit import _rk, graphs
 from gelkit.errors import NegativeRate, SchemaError
+from gelkit.system import check_times
 
 
 def rows(*atoms):
@@ -395,3 +398,102 @@ class TestPresets:
         rows = gk.sample_atoms(meas, 17, np.random.default_rng(0))
         assert rows.shape == (17, 2)
         assert set(rows[:, 1]) <= {1.0, 2.0}
+
+
+class TestCheckTimes:
+    def test_sorted_floats(self):
+        assert check_times([2, 0.5, 1]) == [0.5, 1.0, 2.0]
+        assert check_times([]) == []
+
+    def test_bounds_are_exact(self):
+        assert check_times([1.0, 2.0], 1.0, 2.0) == [1.0, 2.0]
+        for bad in (np.nextafter(1.0, 0.0), np.nextafter(2.0, 3.0)):
+            with pytest.raises(ValueError, match="t = "):
+                check_times([bad], 1.0, 2.0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 10**400, -(10**400)])
+    def test_non_finite_refused_before_conversion(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            check_times([value])
+
+    def test_before_start_refused(self):
+        with pytest.raises(ValueError, match="before"):
+            check_times([0.5], 1.0)
+
+
+def _sim(c, cls):
+    return cls(c.sys, c.table, 20, np.random.default_rng(1))
+
+
+# every public entry point that takes a time, as a function of the context
+# below and that time
+TIME_ENTRIES = {
+    "ParticleSystem(t=)": lambda c, t: gk.ParticleSystem(
+        c.sys, c.table, 20, np.random.default_rng(1), t=t
+    ),
+    "ParticleSystem.run": lambda c, t: _sim(c, gk.ParticleSystem).run([t]),
+    "DirectPairSimulator.run": lambda c, t: _sim(c, gk.DirectPairSimulator).run([t]),
+    "sample_graph": lambda c, t: gk.sample_graph(c.sys, c.table, 20, t, seed=1),
+    "_sample_graph_blocks":
+        lambda c, t: graphs._sample_graph_blocks(c.sys, c.table, 20, t, seed=1),
+    "trajectory": lambda c, t: gk.trajectory(c.graph, [t]),
+    "coupling_test": lambda c, t: gk.coupling_test(c.sys, c.meas, 20, t, 2, seed=1),
+    "solve_fixed_point": lambda c, t: gk.solve_fixed_point(c.sys, c.meas, t),
+    "gel_data": lambda c, t: gk.gel_data(c.sys, c.meas, t),
+    "tilted_measure": lambda c, t: gk.tilted_measure(c.sys, c.meas, t),
+    "supercritical_moments": lambda c, t: gk.supercritical_moments(c.sys, c.meas, t),
+    "moments_at": lambda c, t: gk.moments_at(c.sys, c.meas, t),
+    "gel_curve": lambda c, t: gk.gel_curve(c.sys, c.meas, [0.5, t]),
+    "integrate_subcritical":
+        lambda c, t: gk.integrate_subcritical(c.sys, gk.initial_state(c.meas), t),
+    "integrate_subcritical(outputs=)": lambda c, t: gk.integrate_subcritical(
+        c.sys, gk.initial_state(c.meas), 0.5, outputs=[t]
+    ),
+    "gel_growth_ode": lambda c, t: gk.gel_growth_ode(c.sys, c.meas, t),
+    "gel_growth_ode(outputs=)":
+        lambda c, t: gk.gel_growth_ode(c.sys, c.meas, 2.0, outputs=[t]),
+    "TruncatedFlory.integrate":
+        lambda c, t: gk.TruncatedFlory(c.sys, c.meas, 4).integrate(t),
+    "TruncatedFlory.integrate(outputs=)":
+        lambda c, t: gk.TruncatedFlory(c.sys, c.meas, 4).integrate(1.0, outputs=[t]),
+    "_rk.integrate": lambda c, t: _rk.integrate(lambda s, y: -y, 0.0, np.ones(1), t),
+}
+
+
+class TestTimeRule:
+    """One rule, ``check_times``: every entry point that takes a time refuses
+    NaN, infinity and a time before its start with a ValueError, never a
+    solver error, a wrong number or an empty result."""
+
+    @pytest.fixture(scope="class")
+    def ctx(self, mult):
+        sys_, meas = mult
+        table = gk.sample_atoms(meas, 20, np.random.default_rng(0))
+        graph = gk.sample_graph(sys_, table, 20, 1.0, seed=1)
+        return SimpleNamespace(sys=sys_, meas=meas, table=table, graph=graph)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -1.0], ids=["nan", "inf", "before"])
+    @pytest.mark.parametrize("entry", list(TIME_ENTRIES))
+    def test_bad_time_raises(self, ctx, entry, t):
+        with pytest.raises(ValueError):
+            TIME_ENTRIES[entry](ctx, t)
+
+
+class TestRateScaleRule:
+    """The limit solvers refuse a rate scale that is not positive and finite."""
+
+    @pytest.mark.parametrize("rate_scale", [0.0, -1.0, np.nan, np.inf, 10**400])
+    @pytest.mark.parametrize(
+        "entry", ["gelation", "integrate_subcritical", "explosion_time", "TruncatedFlory"]
+    )
+    def test_bad_rate_scale_raises(self, mult, entry, rate_scale):
+        sys_, meas = mult
+        call = {
+            "gelation": lambda r: gk.gelation(sys_, meas, r),
+            "integrate_subcritical":
+                lambda r: gk.integrate_subcritical(sys_, gk.initial_state(meas), 0.5, r),
+            "explosion_time": lambda r: gk.explosion_time(sys_, gk.initial_state(meas), r),
+            "TruncatedFlory": lambda r: gk.TruncatedFlory(sys_, meas, 4, r),
+        }[entry]
+        with pytest.raises(ValueError, match="rate_scale"):
+            call(rate_scale)
