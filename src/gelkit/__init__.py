@@ -54,6 +54,7 @@ from .particles import (
     child_seed,
     init_poisson,
     load_state,
+    table_moments,
 )
 from .presets import (
     PRESETS,

@@ -32,6 +32,14 @@ chunk and per checkpoint plus expected O(1) per proposal.
 A sampler's ``coords`` is the table of its live clusters and nothing else,
 one row each, ordered by the cluster's lowest starting row.
 
+A :class:`Snapshot` at each checkpoint holds what the data files read: the
+time, the particle count, the size threshold ``xi``, the largest
+particle's data and the summed data of the particles with ``pi0 >= xi``.
+It costs a few O(P) passes over the ``pi0`` column and a sum over the
+heavy rows.  :func:`table_moments` gives the rest of a table on demand:
+the first and second moments, the same without the largest particle, and
+the size histogram.
+
 ``DirectPairSimulator`` is the independent event-by-event reference: it
 evaluates every pair's rate at every event and shares no sampling code
 with the envelope engine, guide table included.
@@ -43,6 +51,7 @@ import math
 import struct
 from dataclasses import dataclass
 from sys import float_info
+from typing import NamedTuple
 
 import numpy as np
 
@@ -225,20 +234,28 @@ def _cluster_sums(cols: np.ndarray, labels: np.ndarray, clusters: int) -> np.nda
 
 @dataclass(frozen=True)
 class Snapshot:
-    """Observables of the particle population at one time."""
+    """The observables a data file reads, of the particle population at one
+    time; :func:`table_moments` gives the moments and size histogram."""
 
     t: float
     n_particles: int
     xi: int
-    first: np.ndarray  # per-capita sums of all coordinates
-    q: np.ndarray  # per-capita conserved second moments, all particles
-    z: np.ndarray  # per-capita <pi0 * (pi0, plus)>, all particles
-    q_sol: np.ndarray  # as q, excluding the largest particle
-    z_sol: np.ndarray
     gel_largest: GelData  # largest particle's data / n_scale
     gel_threshold: GelData  # summed data of particles with pi0 >= xi, / n_scale
-    size_values: np.ndarray  # distinct pi0 values among particles
-    size_counts: np.ndarray
+
+
+def _largest(rows: np.ndarray, n: int) -> int | None:
+    """Row of the largest particle: most absorbed, then largest phi (pi0
+    plus the n conserved coordinates), then lowest row; None for an empty
+    table."""
+    if not rows.shape[0]:
+        return None
+    pi0 = rows[:, 0]
+    top = np.flatnonzero(pi0 == pi0.max())
+    if top.size > 1:
+        phi = pi0[top] + rows[top, 1 : 1 + n].sum(axis=1)
+        top = top[phi == phi.max()]
+    return int(top[0])
 
 
 def snapshot(
@@ -250,48 +267,52 @@ def snapshot(
 ) -> Snapshot:
     """Observables of a table of live particle rows at time t."""
     xi = _size_threshold(xi, n_scale)
-    n = sys.n
     inv = 1.0 / n_scale
-    first = rows.sum(axis=0) * inv
-    plus = rows[:, 1 : 1 + n]
-    q_all = (plus.T @ plus) * inv
-    pi0 = rows[:, 0]
-    z_all = np.concatenate(([float(pi0 @ pi0)], pi0 @ plus)) * inv
-    # largest particle: most absorbed, then largest phi, then first index
-    if rows.shape[0]:
-        top = np.flatnonzero(pi0 == pi0.max())
-        if top.size > 1:
-            phi = pi0[top] + plus[top].sum(axis=1)
-            top = top[phi == phi.max()]
-        big = int(top[0])
-        big_row = rows[big]
-        sol = np.delete(rows, big, axis=0)
-    else:
-        big_row = np.zeros(1 + sys.dim)
-        sol = rows
-    plus_sol = sol[:, 1 : 1 + n]
-    q_sol = (plus_sol.T @ plus_sol) * inv
-    pi0_sol = sol[:, 0]
-    z_sol = np.concatenate(([float(pi0_sol @ pi0_sol)], pi0_sol @ plus_sol)) * inv
-    heavy = rows[pi0 >= xi]
+    big = _largest(rows, sys.n)
+    big_row = np.zeros(1 + sys.dim) if big is None else rows[big]
+    heavy = rows[rows[:, 0] >= xi]
     gel_threshold = GelData(
         heavy.sum(axis=0) * inv if heavy.size else np.zeros(1 + sys.dim)
     )
-    values, counts = np.unique(pi0.astype(np.int64), return_counts=True)
     return Snapshot(
         t=t,
         n_particles=int(rows.shape[0]),
         xi=int(xi),
-        first=first,
-        q=q_all,
-        z=z_all,
-        q_sol=q_sol,
-        z_sol=z_sol,
         gel_largest=GelData(big_row * inv),
         gel_threshold=gel_threshold,
-        size_values=values,
-        size_counts=counts,
     )
+
+
+class TableMoments(NamedTuple):
+    """Moments and size histogram of a table of live particle rows; the
+    moments are over ``n_scale``."""
+
+    first: np.ndarray  # sums of all coordinates
+    q: np.ndarray  # conserved second moments, sum plus plus^T
+    z: np.ndarray  # sum pi0 * (pi0, plus)
+    q_sol: np.ndarray  # q without the largest particle of snapshot
+    z_sol: np.ndarray  # z without the largest particle of snapshot
+    size_values: np.ndarray  # the distinct pi0 values, ascending
+    size_counts: np.ndarray  # how many rows hold each
+
+
+def table_moments(sys: BilinearSystem, rows: np.ndarray, n_scale: float) -> TableMoments:
+    """Moments and size histogram of a table of live particle rows."""
+    n = sys.n
+    inv = 1.0 / n_scale
+    first = rows.sum(axis=0) * inv
+    plus = rows[:, 1 : 1 + n]
+    q = (plus.T @ plus) * inv
+    pi0 = rows[:, 0]
+    z = np.concatenate(([float(pi0 @ pi0)], pi0 @ plus)) * inv
+    big = _largest(rows, n)
+    sol = rows if big is None else np.delete(rows, big, axis=0)
+    plus_sol = sol[:, 1 : 1 + n]
+    q_sol = (plus_sol.T @ plus_sol) * inv
+    pi0_sol = sol[:, 0]
+    z_sol = np.concatenate(([float(pi0_sol @ pi0_sol)], pi0_sol @ plus_sol)) * inv
+    values, counts = np.unique(pi0.astype(np.int64), return_counts=True)
+    return TableMoments(first, q, z, q_sol, z_sol, values, counts)
 
 
 class ParticleSystem:
@@ -335,9 +356,11 @@ class ParticleSystem:
         happens, so the remaining checkpoints freeze.
         """
         times = check_times(checkpoint_times, self.t)
-        rows = self.coords
-        # bincount copies a strided column on every call; copy them once
-        cols = np.ascontiguousarray(rows.T)
+        # bincount copies a strided column on every call, so the run keeps
+        # the starting table by columns; coords becomes a view of them and
+        # the row-major table is freed
+        cols = np.ascontiguousarray(self.coords.T)
+        rows = self.coords = cols.T
         cum, guide, pair_cum = envelope(self.sys, rows)
         merge_rate = 0.0
         if self.n_particles >= 2:

@@ -185,7 +185,7 @@ def gel_curve(
 ) -> np.ndarray:
     """Rows ``(t, c_1..c_n, M, E_1..E_n)`` over a time grid, in its order;
     the supercritical times are solved together as one Newton stack."""
-    check_times(np.ravel(times).tolist())
+    check_times(np.ravel(times))
     t = np.asarray(times, dtype=float).reshape(-1)
     t_g = gelation(sys, measure, rate_scale).t_g
     c = np.zeros((t.size, sys.n))

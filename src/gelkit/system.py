@@ -146,12 +146,25 @@ def pair_rates(
 
 def check_times(values, start: float = 0.0, end: float = math.inf) -> list[float]:
     """The times as sorted floats; ValueError unless each is finite and lies in
-    ``[start, end]``.  Each value is compared before it is converted, so an
-    integer past the double range is refused, not an OverflowError."""
-    values = list(values)
+    ``[start, end]``.  A Python integer is compared before it is converted,
+    so one past the double range is refused, not an OverflowError; any other
+    value is compared as the double it converts to, so a float32 value is not
+    checked against bounds rounded to float32.  A 1-d integer or float array
+    is decided by the same rule, as a whole."""
     high = min(end, _FLOAT_MAX)
+    if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in "iuf":
+        x = values.astype(float, copy=False)
+        ok = (start <= x) & (x <= high)  # NaN fails both comparisons
+        if not ok.all():
+            v = values[np.argmin(ok)]
+            raise ValueError(
+                f"t = {v} must be finite, not before {start} and not after {end}"
+            )
+        return np.sort(x, kind="stable").tolist()
+    values = list(values)
     for v in values:
-        if not start <= v <= high:  # NaN fails both comparisons
+        x = float(v) if isinstance(v, np.floating) else v
+        if not start <= x <= high:  # NaN fails both comparisons
             raise ValueError(
                 f"t = {v} must be finite, not before {start} and not after {end}"
             )

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import json
+import math
 import struct
 
 import numpy as np
@@ -404,6 +405,55 @@ class TestGuidedDraws:
             _FixedUniforms(u), cum, guide, np.zeros(1, np.intp)
         )
         assert rows.tolist() == [1]
+
+
+def _outcome(values, start, end):
+    """What check_times does: its times, each by repr so -0.0 shows, or
+    the text of its ValueError."""
+    try:
+        return [repr(v) for v in system.check_times(values, start, end)]
+    except ValueError as exc:
+        return str(exc)
+
+
+_EDGE_TIMES = [
+    -0.0, 0.0, 1.0, 2.0, np.nextafter(2.0, 3.0), -1.0, np.nan, np.inf, -np.inf,
+    float(np.finfo(float).max),
+]
+
+
+@st.composite
+def time_arrays(draw):
+    """A 1-d float64 array with NaN, +-inf, -0.0 and values either side of
+    the bounds, or an integer array over its dtype's whole range."""
+    size = draw(st.integers(0, 12))
+    if draw(st.booleans()):
+        element = st.one_of(st.sampled_from(_EDGE_TIMES), st.floats())
+        return draw(arrays(np.float64, size, elements=element))
+    dtype = draw(st.sampled_from([np.int8, np.int32, np.int64, np.uint8, np.uint64]))
+    return draw(arrays(dtype, size))
+
+
+class TestCheckTimesArrays:
+    @given(
+        time_arrays(),
+        st.sampled_from([0.0, -0.0, 1.0, -3.0]),
+        st.sampled_from([math.inf, 2.0, 100.0]),
+    )
+    def test_array_matches_loop(self, values, start, end):
+        # list() hands the loop the array's own scalars
+        assert _outcome(values, start, end) == _outcome(list(values), start, end)
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32])
+    def test_narrow_floats_bounds_not_rounded(self, dtype):
+        # numpy compares a float32 scalar with the bounds rounded to float32:
+        # as inf <= inf past float max, and as 1 <= 1 below 1 + 1e-10; an
+        # array and a list of its scalars are both decided as doubles
+        for value, start in ((np.inf, 0.0), (1.0, 1.0 + 1e-10)):
+            array = np.array([value], dtype=dtype)
+            for values in (array, list(array)):
+                with pytest.raises(ValueError, match="t = "):
+                    system.check_times(values, start)
 
 
 def _dump_bytes(

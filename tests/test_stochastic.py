@@ -115,8 +115,10 @@ class TestDynamics:
         for _ in range(2):
             ps = small_system(mult, seed=5)
             snaps = ps.run([0.5, 1.0])
+            # the total of pi0 is conserved: the final table gives both
+            first = gk.table_moments(ps.sys, ps.coords, ps.n_scale).first
             runs.append(
-                [(s.n_particles, s.gel_largest.mass, s.first[0]) for s in snaps]
+                [(s.n_particles, s.gel_largest.mass, first[0]) for s in snaps]
             )
         assert runs[0] == runs[1]
 
@@ -169,10 +171,11 @@ class TestDynamics:
         sys_, meas = kac
         n = 10_000
         ps = gk.init_poisson(sys_, meas, n, 21)
-        snap = ps.run([0.25])[0]
+        ps.run([0.25])
+        first = gk.table_moments(sys_, ps.coords, ps.n_scale).first
         # mirror symmetry of the data forces mean sign-odd coordinates to
         # vanish like 1/sqrt(N)
-        assert np.abs(snap.first[3:]).max() < 5.0 / np.sqrt(n)
+        assert np.abs(first[3:]).max() < 5.0 / np.sqrt(n)
 
     def test_snapshot_largest_tiebreak(self, mult):
         sys_, _ = mult
@@ -189,16 +192,52 @@ class TestDynamics:
         sys_, _ = mult
         coords = np.array([[1.0, 1.0], [1.0, 1.0], [5.0, 5.0]])
         ps = gk.ParticleSystem(sys_, coords, 10, np.random.default_rng(0))
+        mom = gk.table_moments(sys_, ps.coords, ps.n_scale)
+        assert mom.q[0, 0] == pytest.approx(2.7)  # includes the big row
+        assert mom.q_sol[0, 0] == pytest.approx(0.2)
+        assert mom.z_sol[0] == pytest.approx(0.2)
+
+    def test_sol_moments_drop_the_named_row_at_ties(self, kac):
+        # rows 1-3 tie on pi0; rows 2 and 3 also tie on phi = 11, so row 2
+        sys_, _ = kac
+        coords = np.array([
+            [1.0, 1.0, 2.0, 0.5, 0.0, 0.0],
+            [3.0, 3.0, 4.0, 1.0, 0.0, 0.0],
+            [3.0, 3.0, 5.0, -1.0, 0.0, 0.0],
+            [3.0, 2.0, 6.0, 0.0, 1.0, 0.0],
+            [2.0, 2.0, 3.0, 0.0, -1.0, 0.0],
+        ])
+        ps = gk.ParticleSystem(sys_, coords, 10, np.random.default_rng(0))
+        snap = ps.snapshot()
+        named = np.flatnonzero((ps.coords * 0.1 == snap.gel_largest.g).all(axis=1))
+        assert named.tolist() == [2]
+        mom = gk.table_moments(sys_, ps.coords, ps.n_scale)
+        rest = gk.table_moments(sys_, np.delete(ps.coords, 2, axis=0), ps.n_scale)
+        assert np.array_equal(mom.q_sol, rest.q) and np.array_equal(mom.z_sol, rest.z)
+        assert int(mom.size_counts.sum()) == snap.n_particles == 5
+
+    @pytest.mark.parametrize("size", [0, 1])
+    def test_reduction_of_tiny_tables(self, kac, size):
+        sys_, _ = kac
+        coords = np.array([[2.0, 2.0, 4.0, 1.0, 0.0, 0.0]])[:size]
+        ps = gk.ParticleSystem(sys_, coords, 10, np.random.default_rng(0))
         snap = ps.snapshot(xi=100)
-        assert snap.q[0, 0] == pytest.approx(2.7)  # includes the big row
-        assert snap.q_sol[0, 0] == pytest.approx(0.2)
-        assert snap.z_sol[0] == pytest.approx(0.2)
+        assert snap.n_particles == size
+        assert np.array_equal(snap.gel_largest.g, coords.sum(axis=0) * 0.1)
+        assert not snap.gel_threshold.g.any()
+        mom = gk.table_moments(sys_, ps.coords, 10)
+        assert np.array_equal(mom.first, coords.sum(axis=0) * 0.1)
+        # no particle is left beside the largest
+        assert not mom.q_sol.any() and not mom.z_sol.any()
+        assert mom.size_values.tolist() == [2] * size
+        assert mom.size_counts.tolist() == [1] * size
 
     def test_size_histogram(self, mult):
         ps = small_system(mult, seed=13)
         snap = ps.run([1.0])[0]
-        assert int(snap.size_counts.sum()) == snap.n_particles
-        assert snap.size_values[0] == 1  # monomers survive at t=1
+        mom = gk.table_moments(ps.sys, ps.coords, ps.n_scale)
+        assert int(mom.size_counts.sum()) == snap.n_particles
+        assert mom.size_values[0] == 1  # monomers survive at t=1
 
 
 class TestBatchedState:
