@@ -3,8 +3,8 @@
 Small, dependency-free, and tailored to what this package needs from an ODE
 solver: exact landing on requested output times, a per-accepted-step
 callback that may clamp the state, a stop predicate for blowup detection,
-and access to the accepted-step history.  FSAL is exploited (the 7th stage
-of an accepted step seeds the next).
+and a per-attempted-step callback told the step's stage times in advance.
+FSAL is exploited (the 7th stage of an accepted step seeds the next).
 """
 
 from __future__ import annotations
@@ -50,12 +50,10 @@ _SAFETY = 0.9
 
 @dataclass
 class Trajectory:
-    """Integration record: states at requested outputs plus step history."""
+    """Integration record: states at requested outputs plus step counts."""
 
     ts: list[float] = field(default_factory=list)
     ys: list[np.ndarray] = field(default_factory=list)
-    step_ts: list[float] = field(default_factory=list)
-    step_ys: list[np.ndarray] = field(default_factory=list)
     stopped: bool = False
     n_accepted: int = 0
     n_rejected: int = 0
@@ -72,7 +70,7 @@ def integrate(
     accept_cb: Callable[[float, np.ndarray], np.ndarray | None] | None = None,
     stop: Callable[[float, np.ndarray], bool] | None = None,
     max_steps: int = 1_000_000,
-    keep_steps: bool = False,
+    stages: Callable[[list[float]], None] | None = None,
 ) -> Trajectory:
     """Integrate y' = f(t, y) from t0 to t_end.
 
@@ -80,6 +78,10 @@ def integrate(
     interpolation.  ``accept_cb`` runs after each accepted step and may
     return a replacement state (used for positivity clamping); ``stop``
     ends the run early when it returns True (used for blowup detection).
+    ``stages`` runs once per attempted step, accepted or rejected, before
+    its first new stage, with the times at which ``f`` is then evaluated,
+    the very floats ``f`` receives (so that ``f`` may solve their
+    time-only coefficients together).
     """
     y = np.array(y0, dtype=float)
     t = float(t0)
@@ -113,10 +115,13 @@ def integrate(
             h_step = out[0] - t
             clipped = True
         k[0] = fy
+        stage_ts = [t + _C[s] * h_step for s in range(1, 6)] + [t + h_step]
+        if stages is not None:
+            stages(stage_ts)
         for s in range(1, 6):
-            k[s] = f(t + _C[s] * h_step, y + h_step * (_A[s, :s] @ k[:s]))
+            k[s] = f(stage_ts[s - 1], y + h_step * (_A[s, :s] @ k[:s]))
         y5 = y + h_step * (_B5[:6] @ k[:6])
-        k[6] = f(t + h_step, y5)
+        k[6] = f(stage_ts[5], y5)
         err_vec = h_step * (_ERR @ k)
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
         err = float(np.max(np.abs(err_vec) / scale)) if y.size else 0.0
@@ -137,9 +142,6 @@ def integrate(
             if replacement is not None:
                 y = np.asarray(replacement, dtype=float)
                 fy = np.asarray(f(t, y), dtype=float)
-        if keep_steps:
-            traj.step_ts.append(t)
-            traj.step_ys.append(y.copy())
         emit_outputs()
         if stop is not None and stop(t, y):
             traj.stopped = True

@@ -29,7 +29,7 @@ import numpy as np
 from . import _rk
 from .errors import DualNotSubcritical, ExplosionReached, NumericError
 from .spectral import SpectralResult, gelation
-from .survival import gel_data, solve_fixed_point, survival_probabilities
+from .survival import _CRITICAL_BAND, _newton, gel_data, solve_fixed_point
 from .system import AtomicMeasure, BilinearSystem, GelData, gram_plus, moment_matrix
 from .system import check_rate_scale, check_times
 
@@ -198,6 +198,15 @@ def explosion_time(
     """
     check_rate_scale(rate_scale)
     n = state0.n
+    ts: list[float] = []
+    peaks: list[float] = []
+
+    def stop(t: float, y: np.ndarray) -> bool:
+        # each accepted step's peak entry, kept for the pole fit
+        ts.append(t)
+        peaks.append(float(np.abs(y).max()))
+        return peaks[-1] >= BLOWUP_THRESHOLD
+
     # trial steps overshoot the pole; the step controller rejects them,
     # so the transient overflows are expected and harmless
     with np.errstate(over="ignore", invalid="ignore"):
@@ -209,8 +218,7 @@ def explosion_time(
             rtol=rtol,
             atol=1e-12,
             accept_cb=_accept(n),
-            stop=lambda t, y: float(np.abs(y).max()) >= BLOWUP_THRESHOLD,
-            keep_steps=True,
+            stop=stop,
             max_steps=200_000,
         )
     if not traj.stopped:
@@ -218,8 +226,8 @@ def explosion_time(
             "moment ODE showed no blowup within the step budget; "
             "the system appears subcritical forever (degenerate input)"
         )
-    peaks = np.array([float(np.abs(y).max()) for y in traj.step_ys])
-    ts = np.array(traj.step_ts)
+    peaks = np.array(peaks)
+    ts = np.array(ts)
     cutoff = peaks[-1] / 10.0
     sel = peaks >= cutoff
     if sel.sum() < 3:
@@ -253,18 +261,29 @@ def supercritical_moments(
             f"t={t} is subcritical (t_g={spectral.t_g}); integrate directly"
         )
     sol = solve_fixed_point(sys, measure, t, rate_scale, spectral)
-    rho = survival_probabilities(sys, measure, sol)
+    return _dual(sys, measure, t, sol.c, rate_scale, spectral.t_g)
+
+
+def _dual(
+    sys: BilinearSystem,
+    measure: AtomicMeasure,
+    t: float,
+    c: np.ndarray,
+    rate_scale: float,
+    t_g: float,
+) -> MomentState:
+    """Sol moments at t from the fixed point ``c`` at t: the moment flow of
+    the tilted measure, once its gelation time is checked to be past t."""
+    rho = -np.expm1(-(measure.coords[:, 1 : 1 + sys.n] @ c))
     tilted = measure.scaled(1.0 - rho)
     tilted_tg = gelation(sys, tilted, rate_scale).t_g
     # the tilted gap is about t - t_g, so the margin scales with it
-    if tilted_tg - t <= 0.5 * (t - spectral.t_g):
+    if tilted_tg - t <= 0.5 * (t - t_g):
         raise DualNotSubcritical(
             f"tilted system gels at {tilted_tg}, not after requested t={t}; "
             "fixed-point solution is inconsistent"
         )
-    return integrate_subcritical(
-        sys, initial_state(tilted), t, rate_scale
-    )
+    return integrate_subcritical(sys, initial_state(tilted), t, rate_scale)
 
 
 def moments_at(
@@ -294,9 +313,11 @@ def gel_growth_ode(
 
     The gel absorbs sol particles at a rate set by the current sol moments:
     dg_0 = rs * z A+ g_plus and dg_plus = rs * Q A+ g_plus, with (Q, z)
-    taken from the duality pipeline at each time.  Starts at ``t_g (1 +
-    1e-3)``, or halfway to ``t_to`` if sooner, from the fixed-point gel, and
-    drops outputs before that start.  The second, independent gel curve.
+    taken from the duality pipeline at each time; the fixed points of an
+    attempted step's stage times are solved together, as one Newton stack.
+    Starts at ``t_g (1 + 1e-3)``, or halfway to ``t_to`` if sooner, from the
+    fixed-point gel, and drops outputs before that start.  The second,
+    independent gel curve.
     """
     given = check_times([t_to, *([] if outputs is None else outputs)])
     spectral = gelation(sys, measure, rate_scale)
@@ -310,16 +331,22 @@ def gel_growth_ode(
     n = sys.n
     coeff_cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
-    def coeffs(t: float) -> tuple[np.ndarray, np.ndarray]:
-        got = coeff_cache.get(t)
-        if got is None:
-            state = supercritical_moments(sys, measure, t, rate_scale, spectral)
-            got = (state.q, state.z[1:])
-            coeff_cache[t] = got
-        return got
+    def prefetch(times) -> None:
+        # the coefficients depend on t alone, so a step's stage times are
+        # solved as one Newton stack, with solve_fixed_point's gate per row;
+        # the last two stage times of a step coincide
+        todo = np.array([u for u in dict.fromkeys(times) if u not in coeff_cache])
+        c = np.zeros((todo.size, n))
+        sup = todo > t_g * (1.0 + _CRITICAL_BAND)
+        c[sup] = _newton(sys, measure, todo[sup] * rate_scale)
+        for u, cu in zip(todo.tolist(), c):
+            state = _dual(sys, measure, u, cu, rate_scale, t_g)
+            coeff_cache[u] = (state.q, state.z[1:])
 
     def rhs(t: float, g: np.ndarray) -> np.ndarray:
-        q, zp = coeffs(t)
+        if t not in coeff_cache:
+            prefetch([t])
+        q, zp = coeff_cache[t]
         gp = g[1 : 1 + n]
         dg = np.zeros_like(g)
         flow = sys.a_plus @ gp
@@ -330,6 +357,6 @@ def gel_growth_ode(
     out = sorted({v for v in given if v >= t_start})
     traj = _rk.integrate(
         rhs, t_start, g0, t_to, rtol=rtol, atol=1e-10, outputs=out,
-        max_steps=20_000,
+        max_steps=20_000, stages=prefetch,
     )
     return [(t, GelData(y)) for t, y in zip(traj.ts, traj.ys)]

@@ -34,6 +34,7 @@ from .system import (
     first_moments,
     gram_plus,
     moment_matrix,
+    time_array,
 )
 
 # Newton stops once a step is at most this fraction of |c|_inf.
@@ -185,8 +186,7 @@ def gel_curve(
 ) -> np.ndarray:
     """Rows ``(t, c_1..c_n, M, E_1..E_n)`` over a time grid, in its order;
     the supercritical times are solved together as one Newton stack."""
-    check_times(np.ravel(times))
-    t = np.asarray(times, dtype=float).reshape(-1)
+    t = time_array(np.ravel(times))
     t_g = gelation(sys, measure, rate_scale).t_g
     c = np.zeros((t.size, sys.n))
     sup = t > t_g * (1.0 + _CRITICAL_BAND)

@@ -144,23 +144,40 @@ def pair_rates(
     return np.maximum(kbar, 0.0), khat
 
 
+def _is_time_array(values) -> bool:
+    return (
+        isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in "iuf"
+    )
+
+
+def time_array(values, start: float = 0.0, end: float = math.inf) -> np.ndarray:
+    """The times as a float array in their given order, by the rule of
+    :func:`check_times`.  A 1-d integer or float array is decided as a
+    whole, in a few array passes, and returned as doubles without a sort."""
+    if not _is_time_array(values):
+        values = list(values)
+        check_times(values, start, end)
+        return np.array(values, dtype=float)
+    x = values.astype(float, copy=False)
+    ok = (start <= x) & (x <= min(end, _FLOAT_MAX))  # NaN fails both comparisons
+    if not ok.all():
+        v = values[np.argmin(ok)]
+        raise ValueError(
+            f"t = {v} must be finite, not before {start} and not after {end}"
+        )
+    return x
+
+
 def check_times(values, start: float = 0.0, end: float = math.inf) -> list[float]:
     """The times as sorted floats; ValueError unless each is finite and lies in
     ``[start, end]``.  A Python integer is compared before it is converted,
     so one past the double range is refused, not an OverflowError; any other
     value is compared as the double it converts to, so a float32 value is not
     checked against bounds rounded to float32.  A 1-d integer or float array
-    is decided by the same rule, as a whole."""
+    is decided by the same rule, as a whole (:func:`time_array`)."""
+    if _is_time_array(values):
+        return np.sort(time_array(values, start, end), kind="stable").tolist()
     high = min(end, _FLOAT_MAX)
-    if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in "iuf":
-        x = values.astype(float, copy=False)
-        ok = (start <= x) & (x <= high)  # NaN fails both comparisons
-        if not ok.all():
-            v = values[np.argmin(ok)]
-            raise ValueError(
-                f"t = {v} must be finite, not before {start} and not after {end}"
-            )
-        return np.sort(x, kind="stable").tolist()
     values = list(values)
     for v in values:
         x = float(v) if isinstance(v, np.floating) else v

@@ -3,7 +3,7 @@ import pytest
 
 import gelkit as gk
 from gelkit import _rk, moments, survival
-from gelkit.errors import ExplosionReached
+from gelkit.errors import ExplosionReached, SlowConvergence
 
 
 def resolvent_oracle(q0: np.ndarray, a_plus: np.ndarray, t: float, rs=1.0):
@@ -232,3 +232,65 @@ class TestGelGrowth:
         gk.gel_growth_ode(sys_, meas, 2.0)
         assert own.count(True) == 1
         assert own.count(False) > 10  # each tilted measure is still solved
+
+    @pytest.mark.parametrize("preset", ["mult", "bidi", "kac"])
+    def test_stage_batch_changes_nothing(self, preset, request, monkeypatch):
+        # each step's stage times solved as one Newton stack against the
+        # same run with one solve per stage time
+        sys_, meas = request.getfixturevalue(preset)
+        t_g = gk.gelation_time(sys_, meas)
+        outputs = [1.2 * t_g, 1.5 * t_g]
+        rows = []
+        newton = moments._newton
+
+        def counted(s, m, scales):
+            rows.append(len(scales))
+            return newton(s, m, scales)
+
+        monkeypatch.setattr(moments, "_newton", counted)
+        batched = gk.gel_growth_ode(sys_, meas, 2.0 * t_g, outputs=outputs)
+        assert max(rows) > 1
+        integrate, dropped = _rk.integrate, []
+
+        def per_stage(*args, stages=None, **kwargs):
+            dropped.append(stages is not None)
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(_rk, "integrate", per_stage)
+        rows.clear()
+        single = gk.gel_growth_ode(sys_, meas, 2.0 * t_g, outputs=outputs)
+        assert dropped == [True] and max(rows) == 1
+        assert [t for t, _ in batched] == [t for t, _ in single] == [*outputs, 2.0 * t_g]
+        for (_, a), (_, b) in zip(batched, single):
+            assert np.array_equal(a.g, b.g)
+
+    def test_slow_stage_solve_raises(self, kac, monkeypatch):
+        sys_, meas = kac
+        t_g = gk.gelation_time(sys_, meas)
+        t_to = t_g * (1.0 + 1e-6)
+        start = gk.gel_data(sys_, meas, t_g + 0.5 * (t_to - t_g))
+        monkeypatch.setattr(moments, "gel_data", lambda *args: start)
+        monkeypatch.setattr(survival, "_MAX_NEWTON", 5)
+        with pytest.raises(SlowConvergence):
+            gk.gel_growth_ode(sys_, meas, t_to)
+
+
+class TestRkStages:
+    def test_stage_times_announced_per_attempted_step(self):
+        # a fast oscillation makes the step controller reject steps
+        seen, announced = [], []
+
+        def f(t, y):
+            seen.append(t)
+            return 5.0 * np.cos(30.0 * t) * y
+
+        traj = _rk.integrate(
+            f, 0.0, np.ones(1), 3.0, outputs=[0.5],
+            stages=lambda times: announced.append((len(seen), list(times))),
+        )
+        assert traj.n_rejected > 0
+        assert len(announced) == traj.n_accepted + traj.n_rejected
+        assert seen[0] == 0.0 and len(seen) == 1 + 6 * len(announced)
+        for i, (at, times) in enumerate(announced):
+            assert at == 1 + 6 * i
+            assert seen[at : at + 6] == times

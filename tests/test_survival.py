@@ -109,6 +109,18 @@ class TestNearCritical:
             want = np.concatenate(([t], sol.c, g[: 1 + n]))
             np.testing.assert_allclose(row, want, rtol=1e-14, atol=0.0)
 
+    @pytest.mark.parametrize("name", PRESETS)
+    def test_newton_stack_rows_equal_one_row_solves(self, name):
+        # gel_curve and gel_growth_ode solve many times as one stack and
+        # rely on each row being its one-row solve, bit for bit
+        sys_, meas = gk.from_name(name)
+        t_g = gk.gelation_time(sys_, meas)
+        scales = t_g * np.concatenate((1.0 + 10.0 ** -np.arange(2, 7), [1.5, 10.0]))
+        stack = survival._newton(sys_, meas, scales)
+        for scale, row in zip(scales, stack):
+            assert np.array_equal(row, survival._newton(sys_, meas, np.array([scale]))[0])
+        assert np.array_equal(survival._newton(sys_, meas, scales[::-1])[::-1], stack)
+
     def test_iteration_cap(self, kac, monkeypatch):
         sys_, meas = kac
         t_g = gk.gelation_time(sys_, meas)

@@ -7,7 +7,7 @@ import pytest
 import gelkit as gk
 from gelkit import _rk, graphs
 from gelkit.errors import NegativeRate, SchemaError
-from gelkit.system import check_times
+from gelkit.system import check_times, time_array
 
 
 def rows(*atoms):
@@ -419,6 +419,18 @@ class TestCheckTimes:
     def test_before_start_refused(self):
         with pytest.raises(ValueError, match="before"):
             check_times([0.5], 1.0)
+
+    def test_time_array_keeps_order(self):
+        for values in ([2, 0.5, 1], np.array([2.0, 0.5, 1.0]), np.array([2, 0, 1])):
+            x = time_array(values)
+            assert x.dtype == np.float64
+            assert x.tolist() == [float(v) for v in values]
+        for bad in ([0.5, np.nan], np.array([0.5, -1.0]), [10**400]):
+            with pytest.raises(ValueError) as refused:
+                time_array(bad)
+            with pytest.raises(ValueError) as listed:
+                check_times(list(bad))
+            assert str(refused.value) == str(listed.value)
 
 
 def _sim(c, cls):
