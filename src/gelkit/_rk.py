@@ -9,6 +9,7 @@ FSAL is exploited (the 7th stage of an accepted step seeds the next).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -42,6 +43,8 @@ _B4 = np.array(
     ]
 )
 _ERR = _B5 - _B4
+# a step's stage times after the first are t + c h, then t + h for the last
+_C_STAGES = _C[1:6].tolist()
 
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
@@ -81,7 +84,9 @@ def integrate(
     ``stages`` runs once per attempted step, accepted or rejected, before
     its first new stage, with the times at which ``f`` is then evaluated,
     the very floats ``f`` receives (so that ``f`` may solve their
-    time-only coefficients together).
+    time-only coefficients together).  ``f`` may not keep the array it is
+    given: the stages reuse one buffer.  A step too small to advance ``t``
+    raises :class:`NoConvergence`.
     """
     y = np.array(y0, dtype=float)
     t = float(t0)
@@ -98,34 +103,51 @@ def integrate(
     if t_end == t:
         return traj
 
-    fy = np.asarray(f(t, y), dtype=float)
+    n = y.size
+    # k[0] is always the slope of the accepted state (FSAL: the last stage
+    # of an accepted step seeds the next); a trial writes k[1:] only
+    k = np.empty((7, n))
+    k[0] = f(t, y)
     # conservative initial step from the state/derivative scales
     span = t_end - t
     scale = atol + rtol * np.abs(y)
-    d0 = float(np.max(np.abs(y) / scale)) if y.size else 0.0
-    d1 = float(np.max(np.abs(fy) / scale)) if y.size else 0.0
+    d0 = float(np.max(np.abs(y) / scale)) if n else 0.0
+    d1 = float(np.max(np.abs(k[0]) / scale)) if n else 0.0
     h = min(span, 0.01 * (d0 / d1) if d1 > 0 else 0.1 * span)
-    h = max(h, 1e-12 * span)
+    if h == 0.0:
+        h = 1e-12 * span
 
-    k = np.empty((7, y.size))
+    rows = [(_A[s, :s], k[:s]) for s in range(1, 6)]
+    b5, k6 = _B5[:6], k[:6]
+    ys, tmp, err_vec, scale = (np.empty(n) for _ in range(4))
     for _ in range(max_steps):
         clipped = False
         h_step = min(h, t_end - t)
         if out and out[0] > t and out[0] - t < h_step:
             h_step = out[0] - t
             clipped = True
-        k[0] = fy
-        stage_ts = [t + _C[s] * h_step for s in range(1, 6)] + [t + h_step]
+        if t + h_step == t:
+            raise NoConvergence(f"integrator step underflow at t={t} (step {h_step!r})")
+        stage_ts = [t + c * h_step for c in _C_STAGES] + [t + h_step]
         if stages is not None:
             stages(stage_ts)
-        for s in range(1, 6):
-            k[s] = f(stage_ts[s - 1], y + h_step * (_A[s, :s] @ k[:s]))
-        y5 = y + h_step * (_B5[:6] @ k[:6])
+        for s, (row, ks) in enumerate(rows, 1):
+            np.matmul(row, ks, out=tmp)
+            tmp *= h_step
+            k[s] = f(stage_ts[s - 1], np.add(y, tmp, out=ys))
+        y5 = np.matmul(b5, k6)
+        y5 *= h_step
+        y5 += y
         k[6] = f(stage_ts[5], y5)
-        err_vec = h_step * (_ERR @ k)
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-        err = float(np.max(np.abs(err_vec) / scale)) if y.size else 0.0
-        if not np.isfinite(err):
+        np.matmul(_ERR, k, out=err_vec)
+        err_vec *= h_step
+        np.abs(err_vec, out=err_vec)
+        np.maximum(np.abs(y, out=scale), np.abs(y5, out=tmp), out=scale)
+        scale *= rtol
+        scale += atol
+        err_vec /= scale
+        err = float(err_vec.max()) if n else 0.0
+        if not math.isfinite(err):
             h = h_step * 0.25
             traj.n_rejected += 1
             continue
@@ -133,15 +155,15 @@ def integrate(
             h = h_step * max(_MIN_FACTOR, _SAFETY * err ** (-0.2))
             traj.n_rejected += 1
             continue
-        t = t + h_step
+        t = stage_ts[5]
         y = y5
-        fy = k[6]
+        k[0] = k[6]
         traj.n_accepted += 1
         if accept_cb is not None:
             replacement = accept_cb(t, y)
             if replacement is not None:
                 y = np.asarray(replacement, dtype=float)
-                fy = np.asarray(f(t, y), dtype=float)
+                k[0] = f(t, y)
         emit_outputs()
         if stop is not None and stop(t, y):
             traj.stopped = True

@@ -452,7 +452,7 @@ def duality_experiment(
     spectral = gelation(sys, measure, rate_scale)
     coeff = solve_fixed_point(sys, measure, t_minus, rate_scale, spectral)
     rho = survival_probabilities(sys, measure, coeff)
-    tilted = measure.scaled(1.0 - rho)
+    tilted = measure._tilted(rho)
     t_gel, t_gel_tilted = spectral.t_g, gelation(sys, tilted, rate_scale).t_g
     if not (t_gel < t_minus < t_plus < t_gel_tilted):
         raise WindowInvalid(

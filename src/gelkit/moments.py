@@ -8,7 +8,12 @@ close into an autonomous quadratic ODE system,
     dz_0/dt = rs * z A+ z^T       z_0  = <pi0^2>
 
 (mirror symmetry kills every mixed moment with a sign-odd coordinate, so
-the odd block never feeds back).  The system is a matrix Riccati equation,
+the odd block never feeds back).  Bordering ``Q`` with ``z`` gives the
+(1+n) x (1+n) second-moment matrix ``Y = <(pi0, plus)(pi0, plus)^T>``, and
+the whole system is one matrix Riccati equation,
+
+    dY/dt = rs * Y A_hat Y,      A_hat = diag(0, A+),
+
 so ``Q^-1`` falls linearly in time and the solution has a closed form,
 which is what the production path evaluates.  The solution blows up in
 finite time; that blowup time equals the gelation time, and integrating
@@ -35,7 +40,8 @@ from .system import check_rate_scale, check_times
 
 BLOWUP_THRESHOLD = 1e12
 
-_CS_SLACK = 1e-7
+# rounding slack of |Y_ij| <= sqrt(Y_ii Y_jj); squared, it stays below 1e-7
+_CS_SLACK = 4.9e-8
 
 
 @dataclass(frozen=True)
@@ -75,66 +81,39 @@ def initial_state(measure: AtomicMeasure) -> MomentState:
     )
 
 
-def _derivative(
-    a_plus: np.ndarray, q: np.ndarray, z: np.ndarray, rate_scale: float
-) -> np.ndarray:
-    """(dQ, dz) at (q, z), packed as :func:`_pack` lays them out."""
-    n = len(z) - 1
-    out = np.empty(n * n + n + 1)
-    zp = z[1:]
-    za = zp @ a_plus
-    np.multiply(rate_scale, q @ a_plus @ q, out=out[: n * n].reshape(n, n))
-    np.multiply(rate_scale, za @ q, out=out[n * n + 1 :])
-    out[n * n] = rate_scale * float(za @ zp)
-    return out
+def _second_moments(state: MomentState) -> np.ndarray:
+    """``Y = <(pi0, plus)(pi0, plus)^T>``: ``z`` borders ``Q``."""
+    y = np.empty((state.n + 1, state.n + 1))
+    y[0] = state.z
+    y[1:, 0] = state.z[1:]
+    y[1:, 1:] = state.q
+    return y
+
+
+def _riccati(sys: BilinearSystem, rate_scale: float):
+    """The whole moment flow ``dY = rs Y A_hat Y``, ``A_hat = diag(0, A+)``,
+    on the flattened ``Y``."""
+    m = sys.n + 1
+    a_hat = np.zeros((m, m))
+    a_hat[1:, 1:] = sys.a_plus
+
+    def rhs(t: float, y: np.ndarray) -> np.ndarray:
+        y = y.reshape(m, m)
+        dy = y @ a_hat @ y
+        dy *= rate_scale
+        return dy.reshape(-1)
+
+    return rhs
 
 
 def moment_rhs(
     sys: BilinearSystem, state: MomentState, rate_scale: float = 1.0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Time derivatives (dQ, dz) at the given state."""
-    return _unpack(state.n, _derivative(sys.a_plus, state.q, state.z, rate_scale))
-
-
-def _pack(q: np.ndarray, z: np.ndarray) -> np.ndarray:
-    return np.concatenate((q.ravel(), z))
-
-
-def _unpack(n: int, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return y[: n * n].reshape(n, n), y[n * n :]
-
-
-def _check_cauchy_schwarz(t: float, q: np.ndarray, z: np.ndarray) -> None:
-    diag = q.diagonal()
-    d = np.sqrt(diag)
-    if (np.abs(q) > d[:, None] * d * (1.0 + _CS_SLACK) + 1e-300).any():
-        raise NumericError(
-            f"Cauchy-Schwarz violated in Q at t={t}; integration unreliable"
-        )
-    if (z[1:] ** 2 > (z[0] * diag) * (1.0 + _CS_SLACK) + 1e-300).any():
-        raise NumericError(
-            f"Cauchy-Schwarz violated in z at t={t}; integration unreliable"
-        )
-
-
-def _rhs_fn(sys: BilinearSystem, n: int, rate_scale: float):
-    a_plus = sys.a_plus
-
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        return _derivative(a_plus, *_unpack(n, y), rate_scale)
-
-    return rhs
-
-
-def _accept(n: int):
-    def cb(t: float, y: np.ndarray) -> np.ndarray:
-        q, z = _unpack(n, y)
-        sym = (q + q.T) / 2.0
-        _check_cauchy_schwarz(t, sym, z)
-        # a state left unchanged keeps the integrator's last stage as its slope
-        return None if np.array_equal(sym, q) else _pack(sym, z)
-
-    return cb
+    dy = _riccati(sys, rate_scale)(state.t, _second_moments(state)).reshape(
+        state.n + 1, state.n + 1
+    )
+    return dy[1:, 1:], dy[0]
 
 
 def integrate_subcritical(
@@ -197,9 +176,21 @@ def explosion_time(
     spectral formula, so the two routes cross-validate each other.
     """
     check_rate_scale(rate_scale)
-    n = state0.n
+    m = state0.n + 1
     ts: list[float] = []
     peaks: list[float] = []
+
+    def accept(t: float, y: np.ndarray) -> np.ndarray | None:
+        y = y.reshape(m, m)
+        sym = (y + y.T) / 2.0
+        d = np.sqrt(sym.diagonal())
+        if (np.abs(sym) > d[:, None] * d * (1.0 + _CS_SLACK) + 1e-300).any():
+            raise NumericError(
+                f"Cauchy-Schwarz violated in the second moments at t={t}; "
+                "integration unreliable"
+            )
+        # a state left unchanged keeps the integrator's last stage as its slope
+        return None if np.array_equal(sym, y) else sym.reshape(-1)
 
     def stop(t: float, y: np.ndarray) -> bool:
         # each accepted step's peak entry, kept for the pole fit
@@ -211,13 +202,13 @@ def explosion_time(
     # so the transient overflows are expected and harmless
     with np.errstate(over="ignore", invalid="ignore"):
         traj = _rk.integrate(
-            _rhs_fn(sys, n, rate_scale),
+            _riccati(sys, rate_scale),
             state0.t,
-            _pack(state0.q, state0.z),
+            _second_moments(state0).reshape(-1),
             1e30,
             rtol=rtol,
             atol=1e-12,
-            accept_cb=_accept(n),
+            accept_cb=accept,
             stop=stop,
             max_steps=200_000,
         )
@@ -274,8 +265,7 @@ def _dual(
 ) -> MomentState:
     """Sol moments at t from the fixed point ``c`` at t: the moment flow of
     the tilted measure, once its gelation time is checked to be past t."""
-    rho = -np.expm1(-(measure.coords[:, 1 : 1 + sys.n] @ c))
-    tilted = measure.scaled(1.0 - rho)
+    tilted = measure._tilted(-np.expm1(-(measure.coords[:, 1 : 1 + sys.n] @ c)))
     tilted_tg = gelation(sys, tilted, rate_scale).t_g
     # the tilted gap is about t - t_g, so the margin scales with it
     if tilted_tg - t <= 0.5 * (t - t_g):

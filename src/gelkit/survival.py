@@ -174,8 +174,7 @@ def tilted_measure(
     """The initial measure thinned by non-survival: weights times
     ``1 - rho_t``.  Describes the sol phase as a fresh subcritical system."""
     sol = solve_fixed_point(sys, measure, t, rate_scale)
-    rho = survival_probabilities(sys, measure, sol)
-    return measure.scaled(1.0 - rho)
+    return measure._tilted(survival_probabilities(sys, measure, sol))
 
 
 def gel_curve(

@@ -305,10 +305,34 @@ class AtomicMeasure:
 
     def scaled(self, factors) -> "AtomicMeasure":
         """New measure with weights multiplied by ``factors`` (scalar or
-        per-atom array); atoms whose new weight is not positive are dropped."""
+        per-atom array); atoms whose new weight is not positive are dropped.
+        Only the new weights are checked: the atoms kept are valid and
+        distinct already."""
         w = self.weight_array * np.asarray(factors, dtype=float)
+        if w.shape != self.weight_array.shape:
+            raise ValueError("factors must be a scalar or one per atom")
         keep = w > 0.0
-        return AtomicMeasure(self.coords[keep], w[keep], self.n)
+        w = w[keep]
+        if not np.isfinite(w).all():
+            raise ValueError("coordinates and weights must be finite")
+        coords = self.coords[keep]
+        coords.setflags(write=False)
+        w.setflags(write=False)
+        out = object.__new__(AtomicMeasure)
+        for name, value in (("coords", coords), ("weight_array", w), ("n", self.n)):
+            object.__setattr__(out, name, value)
+        return out
+
+    def _tilted(self, rho: np.ndarray) -> "AtomicMeasure":
+        """:meth:`scaled` by ``1 - rho`` for survival probabilities ``rho``
+        in [0, 1], which depend on the plus coordinates alone.  An atom and
+        its reflection then share a factor of at most 1, so when no atom is
+        dropped a mirror-symmetric measure stays so: a true A1 verdict is
+        carried, not checked again."""
+        tilted = self.scaled(1.0 - rho)
+        if len(tilted) == len(self) and self.__dict__.get("mirror_symmetric"):
+            tilted.__dict__["mirror_symmetric"] = True
+        return tilted
 
 
 @dataclass(frozen=True)

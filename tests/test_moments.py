@@ -1,9 +1,17 @@
+import time
+
 import numpy as np
 import pytest
 
 import gelkit as gk
 from gelkit import _rk, moments, survival
-from gelkit.errors import ExplosionReached, SlowConvergence
+from gelkit.errors import (
+    ExplosionReached,
+    GelkitError,
+    NoConvergence,
+    NumericError,
+    SlowConvergence,
+)
 
 
 def resolvent_oracle(q0: np.ndarray, a_plus: np.ndarray, t: float, rs=1.0):
@@ -103,27 +111,69 @@ class TestExplosionTime:
         zeta = gk.explosion_time(sys_, gk.initial_state(meas), rate_scale=2.0)
         assert abs(zeta - 0.5) < 1e-6
 
+    @pytest.mark.parametrize("rate_scale", [1.0, 1.7])
+    @pytest.mark.parametrize("preset", ["mult", "bidi", "kac"])
+    def test_within_1e9_of_spectral(self, preset, rate_scale, request):
+        sys_, meas = request.getfixturevalue(preset)
+        t_g = gk.gelation_time(sys_, meas, rate_scale)
+        zeta = gk.explosion_time(sys_, gk.initial_state(meas), rate_scale)
+        assert abs(zeta - t_g) / t_g < 1e-9
+
+    def test_coarse_tolerance_still_finds_the_pole(self, mult):
+        # a retried step used to start from a rejected trial's last slope,
+        # which at rtol 1e-2 stalled the run at the step budget
+        sys_, meas = mult
+        start = time.perf_counter()
+        zeta = gk.explosion_time(sys_, gk.initial_state(meas), rtol=1e-2)
+        assert abs(zeta - 1.0) < 1e-4
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize(
+        "preset, q, z",
+        [
+            ("kac", [[1.0, 2.0], [2.0, 1.0]], [1.0, 0.5, 0.5]),  # in Q
+            ("mult", [[1.0]], [1.0, 2.0]),  # in z
+        ],
+    )
+    def test_cauchy_schwarz_violation_raises(self, preset, q, z, request):
+        sys_, _ = request.getfixturevalue(preset)
+        with pytest.raises(NumericError, match="Cauchy-Schwarz"):
+            gk.explosion_time(sys_, gk.MomentState(0.0, q, z))
+
+    def test_nan_state_fails_fast(self, mult):
+        sys_, _ = mult
+        start = time.perf_counter()
+        with pytest.raises(GelkitError):
+            gk.explosion_time(sys_, gk.MomentState(0.0, [[np.nan]], [1.0, 1.0]))
+        assert time.perf_counter() - start < 1.0
+
 
 class TestPackedRhs:
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_matches_moment_rhs_bitwise(self, n):
+        # the Riccati kernel on the flattened Y: bit for bit up to n = 3;
+        # beyond, BLAS may sum the bordered products in another order
+        rtol = 0.0 if n <= 3 else 1e-13
         rng = np.random.default_rng(n)
         b = rng.uniform(0.1, 1.0, (n, n))
         sys_ = gk.BilinearSystem(n, 0, b + b.T, [])
         a, rs = sys_.a_plus, 1.3
-        rhs = moments._rhs_fn(sys_, n, rs)
+        rhs = moments._riccati(sys_, rs)
         for _ in range(20):
             x = rng.normal(size=(n, n))
             q = x @ x.T + n * np.eye(n)
             z = rng.uniform(0.1, 2.0, n + 1)
-            dq, dz = gk.moment_rhs(sys_, gk.MomentState(0.0, q, z), rs)
-            assert np.array_equal(rhs(0.0, np.concatenate((q.ravel(), z))),
-                                  np.concatenate((dq.ravel(), dz)))
+            state = gk.MomentState(0.0, q, z)
+            y = moments._second_moments(state)
+            assert np.array_equal(y, y.T)
+            dy = rhs(0.0, y.reshape(-1)).reshape(n + 1, n + 1)
+            dq, dz = gk.moment_rhs(sys_, state, rs)
+            assert np.array_equal(dy[1:, 1:], dq) and np.array_equal(dy[0], dz)
             # the formula, in its evaluation order
             zp = z[1:]
-            assert np.array_equal(dq, rs * (q @ a @ q))
-            assert np.array_equal(dz[1:], rs * (zp @ a @ q))
-            assert dz[0] == rs * float(zp @ a @ zp)
+            np.testing.assert_allclose(dq, rs * (q @ a @ q), rtol=rtol, atol=0)
+            np.testing.assert_allclose(dz[1:], rs * (zp @ a @ q), rtol=rtol, atol=0)
+            np.testing.assert_allclose(dz[0], rs * float(zp @ a @ zp), rtol=rtol, atol=0)
 
 
 class TestSupercritical:
@@ -294,3 +344,32 @@ class TestRkStages:
         for i, (at, times) in enumerate(announced):
             assert at == 1 + 6 * i
             assert seen[at : at + 6] == times
+
+    def test_retry_starts_from_the_accepted_slope(self):
+        # y' = 5 cos(30 t) y rejects many steps; each retry must start from
+        # f(t, y), not from the rejected trial's last stage
+        traj = _rk.integrate(
+            lambda t, y: 5.0 * np.cos(30.0 * t) * y, 0.0, np.ones(1), 3.0,
+            rtol=1e-8, outputs=[3.0],
+        )
+        exact = np.exp(5.0 * np.sin(90.0) / 30.0)
+        assert abs(traj.ys[-1][0] / exact - 1.0) < 1e-8
+        assert traj.n_rejected < 100
+
+    def test_far_end_time_does_not_set_the_first_step(self):
+        # y' = y^2 blows up at t = 1; an end time of 1e30 is only a sentinel
+        attempts, first = [], []
+
+        def stop(t, y):
+            first.append(len(attempts))
+            return y[0] > 1e6
+
+        traj = _rk.integrate(
+            lambda t, y: y * y, 0.0, np.ones(1), 1e30, stop=stop,
+            stages=lambda times: attempts.append(times),
+        )
+        assert traj.stopped and first[0] == 1
+
+    def test_step_underflow_raises(self):
+        with pytest.raises(NoConvergence, match="underflow"):
+            _rk.integrate(lambda t, y: np.full_like(y, np.nan), 0.0, np.ones(1), 1.0)

@@ -8,7 +8,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.sparse.csgraph import connected_components
@@ -192,6 +192,31 @@ class TestMeasureChecks:
             for i in range(len(rows))
         )
         assert meas.mirror_symmetric == symmetric
+
+    @given(grid_measure(), st.lists(st.floats(0.0, 1e3), min_size=2, max_size=2))
+    def test_tilt_carries_a1_verdict(self, case, c):
+        # the tilt factor depends on the plus coordinates alone, so the
+        # tilted measure equals a freshly checked one, verdict included
+        n, rows, weights = case
+        _, first = np.unique(rows, axis=0, return_index=True)
+        try:
+            meas = gk.AtomicMeasure(rows[first], weights[first], n)
+        except ValueError:  # two rows within the tolerance: not one measure
+            assume(False)
+        symmetric = meas.mirror_symmetric
+        rho = -np.expm1(-(meas.coords[:, 1 : 1 + n] @ np.array(c[:n])))
+        tilted = meas._tilted(rho)
+        w = meas.weight_array * (1.0 - rho)
+        fresh = gk.AtomicMeasure(meas.coords[w > 0.0], w[w > 0.0], n)
+        carried = "mirror_symmetric" in vars(tilted)
+        assert carried == (symmetric and len(fresh) == len(meas))
+        assert tilted.mirror_symmetric == fresh.mirror_symmetric
+        assert np.array_equal(tilted.coords, fresh.coords)
+        assert np.array_equal(tilted.weight_array, fresh.weight_array)
+        assert tilted.n == fresh.n
+        for factors in (np.inf, np.where(np.arange(len(meas)) == 0, np.inf, 1.0)):
+            with pytest.raises(ValueError, match="finite"):
+                meas.scaled(factors)
 
 
 @st.composite
