@@ -270,7 +270,7 @@ def graph_from_measure(
 
 def _components(count: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, int]:
     """Component label of each of ``count`` vertices joined by edges (u, v)."""
-    return contract(np.arange(count, dtype=np.int32), count, u, v)
+    return contract(np.arange(count), count, u, v)
 
 
 @dataclass(frozen=True)
@@ -322,7 +322,7 @@ def trajectory(
     times = check_times(checkpoint_times, end=graph.t_max)
     xi = _size_threshold(xi, graph.n_scale)
     count = graph.n_vertices
-    labels = np.arange(count, dtype=np.int32)
+    labels = np.arange(count)
     out = []
     pos = 0
     for target in times:

@@ -26,8 +26,15 @@ go to a binary search, and every draw is checked against the exact
 binary search.  While the nonzero |x_k| of a coordinate stay within a
 bounded ratio, as on the presets, a draw costs expected O(1): on
 multiplicative no draw falls back, on kinetic-gas (whose momentum
-coordinates are 0 on half the atoms) about 3% do.  A run costs O(P) per
-chunk and per checkpoint plus expected O(1) per proposal.
+coordinates are 0 on half the atoms) about 3% do.
+
+A run costs O(P) per chunk and per checkpoint plus expected O(1) per
+proposal.  A chunk's kept edges go to :func:`contract`, whose hooking
+rounds touch at most one pointer per edge (2 to 4 rounds on the presets)
+before one O(K) pass numbers the K clusters and one O(P) gather relabels
+the starting rows; no cluster-by-cluster matrix is built.  A checkpoint
+then sums the rows into the cluster table, one O(P) ``bincount`` per
+column.
 
 A sampler's ``coords`` is the table of its live clusters and nothing else,
 one row each, ordered by the cluster's lowest starting row.
@@ -200,32 +207,64 @@ def envelope_proposals(rng, sys, rows, cum, guide, pair_cum, size: int):
     return p, q, keep
 
 
+def _jump(parent: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Double the pointers of ``nodes`` until each points at its root, and
+    return those roots.  The nodes must hold every non-root that their
+    pointers reach."""
+    up = parent[nodes]
+    while True:
+        top = parent[up]
+        if (top == up).all():
+            return up
+        parent[nodes] = up = top
+
+
 def contract(
     labels: np.ndarray, clusters: int, p: np.ndarray, q: np.ndarray
 ) -> tuple[np.ndarray, int]:
     """Join the clusters of rows p[i] and q[i]: the new labels and count.
 
-    ``connected_components`` numbers components by their lowest node, so
-    labels stay ordered by each cluster's lowest row.
+    A union-find by hooking and pointer jumping (Shiloach & Vishkin) on the
+    cluster ids.  Each round hooks the larger root of every live edge to
+    the smallest root it shares an edge with, doubles the hooked roots'
+    pointers until each points at its new root, moves the edges onto the
+    new roots and drops those inside one tree.  Pointers only go to lower
+    ids, so a joined cluster's root is its lowest member, and the roots,
+    numbered in order, keep the labels ordered by each cluster's lowest
+    row.
+
+    The loop ends: each round hooks at least one root.  A tree with a live
+    edge merges within two rounds (it hooks, is hooked onto, or has an edge
+    to a tree that hooked below it), so there are O(log K) rounds for K
+    clusters, each of O(log K) doublings over at most one pointer per edge.
+    Numbering the roots costs one O(K) pass and relabelling the rows one
+    O(P) gather.
     """
     a, b = labels[p], labels[q]
     cross = a != b
     if not cross.any():
         return labels, clusters
-    from scipy.sparse import csr_matrix  # slow to import; the limit path never merges
-    from scipy.sparse.csgraph import connected_components
-
-    graph = csr_matrix(
-        (np.ones(int(cross.sum())), (a[cross], b[cross])),
-        shape=(clusters, clusters),
-    )
-    clusters, comp = connected_components(graph, directed=False)
-    return comp[labels], clusters
+    a, b = a[cross], b[cross]
+    parent = np.arange(clusters, dtype=labels.dtype)
+    hooked = np.zeros(clusters, dtype=bool)
+    while a.size:
+        high = np.maximum(a, b)
+        np.minimum.at(parent, high, np.minimum(a, b))
+        hooked[high] = True
+        _jump(parent, high)
+        a, b = parent[a], parent[b]
+        live = a != b
+        a, b = a[live], b[live]
+    low = np.flatnonzero(hooked)
+    up = _jump(parent, low)
+    clusters -= low.size
+    parent[~hooked] = np.arange(clusters, dtype=parent.dtype)
+    parent[low] = parent[up]
+    return parent[labels], clusters
 
 
 def _cluster_sums(cols: np.ndarray, labels: np.ndarray, clusters: int) -> np.ndarray:
     """Each cluster's row sum, one row per label, from the rows' columns."""
-    labels = labels.astype(np.intp, copy=False)
     sums = np.empty((clusters, cols.shape[0]))
     for j, col in enumerate(cols):
         sums[:, j] = np.bincount(labels, weights=col, minlength=clusters)
@@ -375,7 +414,7 @@ class ParticleSystem:
         if not math.isfinite(merge_rate):
             raise RateUnderflow(f"envelope rate {merge_rate} is not finite")
         clusters = self.n_particles
-        labels = np.arange(clusters, dtype=np.int32)  # cluster of each row
+        labels = np.arange(clusters)  # cluster of each row
         out: list[Snapshot] = []
         for target in times:
             if merge_rate > 0.0 and target > self.t:

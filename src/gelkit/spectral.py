@@ -28,7 +28,12 @@ def criticality_matrix(sys: BilinearSystem, measure: AtomicMeasure) -> np.ndarra
     Only the conserved block enters: the sign-odd coordinates cannot feed
     moment growth under mirror-symmetric data.
     """
-    q = gram_plus(measure)
+    return _criticality(sys, gram_plus(measure))
+
+
+def _criticality(sys: BilinearSystem, q: np.ndarray) -> np.ndarray:
+    """:func:`criticality_matrix` from the Gram matrix ``q``;
+    :class:`DegenerateMeasure` unless ``q`` is well conditioned."""
     eigs = np.linalg.eigvalsh(q)
     if eigs[-1] <= 0.0 or eigs[0] <= _GRAM_TOL * eigs[-1]:
         raise DegenerateMeasure(
@@ -101,7 +106,7 @@ def gelation(
             "reflection is missing or carries another weight",
         )
     q = gram_plus(measure)
-    lam_mat = criticality_matrix(sys, measure)
+    lam_mat = _criticality(sys, q)
     chol = np.linalg.cholesky(q)
     sym = chol.T @ sys.a_plus @ chol
     sym = (sym + sym.T) / 2.0

@@ -614,9 +614,11 @@ def _run_module(*argv, out_dir):
     )
 
 
-def _loaded_after_cli_import(module: str) -> str:
+def _loaded_after_cli_import(module: str, then: str = "") -> str:
+    # whether a fresh interpreter holds module after importing the CLI and
+    # running the statements in then
     src = str(Path(gelkit.__file__).resolve().parents[1])
-    code = f"import sys, gelkit.cli; print({module!r} in sys.modules)"
+    code = f"import sys, gelkit.cli\n{then}\nprint({module!r} in sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": src},
@@ -631,8 +633,25 @@ def test_import_leaves_scipy_stats_out():
 
 
 def test_import_leaves_scipy_sparse_out():
-    # scipy.sparse costs about a quarter second; only merging clusters needs it
+    # scipy.sparse costs about a quarter second; no module of the package
+    # needs it
     assert _loaded_after_cli_import("scipy.sparse") == "False"
+
+
+def test_merging_leaves_scipy_sparse_out():
+    # clusters merge by a numpy union-find, in the particle run, the graph
+    # trajectory and the irreducibility check alike
+    merge = (
+        "import gelkit as gk\n"
+        "s, m = gk.multiplicative()\n"
+        "ps = gk.init_poisson(s, m, 2000, 1)\n"
+        "ps.run([0.5, 2.0])\n"
+        "assert ps.merges > 0\n"
+        "g = gk.graph_from_measure(s, m, 500, 2.0, 1)\n"
+        "assert gk.trajectory(g, [2.0])[-1].n_components < 500\n"
+        "assert gk.check_hypotheses(*gk.kinetic_gas()).irreducible\n"
+    )
+    assert _loaded_after_cli_import("scipy.sparse", merge) == "False"
 
 
 class TestInstalledEntryPoint:

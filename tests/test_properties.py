@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.stats import ks_2samp
 
@@ -251,6 +252,77 @@ class TestIrreducibility:
             rep = gk.check_hypotheses(sys_, meas)
         assert rep.components == components
         assert rep.irreducible == (components == 1 and (len(meas) > 1 or adj[0, 0]))
+
+
+def _joined(labels, clusters, p, q):
+    """The oracle of contract: scipy's components of the cluster graph,
+    which it numbers by their lowest node."""
+    a, b = labels[p], labels[q]
+    graph = csr_matrix((np.ones(a.size), (a, b)), shape=(clusters, clusters))
+    count, comp = connected_components(graph, directed=False)
+    return comp[labels], count
+
+
+def _check_contract(labels, clusters, p, q):
+    want, count = _joined(labels, clusters, p, q)
+    got, got_count = particles.contract(labels, clusters, p, q)
+    assert got_count == count
+    np.testing.assert_array_equal(got, want)
+    return got, got_count
+
+
+@st.composite
+def edge_batches(draw):
+    """Vertex count and a few batches of edges, self pairs and repeats
+    included."""
+    n = draw(st.integers(1, 30))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    return n, draw(st.lists(st.lists(pair, max_size=40), min_size=1, max_size=4))
+
+
+class TestContract:
+    @settings(max_examples=40)
+    @given(edge_batches(), st.sampled_from([np.int32, np.intp]))
+    def test_running_labels_match_components(self, case, dtype):
+        n, batches = case
+        labels, clusters = np.arange(n, dtype=dtype), n
+        for batch in batches:
+            p, q = np.array(batch, dtype=np.intp).reshape(-1, 2).T
+            labels, clusters = _check_contract(labels, clusters, p, q)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.intp])
+    def test_degenerate_edges(self, dtype):
+        labels = np.array([0, 1, 1, 2, 3, 4], dtype=dtype)
+        none = np.array([], dtype=np.intp)
+        _check_contract(labels, 5, none, none)
+        _check_contract(labels, 5, np.array([0, 3, 1]), np.array([0, 3, 2]))
+        _check_contract(labels, 5, np.array([5, 1, 5, 3, 0]), np.array([1, 5, 1, 5, 4]))
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.intp])
+    @pytest.mark.parametrize("shape", ["sorted", "reversed", "zigzag", "random"])
+    def test_long_paths(self, shape, dtype):
+        # a sorted path hooks into one chain of 10^5 pointers; without
+        # pointer doubling the roots take minutes to find
+        n = 10**5
+        low, high = np.arange(n // 2), np.arange(n - 1, n // 2 - 1, -1)
+        order = {
+            "sorted": np.arange(n),
+            "reversed": np.arange(n)[::-1],
+            "zigzag": np.stack([low, high], 1).ravel(),  # 0, n-1, 1, n-2, ...
+            "random": np.random.default_rng(5).permutation(n),
+        }[shape]
+        labels = np.arange(n, dtype=dtype)
+        # the path through the vertices in that order
+        assert _check_contract(labels, n, order[:-1], order[1:])[1] == 1
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.intp])
+    def test_star_centred_on_the_highest_id(self, dtype):
+        n = 1000
+        first, rest = np.arange(n // 2), np.arange(n // 2, n - 1)
+        centre = np.full(n // 2, n - 1)
+        # half the leaves first, then the rest onto the joined cluster
+        labels, clusters = _check_contract(np.arange(n, dtype=dtype), n, centre, first)
+        _check_contract(labels, clusters, rest, centre[: rest.size])
 
 
 class TestMomentInvariants:
