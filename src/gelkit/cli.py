@@ -22,7 +22,7 @@ import os
 import platform
 import sys as _sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -38,6 +38,8 @@ from .restricted import TruncatedFlory
 from .spectral import gelation
 from .survival import gel_curve, gel_data
 from .system import (
+    _integer,
+    _number,
     check_rate_scale,
     load_system,
     read_json,
@@ -166,14 +168,7 @@ class Command:
 
 
 def _scalar(p: Param, val, ptr: str):
-    integral = p.kind in ("int", "ints")
-    if type(val) not in ((int,) if integral else (int, float)):
-        what = "an integer" if integral else "a number"
-        raise SchemaError(ptr, f"expected {what}")
-    if not integral:
-        if not -_sys.float_info.max <= val <= _sys.float_info.max:  # nan, inf, 1e999
-            raise SchemaError(ptr, "expected a finite number")
-        val = float(val)
+    val = _integer(val, ptr) if p.kind in ("int", "ints") else _number(val, ptr)
     if p.low is not None and val < p.low:
         raise SchemaError(ptr, f"must be >= {p.low}")
     return val
@@ -269,6 +264,14 @@ def _exec_moments(model, measure, rate_scale, seed, params, out: Path) -> None:
     _write_csv(out, header, rows)
 
 
+def _coordinate_columns(model, tag: str) -> list[str]:
+    """The columns ``E_<tag>_i`` and ``P_<tag>_j`` of the conserved and the
+    sign-odd coordinates of one row of particle data."""
+    return [f"E_{tag}_{i + 1}" for i in range(model.n)] + [
+        f"P_{tag}_{j + 1}" for j in range(model.m)
+    ]
+
+
 def _snapshot_row(snap) -> list:
     return (
         [snap.t]
@@ -304,16 +307,10 @@ def _exec_simulate(model, measure, rate_scale, seed, params, out: Path) -> None:
             ps.dump_state(dump_path)
         return snaps
 
-    n, m = model.n, model.m
-    header = (
-        ["t", "M_N"]
-        + [f"E_N_{i + 1}" for i in range(n)]
-        + [f"P_N_{j + 1}" for j in range(m)]
-        + ["M_thr"]
-        + [f"E_thr_{i + 1}" for i in range(n)]
-        + [f"P_thr_{j + 1}" for j in range(m)]
-        + ["n_particles"]
-    )
+    header = [
+        "t", "M_N", *_coordinate_columns(model, "N"),
+        "M_thr", *_coordinate_columns(model, "thr"), "n_particles",
+    ]
     # the replica mean; with one replica it is the row itself, digit for digit
     all_snaps = [one(rep) for rep in range(replicas)]
     rows = [
@@ -329,13 +326,7 @@ def _exec_graph(model, measure, rate_scale, seed, params, out: Path) -> None:
         model, measure, params["n"], max(times), child_seed(seed, 0), rate_scale
     )
     tracks = trajectory(graph, times, params["xi"] or None)
-    n, m = model.n, model.m
-    header = (
-        ["t", "C1_over_N", "pi0_C1"]
-        + [f"E_C1_{i + 1}" for i in range(n)]
-        + [f"P_C1_{j + 1}" for j in range(m)]
-        + ["meso_sum"]
-    )
+    header = ["t", "C1_over_N", "pi0_C1", *_coordinate_columns(model, "C1"), "meso_sum"]
     rows = [
         [tr.t, tr.c1_over_n] + tr.pi_c1.tolist() + [tr.meso_fraction]
         for tr in tracks
@@ -353,19 +344,7 @@ def _exec_duality(model, measure, rate_scale, seed, params, out: Path) -> None:
         seed,
         rate_scale,
     )
-    doc = {
-        "n": rep.n,
-        "t_minus": rep.t_minus,
-        "t_plus": rep.t_plus,
-        "t_gel": rep.t_gel,
-        "t_gel_tilted": rep.t_gel_tilted,
-        "survivor_fraction": rep.survivor_fraction,
-        "expected_sol_fraction": rep.expected_sol_fraction,
-        "dual_c1_over_n": rep.dual_c1_over_n,
-        "fresh_c1_over_n": rep.fresh_c1_over_n,
-        "histogram_distance": rep.histogram_distance,
-    }
-    out.write_text(_json_text(doc) + "\n")
+    out.write_text(_json_text(asdict(rep)) + "\n")
 
 
 def _exec_restricted(model, measure, rate_scale, seed, params, out: Path) -> None:
@@ -377,12 +356,7 @@ def _exec_restricted(model, measure, rate_scale, seed, params, out: Path) -> Non
         initial = (measure.coords[:, 0] == 1.0).all()
         raise SchemaError("/params/xi" if initial else "/system", str(exc)) from None
     states = flory.integrate(max(times), outputs=times)
-    n, m = model.n, model.m
-    header = (
-        ["t", "phi_sol", "M_xi"]
-        + [f"E_xi_{i + 1}" for i in range(n)]
-        + [f"P_xi_{j + 1}" for j in range(m)]
-    )
+    header = ["t", "phi_sol", "M_xi", *_coordinate_columns(model, "xi")]
     rows = [
         [st.t, st.phi_sol] + st.gel.g.tolist() for st in states
     ]
@@ -594,9 +568,8 @@ def _read_config(path: str) -> tuple:
     if not isinstance(doubled, bool):
         raise SchemaError("/doubled_rates", "expected true or false")
     rate_scale = raw.get("rate_scale", 2.0 if doubled else 1.0)
-    if not isinstance(rate_scale, (int, float)) or isinstance(rate_scale, bool):
-        raise SchemaError("/rate_scale", "expected a number")
-    try:  # NaN, Infinity, 10**400
+    _number(rate_scale, "/rate_scale")
+    try:  # zero or negative, reported as given
         rate_scale = check_rate_scale(rate_scale)
     except ValueError as exc:
         raise SchemaError("/rate_scale", str(exc)) from None

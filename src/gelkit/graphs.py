@@ -82,11 +82,6 @@ def _realization(vertices, n_scale, t_max, rate_scale, eu, ev, et):
     )
 
 
-def _no_edges() -> tuple[list, list, list]:
-    """Edge batch lists (u, v, t) that start with an empty batch."""
-    return [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
-
-
 def sample_graph(
     sys: BilinearSystem,
     vertices: np.ndarray,
@@ -110,15 +105,16 @@ def sample_graph(
     (t_max,) = check_times([t_max])
     rng = np.random.default_rng(seed)
     cum, guide, pair_cum = envelope(sys, vertices)
-    weight = float(pair_cum[-1]) if pair_cum.size else 0.0
-    mean = 0.5 * rate_scale / n_scale * weight * t_max
+    mean = 0.5 * rate_scale / n_scale * float(pair_cum[-1]) * t_max
     if not mean <= _MAX_PROPOSALS:
         raise BudgetExceeded(
             f"expected {mean:.3g} edge proposals exceeds the budget "
             f"{_MAX_PROPOSALS}"
         )
     count = int(rng.poisson(mean))
-    us, vs, ts = _no_edges()
+    # the batch lists start with an empty batch, so that they concatenate
+    empty = np.zeros(0, dtype=np.intp)
+    us, vs, ts = [empty], [empty], [np.zeros(0)]
     while count:
         size = min(count, _CHUNK)
         count -= size
@@ -266,11 +262,6 @@ def graph_from_measure(
     rng = np.random.default_rng(seed)
     rows = sample_atoms(measure, n, rng)
     return sample_graph(sys, rows, n, t_max, rng, rate_scale=rate_scale)
-
-
-def _components(count: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, int]:
-    """Component label of each of ``count`` vertices joined by edges (u, v)."""
-    return contract(np.arange(count), count, u, v)
 
 
 @dataclass(frozen=True)
@@ -470,10 +461,10 @@ def duality_experiment(
     eu, ev = graph.edge_u, graph.edge_v
     # components as seen at t_minus pick out the giant to delete
     stop = graph.edges_until(t_minus)
-    labels, count = _components(n, eu[:stop], ev[:stop])
+    labels, count = contract(np.arange(n), n, eu[:stop], ev[:stop])
     survivor = labels != np.argmax(np.bincount(labels, minlength=count))
     both = survivor[eu] & survivor[ev]
-    dual = _components(n, eu[both], ev[both])[0][survivor]
+    dual = contract(np.arange(n), n, eu[both], ev[both])[0][survivor]
     dual_sizes = np.bincount(dual)
     dual_sizes = dual_sizes[dual_sizes > 0]
     n_survivors = int(survivor.sum())
@@ -485,7 +476,7 @@ def duality_experiment(
         rate_scale=rate_scale,
     )
     fresh_sizes = np.bincount(
-        _components(n_survivors, fresh.edge_u, fresh.edge_v)[0]
+        contract(np.arange(n_survivors), n_survivors, fresh.edge_u, fresh.edge_v)[0]
     )
     # survivors are counted in vertices, so the prediction is the weighted
     # mean non-extraction probability, not the gel mass itself

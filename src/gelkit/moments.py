@@ -34,7 +34,7 @@ import numpy as np
 from . import _rk
 from .errors import DualNotSubcritical, ExplosionReached, NumericError
 from .spectral import SpectralResult, gelation
-from .survival import _CRITICAL_BAND, _newton, gel_data, solve_fixed_point
+from .survival import _maximal_roots, gel_data, solve_fixed_point
 from .system import AtomicMeasure, BilinearSystem, GelData, gram_plus, moment_matrix
 from .system import check_rate_scale, check_times
 
@@ -323,12 +323,9 @@ def gel_growth_ode(
 
     def prefetch(times) -> None:
         # the coefficients depend on t alone, so a step's stage times are
-        # solved as one Newton stack, with solve_fixed_point's gate per row;
-        # the last two stage times of a step coincide
+        # solved together; the last two stage times of a step coincide
         todo = np.array([u for u in dict.fromkeys(times) if u not in coeff_cache])
-        c = np.zeros((todo.size, n))
-        sup = todo > t_g * (1.0 + _CRITICAL_BAND)
-        c[sup] = _newton(sys, measure, todo[sup] * rate_scale)
+        c = _maximal_roots(sys, measure, todo, rate_scale, t_g)
         for u, cu in zip(todo.tolist(), c):
             state = _dual(sys, measure, u, cu, rate_scale, t_g)
             coeff_cache[u] = (state.q, state.z[1:])

@@ -403,14 +403,7 @@ class ParticleSystem:
         cum, guide, pair_cum = envelope(self.sys, rows)
         merge_rate = 0.0
         if self.n_particles >= 2:
-            s = cum[:, -1]
-            kk, ll = np.nonzero(self.sys.block_abs)
-            merge_rate = (
-                0.5
-                * self.rate_scale
-                / self.n_scale
-                * float(self.sys.block_abs[kk, ll] @ (s[kk] * s[ll]))
-            )
+            merge_rate = 0.5 * self.rate_scale / self.n_scale * float(pair_cum[-1])
         if not math.isfinite(merge_rate):
             raise RateUnderflow(f"envelope rate {merge_rate} is not finite")
         clusters = self.n_particles

@@ -115,6 +115,21 @@ def _newton(
     return c
 
 
+def _maximal_roots(
+    sys: BilinearSystem,
+    measure: AtomicMeasure,
+    times: np.ndarray,
+    rate_scale: float,
+    t_g: float,
+) -> np.ndarray:
+    """Maximal roots at the array ``times``, one row each: exact zeros up to
+    ``t_g * (1 + _CRITICAL_BAND)``, one :func:`_newton` stack past it."""
+    c = np.zeros((times.size, sys.n))
+    sup = times > t_g * (1.0 + _CRITICAL_BAND)
+    c[sup] = _newton(sys, measure, times[sup] * rate_scale)
+    return c
+
+
 def solve_fixed_point(
     sys: BilinearSystem,
     measure: AtomicMeasure,
@@ -134,12 +149,9 @@ def solve_fixed_point(
     check_times([t])
     if spectral is None:
         spectral = gelation(sys, measure, rate_scale)
-    if t <= spectral.t_g * (1.0 + _CRITICAL_BAND):
-        return SurvivalCoefficients(t, np.zeros(sys.n), 0.0)
-    scale = t * rate_scale
-    c = _newton(sys, measure, np.array([scale]))[0]
-    residual = float(np.abs(c - scale * fixed_point_map(sys, measure, c)).max())
-    return SurvivalCoefficients(t, c, residual)
+    c = _maximal_roots(sys, measure, np.array([t]), rate_scale, spectral.t_g)[0]
+    gap = c - t * rate_scale * fixed_point_map(sys, measure, c)
+    return SurvivalCoefficients(t, c, float(np.abs(gap).max()))
 
 
 def survival_probabilities(
@@ -187,9 +199,7 @@ def gel_curve(
     the supercritical times are solved together as one Newton stack."""
     t = time_array(np.ravel(times))
     t_g = gelation(sys, measure, rate_scale).t_g
-    c = np.zeros((t.size, sys.n))
-    sup = t > t_g * (1.0 + _CRITICAL_BAND)
-    c[sup] = _newton(sys, measure, t[sup] * rate_scale)
+    c = _maximal_roots(sys, measure, t, rate_scale, t_g)
     rho = -np.expm1(-(c @ measure.coords[:, 1 : 1 + sys.n].T))
     g = (rho * measure.weight_array) @ measure.coords
     return np.column_stack((t, c, g[:, : 1 + sys.n]))

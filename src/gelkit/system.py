@@ -508,6 +508,12 @@ def _number(val, pointer) -> float:
     return float(val)
 
 
+def _integer(val, pointer) -> int:
+    if not isinstance(val, int) or isinstance(val, bool):
+        raise SchemaError(pointer, "expected an integer")
+    return val
+
+
 def _expect(obj, key, kind, pointer):
     if key not in obj:
         raise SchemaError(f"{pointer}/{key}", "missing required key")
@@ -515,9 +521,7 @@ def _expect(obj, key, kind, pointer):
     if kind is float:
         return _number(val, f"{pointer}/{key}")
     if kind is int:
-        if not isinstance(val, int) or isinstance(val, bool):
-            raise SchemaError(f"{pointer}/{key}", "expected an integer")
-        return val
+        return _integer(val, f"{pointer}/{key}")
     if kind is list:
         if not isinstance(val, list):
             raise SchemaError(f"{pointer}/{key}", "expected an array")

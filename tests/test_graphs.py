@@ -7,6 +7,7 @@ import gelkit as gk
 from gelkit.errors import BudgetExceeded, NegativeRate, WindowInvalid
 from gelkit.graphs import (
     GraphRealization,
+    _block_hits,
     _histogram_distance,
     _sample_graph_blocks,
     _unrank_pairs,
@@ -119,6 +120,22 @@ class TestBlockOracle:
         i, j = _unrank_pairs(pos)
         assert np.all((0 <= j) & (j < i))
         assert np.array_equal(i * (i - 1) // 2 + j, pos)
+
+    def test_block_hits_continue_past_the_first_batch(self):
+        # uniforms of 0 make every gap 0, so every position from the first
+        # hit on is a success, more than the first batch holds
+        class Zeros:
+            def __init__(self):
+                self.sizes = []
+
+            def random(self, size):
+                self.sizes.append(size)
+                return np.zeros(size)
+
+        rng = Zeros()
+        hits = _block_hits(rng, 3.0, np.log(0.5), 100.0)
+        assert np.array_equal(hits, np.arange(3, 100))
+        assert len(rng.sizes) == 2
 
     def test_edges_well_formed(self, kac):
         sys_, meas = kac

@@ -6,6 +6,7 @@ import pytest
 import gelkit as gk
 from gelkit import _rk, moments, survival
 from gelkit.errors import (
+    DualNotSubcritical,
     ExplosionReached,
     GelkitError,
     NoConvergence,
@@ -216,6 +217,12 @@ class TestSupercritical:
         with pytest.raises(ExplosionReached):
             gk.supercritical_moments(sys_, meas, t_g * (1.0 + 1e-11))
 
+    def test_dual_of_a_gelling_tilt_raises(self, mult):
+        # c = 0 tilts nothing, so the "tilted" measure gels at t_g = 1 < t
+        sys_, meas = mult
+        with pytest.raises(DualNotSubcritical):
+            moments._dual(sys_, meas, 1.5, np.zeros(1), 1.0, 1.0)
+
     @pytest.mark.parametrize("preset", ["mult", "bidi", "kac"])
     def test_given_spectral_result_changes_nothing(self, preset, request):
         sys_, meas = request.getfixturevalue(preset)
@@ -291,13 +298,13 @@ class TestGelGrowth:
         t_g = gk.gelation_time(sys_, meas)
         outputs = [1.2 * t_g, 1.5 * t_g]
         rows = []
-        newton = moments._newton
+        newton = survival._newton
 
         def counted(s, m, scales):
             rows.append(len(scales))
             return newton(s, m, scales)
 
-        monkeypatch.setattr(moments, "_newton", counted)
+        monkeypatch.setattr(survival, "_newton", counted)
         batched = gk.gel_growth_ode(sys_, meas, 2.0 * t_g, outputs=outputs)
         assert max(rows) > 1
         integrate, dropped = _rk.integrate, []

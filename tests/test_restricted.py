@@ -22,6 +22,15 @@ class TestEnumeration:
         with pytest.raises(BudgetExceeded):
             gk.enumerate_types(meas, 40, max_types=10)
 
+    def test_zero_size_species(self, mult):
+        # a species of plus-size 0 fits below any xi any number of times
+        sys_, _ = mult
+        meas = gk.AtomicMeasure([[1, 0], [1, 1]], [1.0, 1.0], 1)
+        with pytest.raises(BudgetExceeded, match="zero conserved size"):
+            gk.enumerate_types(meas, 3)
+        with pytest.raises(BudgetExceeded, match="zero conserved size"):
+            gk.TruncatedFlory(sys_, meas, 3)
+
 
 class TestTruncatedDynamics:
     def test_monomer_decay_xi1(self, mult):
