@@ -79,8 +79,9 @@ def integrate(
 
     ``outputs`` are hit exactly by clipping the step size, never by
     interpolation.  ``accept_cb`` runs after each accepted step and may
-    return a replacement state (used for positivity clamping); ``stop``
-    ends the run early when it returns True (used for blowup detection).
+    return a replacement state, possibly the array it was given, clamped in
+    place (used for positivity clamping); ``stop`` ends the run early when
+    it returns True (used for blowup detection).
     ``stages`` runs once per attempted step, accepted or rejected, before
     its first new stage, with the times at which ``f`` is then evaluated,
     the very floats ``f`` receives (so that ``f`` may solve their
@@ -95,7 +96,7 @@ def integrate(
     traj = Trajectory()
 
     def emit_outputs():
-        while out and out[0] <= t + 1e-15 * max(1.0, abs(t)):
+        while out and out[0] <= t + 1e-15 * abs(t):
             traj.ts.append(out.pop(0))
             traj.ys.append(y.copy())
 
@@ -168,7 +169,7 @@ def integrate(
         if stop is not None and stop(t, y):
             traj.stopped = True
             break
-        if t >= t_end - 1e-15 * max(1.0, abs(t_end)):
+        if t >= t_end - 1e-15 * abs(t_end):
             break
         factor = _MAX_FACTOR if err == 0.0 else min(
             _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** (-0.2))

@@ -4,12 +4,18 @@ Types are integer composition vectors over the initial species: merging is
 exact integer bookkeeping, so closure under merge is trivial to test.  A
 composition is kept while its conserved-coordinate size (sum of the plus
 block) stays within the truncation threshold ``xi``; a merge product beyond
-the threshold leaves the resolved system and its data is banked in a gel
-accumulator.  The gel also absorbs resolved particles directly, at the
-bilinear rate against its own accumulated data.  Together the two loss
-channels give every type the constant total loss coefficient of the Flory
-equation (sol plus gel data is conserved), which the one-type reduction
-shows immediately: u' = -u(u+g), u+g = 1, so the monomer density is e^-t.
+the threshold leaves the resolved system for the gel, and the gel also
+absorbs resolved particles directly, at the bilinear rate against its data.
+Sol plus gel data is conserved and the kernel is bilinear in it, so every
+type's total loss rate is a constant coefficient of its density, fixed by
+the initial data: the Flory equation.  The one-type reduction shows it:
+u' = -u(u+g), u+g = 1, so the monomer density is e^-t.
+
+The state is therefore the resolved densities alone, and the gel is read
+off at each output by conservation, as the data the densities have lost:
+``(n0 - n) . coords``.  A density that rounds below zero is clamped to zero
+after its step; conservation books the amount clamped against the gel, so
+the conserved total still holds, and ``clamped`` sums it.
 
 As xi grows, resolved densities increase and the truncated gel decreases,
 converging to the fixed-point gel of the survival module.
@@ -72,7 +78,7 @@ def enumerate_types(
 
 @dataclass(frozen=True)
 class TruncatedState:
-    """Resolved densities plus the gel accumulator at one time."""
+    """Resolved densities plus the gel they have lost, at one time."""
 
     t: float
     densities: np.ndarray
@@ -116,6 +122,10 @@ class TruncatedFlory:
             dens0[self.index[comp]] += w
         self.initial_densities = dens0
         self._build_pairs(max_pairs)
+        # sol plus gel data is conserved, so each type's total merge rate
+        # against it is fixed by the initial densities
+        rate = self.coords[:, 1:]
+        self._loss = self.rate_scale * (rate @ (sys.block @ (dens0 @ rate)))
         self.clamped = 0.0
 
     def _build_pairs(self, max_pairs: int) -> None:
@@ -167,53 +177,37 @@ class TruncatedFlory:
         self._ix = np.concatenate(ix)
         self._iy = np.concatenate(iy)
         self._iz = np.concatenate(iz)
-        self._coords_z = self.coords[self._iz]  # read at every RHS stage
         kv = pair_rates(self.sys, rate[self._ix], rate[self._iy])[0]
-        self._pair_rate = np.where(self._ix == self._iy, 0.5, 1.0) * kv
+        coeff = np.where(self._ix == self._iy, 0.5, 1.0)
+        self._pair_rate = self.rate_scale * coeff * kv
 
-    # state vector layout: [densities (T), gel (1+n+m)]
-    def _rhs(self, t: float, y: np.ndarray) -> np.ndarray:
-        t_count = len(self.types)
-        n_vec = y[:t_count]
-        gel = y[t_count:]
-        rate_c = self.coords[:, 1:]  # coordinates entering the kernel
-        a = self.sys.block
-        m_tr = n_vec @ rate_c
-        s_sol = rate_c @ (a @ m_tr)
-        s_gel = rate_c @ (a @ gel[1:])
-        pair_flux = self._pair_rate * n_vec[self._ix] * n_vec[self._iy]
-        gain = np.bincount(self._iz, weights=pair_flux, minlength=t_count)
-        dn = gain - n_vec * (s_sol + s_gel)
-        # gel intake: boundary crossings (total pair flux minus what stayed
-        # resolved) plus direct absorption of resolved particles
-        total_flux = (n_vec * s_sol) @ self.coords
-        kept_flux = pair_flux @ self._coords_z
-        absorb = (n_vec * s_gel) @ self.coords
-        dgel = total_flux - kept_flux + absorb
-        return self.rate_scale * np.concatenate((dn, dgel))
+    def _rhs(self, t: float, n: np.ndarray) -> np.ndarray:
+        flux = n[self._ix]
+        flux *= n[self._iy]
+        flux *= self._pair_rate
+        gain = np.bincount(self._iz, weights=flux, minlength=len(n))
+        return gain - n * self._loss
 
-    def _accept(self, t: float, y: np.ndarray):
-        t_count = len(self.types)
-        n_vec = y[:t_count]
-        low = float(n_vec.min()) if t_count else 0.0
+    def _accept(self, t: float, n: np.ndarray):
+        low = float(n.min())
         if low >= 0.0:
             return None
-        scale = max(1.0, float(n_vec.max()))
+        scale = max(1.0, float(n.max()))
         if low < -1e-6 * scale:
             raise ToleranceFailure(
                 f"density {low} fell far below zero at t={t}"
             )
-        self.clamped += float(-n_vec[n_vec < 0.0].sum())
-        y = y.copy()
-        y[:t_count] = np.clip(n_vec, 0.0, None)
-        return y
+        negative = n < 0.0
+        self.clamped -= float(n[negative].sum())
+        n[negative] = 0.0
+        return n
 
-    def _state(self, t: float, y: np.ndarray) -> TruncatedState:
-        t_count = len(self.types)
-        dens = y[:t_count].copy()
-        gel = GelData(np.clip(y[t_count:], 0.0, None))
+    def _state(self, t: float, n: np.ndarray) -> TruncatedState:
+        g = (self.initial_densities - n) @ self.coords
+        # M and E of what was lost are nonnegative; P is signed
+        np.maximum(g[: 1 + self.sys.n], 0.0, out=g[: 1 + self.sys.n])
         return TruncatedState(
-            t=t, densities=dens, gel=gel, phi_sol=float(dens @ self.phi_vec)
+            t=t, densities=n, gel=GelData(g), phi_sol=float(n @ self.phi_vec)
         )
 
     def integrate(
@@ -225,14 +219,11 @@ class TruncatedFlory:
     ) -> list[TruncatedState]:
         """Trajectory from t=0; returns states at ``outputs`` (default: only
         ``t_end``)."""
-        y0 = np.concatenate(
-            (self.initial_densities, np.zeros(1 + self.sys.n + self.sys.m))
-        )
         out = sorted(set(check_times([t_end, *([] if outputs is None else outputs)])))
         traj = _rk.integrate(
             self._rhs,
             0.0,
-            y0,
+            self.initial_densities,
             t_end,
             rtol=rtol,
             atol=atol,

@@ -312,6 +312,21 @@ class TestHeaders:
         dens = (out_dir / "restricted_densities.csv").read_text()
         assert dens.splitlines()[0] == "t,n_species_1,density"
 
+    def test_restricted_keeps_signed_gel_block(self, out_dir, tmp_path):
+        # a measure without mirror symmetry: every type's par is -plus/2,
+        # and so is the gel's; it once wrote P_xi_1 = 0
+        doc = {"n": 1, "m": 1, "A_plus": [[1]], "A_par": [[0.5]],
+               "atoms": [{"pi0": 1, "plus": [1], "par": [-0.5], "w": 1}]}
+        system = tmp_path / "odd.json"
+        system.write_text(json.dumps(doc))
+        assert run_cli(
+            "restricted", "--system", str(system), "--times", "2", "--xi", "8"
+        ) == 0
+        head, row = (out_dir / "restricted.csv").read_text().splitlines()
+        cols = dict(zip(head.split(","), map(float, row.split(","))))
+        assert cols["E_xi_1"] > 0.5
+        assert abs(cols["P_xi_1"] + cols["E_xi_1"] / 2) <= 1e-12
+
     def test_convergence_header(self, out_dir):
         run_cli(
             "convergence", "--preset", "multiplicative", "--times", "0.5",

@@ -276,6 +276,15 @@ class TestGelGrowth:
         pts = gk.gel_growth_ode(sys_, meas, 2.0, outputs=np.array([1.5, 2.0]))
         assert [t for t, _ in pts] == [1.5, 2.0]
 
+    @pytest.mark.parametrize("rate_scale", [1e14, 1e16])
+    def test_rate_scale_divides_time(self, mult, rate_scale):
+        # a span of 2e-16 once ended at the first step on the starting gel
+        sys_, meas = mult
+        ref = gk.gel_growth_ode(sys_, meas, 2.0)[-1][1]
+        t, g = gk.gel_growth_ode(sys_, meas, 2.0 / rate_scale, rate_scale)[-1]
+        assert t == 2.0 / rate_scale
+        np.testing.assert_allclose(g.g, ref.g, rtol=1e-9)
+
     def test_one_spectral_solve_of_the_measure(self, mult, monkeypatch):
         sys_, meas = mult
         own = []

@@ -113,6 +113,60 @@ class TestTruncatedDynamics:
         )
         assert [st.t for st in states] == [0.5, 1.0]
 
+    @pytest.mark.parametrize("rate_scale", [1e14, 1e16])
+    def test_rate_scale_divides_time(self, mult, rate_scale):
+        # a span of 2e-16 once ended at the first step with no gel at all
+        ref = gk.TruncatedFlory(*mult, 16).integrate(2.0)[-1]
+        st = gk.TruncatedFlory(*mult, 16, rate_scale=rate_scale).integrate(
+            2.0 / rate_scale
+        )[-1]
+        assert st.t == 2.0 / rate_scale
+        assert st.gel.mass == pytest.approx(ref.gel.mass, rel=1e-9)
+        np.testing.assert_allclose(st.densities, ref.densities, rtol=1e-9, atol=1e-15)
+
+
+def _rhs_oracle(model, n):
+    """dn and the gel's intake by a double loop over every pair of types.
+
+    The gel is explicit: it holds the data the densities have lost, takes
+    every merge product that is not a type, and absorbs each type at the
+    rate ``x . A g``.
+    """
+    rate = model.coords[:, 1:]
+    a = model.sys.block
+    gel = (model.initial_densities - n) @ model.coords
+    comps = [np.array(c) for c in model.types]
+    dn = np.zeros(len(n))
+    dgel = np.zeros(len(gel))
+    for i in range(len(n)):
+        for j in range(i, len(n)):
+            flux = (0.5 if i == j else 1.0) * (rate[i] @ a @ rate[j]) * n[i] * n[j]
+            dn[i] -= flux
+            dn[j] -= flux
+            merged = model.index.get(tuple(int(v) for v in comps[i] + comps[j]))
+            if merged is None:
+                dgel += flux * (model.coords[i] + model.coords[j])
+            else:
+                dn[merged] += flux
+        absorbed = n[i] * (rate[i] @ a @ gel[1:])
+        dn[i] -= absorbed
+        dgel += absorbed * model.coords[i]
+    return model.rate_scale * dn, model.rate_scale * dgel
+
+
+class TestRightHandSide:
+    @pytest.mark.parametrize("preset, xi", [("mult", 8), ("bidi", 8), ("kac", 14)])
+    def test_matches_pair_loop(self, preset, xi, request):
+        model = gk.TruncatedFlory(*request.getfixturevalue(preset), xi, rate_scale=2.5)
+        rng = np.random.default_rng(21)
+        for _ in range(3):
+            n = rng.random(len(model.types)) * model.initial_densities.max()
+            dn, dgel = _rhs_oracle(model, n)
+            got = model._rhs(0.0, n)
+            np.testing.assert_allclose(got, dn, rtol=1e-12)
+            # the gel read off by conservation takes what the densities lose
+            np.testing.assert_allclose(-got @ model.coords, dgel, rtol=1e-12)
+
 
 def _pair_oracle(model):
     """The pair table by a double loop with a dict lookup per pair."""
