@@ -45,10 +45,22 @@ def matrix() -> list[tuple[str, list[str]]]:
         def add(name: str, *args: str) -> None:
             runs.append((f"{preset}/{name}", list(args)))
 
-        add("tg.json", "tg", *common)
-        add("gel_curve.csv", "gel-curve", *common, "--t-max", last, "--points", "40")
+        # each of these runs at rate 2 as well, so that a rate factor other
+        # than 1 is pinned too
+        for tag, rate in (("", []), ("doubled_", ["--doubled-rates"])):
+            add(f"{tag}tg.json", "tg", *common, *rate)
+            add(f"{tag}gel_curve.csv", "gel-curve", *common, *rate, "--t-max", last,
+                "--points", "40")
+            add(f"{tag}simulate.csv", "simulate", *stochastic, *rate, "--times", times,
+                "--n", "2000")
+            add(f"{tag}graph.csv", "graph", *stochastic, *rate, "--times", times,
+                "--n", "2000")
+            add(f"{tag}coupling.json", "coupling", *stochastic, *rate, "--n", "300",
+                "--t", last, "--replicas", "20")
+            if window is not None:
+                add(f"{tag}restricted.csv", "restricted", *common, *rate, "--times",
+                    times, "--xi", "8")
         add("moments.csv", "moments", *common, "--times", times)
-        add("simulate.csv", "simulate", *stochastic, "--times", times, "--n", "2000")
         add("replicas.csv", "simulate", *stochastic, "--times", times, "--n", "2000",
             "--replicas", "3")
         # the dump is written at the first time and resumed through them all
@@ -56,13 +68,9 @@ def matrix() -> list[tuple[str, list[str]]]:
             "--dump-state", f"{preset}/state.bin")
         add("load.csv", "simulate", *stochastic, "--times", times,
             "--load-state", f"{preset}/state.bin")
-        add("graph.csv", "graph", *stochastic, "--times", times, "--n", "2000")
         add("convergence.csv", "convergence", *stochastic, "--times", times,
             "--n-list", "200,1000", "--replicas", "3")
-        add("coupling.json", "coupling", *stochastic, "--n", "300", "--t", last,
-            "--replicas", "20")
         if window is not None:
-            add("restricted.csv", "restricted", *common, "--times", times, "--xi", "8")
             add("duality.json", "graph-duality", *stochastic, "--n", "2000",
                 "--t-minus", window[0], "--t-plus", window[1])
     return runs

@@ -40,7 +40,6 @@ from .survival import gel_curve, gel_data
 from .system import (
     _integer,
     _number,
-    check_rate_scale,
     load_system,
     read_json,
     system_measure_from_json,
@@ -160,7 +159,7 @@ class Param:
 
 @dataclass(frozen=True)
 class Command:
-    run: Callable
+    run: Callable  # (system at the rate factor, measure, resolved config, out)
     out: str
     help: str
     params: tuple[Param, ...] = ()
@@ -210,20 +209,23 @@ def _resolve(kind: str, params: dict) -> dict:
 # -- executors ---------------------------------------------------------------
 
 
-def _exec_tg(model, measure, rate_scale, seed, params, out: Path) -> None:
-    spec = gelation(model, measure, rate_scale)
+def _exec_tg(model, measure, cfg, out: Path) -> None:
+    # t_g at the rate factor; the radius and the matrix of the system as given
+    spec = gelation(model, measure)
+    rate_scale = cfg["rate_scale"]
     doc = {
         "t_g": spec.t_g,
-        "spectral_radius": spec.radius,
+        "spectral_radius": spec.radius / rate_scale,
         "psi": list(spec.psi),
-        "lambda_matrix": [list(row) for row in spec.lambda_matrix],
+        "lambda_matrix": [list(row) for row in spec.lambda_matrix / rate_scale],
         "rate_scale": rate_scale,
     }
     out.write_text(_json_text(doc) + "\n")
     print(f"t_g = {_fmt(spec.t_g)}")
 
 
-def _exec_gel_curve(model, measure, rate_scale, seed, params, out: Path) -> None:
+def _exec_gel_curve(model, measure, cfg, out: Path) -> None:
+    params = cfg["params"]
     times = params["times"]
     if times is None:
         if params["t_max"] is None:
@@ -233,7 +235,7 @@ def _exec_gel_curve(model, measure, rate_scale, seed, params, out: Path) -> None
                 f"{params['points']} points exceeds the budget {_MAX_CURVE_POINTS}"
             )
         times = np.linspace(0.0, params["t_max"], params["points"]).tolist()
-    rows = gel_curve(model, measure, times, rate_scale)
+    rows = gel_curve(model, measure, times)
     n = model.n
     header = (
         ["t"]
@@ -244,7 +246,7 @@ def _exec_gel_curve(model, measure, rate_scale, seed, params, out: Path) -> None
     _write_csv(out, header, rows)
 
 
-def _exec_moments(model, measure, rate_scale, seed, params, out: Path) -> None:
+def _exec_moments(model, measure, cfg, out: Path) -> None:
     n = model.n
     header = (
         ["t"]
@@ -253,8 +255,8 @@ def _exec_moments(model, measure, rate_scale, seed, params, out: Path) -> None:
         + ["E", "phase"]
     )
     rows = []
-    for t in params["times"]:
-        state, phase = moments_at(model, measure, t, rate_scale)
+    for t in cfg["params"]["times"]:
+        state, phase = moments_at(model, measure, t)
         rows.append(
             [t]
             + state.q.ravel().tolist()
@@ -281,7 +283,8 @@ def _snapshot_row(snap) -> list:
     )
 
 
-def _exec_simulate(model, measure, rate_scale, seed, params, out: Path) -> None:
+def _exec_simulate(model, measure, cfg, out: Path) -> None:
+    seed, params = cfg["seed"], cfg["params"]
     times, replicas = params["times"], params["replicas"]
     xi = params["xi"] or None
     load_path, dump_path = params["load_state"], params["dump_state"]
@@ -294,9 +297,7 @@ def _exec_simulate(model, measure, rate_scale, seed, params, out: Path) -> None:
         if load_path:
             ps = load_state(model, load_path, child_seed(seed, rep))
         else:
-            ps = init_poisson(
-                model, measure, params["n"], child_seed(seed, rep), rate_scale
-            )
+            ps = init_poisson(model, measure, params["n"], child_seed(seed, rep))
         try:
             snaps = ps.run(times, xi)
         except ValueError as exc:  # a checkpoint before the dump's time
@@ -320,10 +321,11 @@ def _exec_simulate(model, measure, rate_scale, seed, params, out: Path) -> None:
     _write_csv(out, header, rows)
 
 
-def _exec_graph(model, measure, rate_scale, seed, params, out: Path) -> None:
+def _exec_graph(model, measure, cfg, out: Path) -> None:
+    params = cfg["params"]
     times = params["times"]
     graph = graph_from_measure(
-        model, measure, params["n"], max(times), child_seed(seed, 0), rate_scale
+        model, measure, params["n"], max(times), child_seed(cfg["seed"], 0)
     )
     tracks = trajectory(graph, times, params["xi"] or None)
     header = ["t", "C1_over_N", "pi0_C1", *_coordinate_columns(model, "C1"), "meso_sum"]
@@ -334,23 +336,19 @@ def _exec_graph(model, measure, rate_scale, seed, params, out: Path) -> None:
     _write_csv(out, header, rows)
 
 
-def _exec_duality(model, measure, rate_scale, seed, params, out: Path) -> None:
+def _exec_duality(model, measure, cfg, out: Path) -> None:
+    params = cfg["params"]
     rep = duality_experiment(
-        model,
-        measure,
-        params["n"],
-        params["t_minus"],
-        params["t_plus"],
-        seed,
-        rate_scale,
+        model, measure, params["n"], params["t_minus"], params["t_plus"], cfg["seed"]
     )
     out.write_text(_json_text(asdict(rep)) + "\n")
 
 
-def _exec_restricted(model, measure, rate_scale, seed, params, out: Path) -> None:
+def _exec_restricted(model, measure, cfg, out: Path) -> None:
+    params = cfg["params"]
     times = params["times"]
     try:
-        flory = TruncatedFlory(model, measure, params["xi"], rate_scale)
+        flory = TruncatedFlory(model, measure, params["xi"])
     except ValueError as exc:
         # either xi is below an initial species or the measure is not initial
         initial = (measure.coords[:, 0] == 1.0).all()
@@ -374,20 +372,15 @@ def _exec_restricted(model, measure, rate_scale, seed, params, out: Path) -> Non
     _write_csv(dens_path, dheader, drows)
 
 
-def _exec_convergence(model, measure, rate_scale, seed, params, out: Path) -> None:
+def _exec_convergence(model, measure, cfg, out: Path) -> None:
+    seed, params = cfg["seed"], cfg["params"]
     times, n_list = params["times"], params["n_list"]
     n = model.n
-    limits = {
-        t: gel_data(model, measure, t, rate_scale).g[: 1 + n] for t in times
-    }
+    limits = {t: gel_data(model, measure, t).g[: 1 + n] for t in times}
 
     def one(size_idx: int, rep: int) -> float:
         ps = init_poisson(
-            model,
-            measure,
-            n_list[size_idx],
-            child_seed(seed, size_idx, rep),
-            rate_scale,
+            model, measure, n_list[size_idx], child_seed(seed, size_idx, rep)
         )
         snaps = ps.run(times)
         err = 0.0
@@ -409,15 +402,15 @@ def _exec_convergence(model, measure, rate_scale, seed, params, out: Path) -> No
         print(f"N={size}: median max|g_N - g| = {_fmt(med)}")
 
 
-def _exec_coupling(model, measure, rate_scale, seed, params, out: Path) -> None:
+def _exec_coupling(model, measure, cfg, out: Path) -> None:
+    params = cfg["params"]
     rep = coupling_test(
         model,
         measure,
         params["n"],
         params["t"],
         params["replicas"],
-        seed,
-        rate_scale,
+        cfg["seed"],
         graph_rate_factor=params["bug_factor"],
     )
     doc = {
@@ -504,10 +497,17 @@ COMMANDS: dict[str, Command] = {
 
 
 def _execute(kind, model, measure, rate_scale, seed, params, out_arg) -> Path:
+    """Run one command on ``model`` with every merge rate times
+    ``rate_scale``; the manifest's resolved config keeps the unscaled system
+    and the factor."""
     cmd = COMMANDS[kind]
     params = _resolve(kind, params)
     if cmd.stochastic and (type(seed) is not int or seed < 0):
         raise SchemaError("/seed", "stochastic experiments need a seed >= 0")
+    try:
+        scaled = model.scaled(rate_scale)
+    except ValueError as exc:  # zero, negative or overflowing, reported as given
+        raise SchemaError("/rate_scale", str(exc)) from None
     out = _writable(
         Path(out_arg or Path(os.environ.get("GELKIT_OUT", ".")) / cmd.out)
     )
@@ -519,7 +519,7 @@ def _execute(kind, model, measure, rate_scale, seed, params, out_arg) -> Path:
         "params": params,
     }
     start = time.perf_counter()
-    cmd.run(model, measure, rate_scale, seed, params, out)
+    cmd.run(scaled, measure, resolved, out)
     _write_manifest(out, kind, resolved, time.perf_counter() - start)
     print(f"wrote {out}")
     return out
@@ -567,12 +567,7 @@ def _read_config(path: str) -> tuple:
     doubled = raw.get("doubled_rates", False)
     if not isinstance(doubled, bool):
         raise SchemaError("/doubled_rates", "expected true or false")
-    rate_scale = raw.get("rate_scale", 2.0 if doubled else 1.0)
-    _number(rate_scale, "/rate_scale")
-    try:  # zero or negative, reported as given
-        rate_scale = check_rate_scale(rate_scale)
-    except ValueError as exc:
-        raise SchemaError("/rate_scale", str(exc)) from None
+    rate_scale = _number(raw.get("rate_scale", 2.0 if doubled else 1.0), "/rate_scale")
     params = raw.get("params", {})
     if not isinstance(params, dict):
         raise SchemaError("/params", "expected an object")

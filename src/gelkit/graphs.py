@@ -1,11 +1,10 @@
 """Inhomogeneous random graphs whose connectivity mirrors the merge flow.
 
 Vertices carry particle coordinate rows; the unordered pair {u, v} receives
-an edge at an Exp(1)-distributed multiple of ``n_scale / (rate_scale *
-kbar(u, v))``, so by time t the edge is present with probability
-``1 - exp(-rate_scale * kbar * t / n_scale)``.  Connected components then
-play the role of merged particles: component data is the coordinate sum of
-its vertices.
+an edge at an Exp(1)-distributed multiple of ``n_scale / kbar(u, v)``, so
+by time t the edge is present with probability ``1 - exp(-kbar * t /
+n_scale)``.  Connected components then play the role of merged particles:
+component data is the coordinate sum of its vertices.
 
 ``sample_graph`` draws the edges with the merge engine of
 ``ParticleSystem.run``: Poisson envelope proposals, thinned by
@@ -22,6 +21,7 @@ O(K^2 + N + edges) for K types.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from sys import float_info
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .particles import (
     _CHUNK,
     _MAX_PARTICLES,
     ParticleSystem,
-    _check_scales,
+    _check_scale,
     _check_table,
     _size_threshold,
     child_seed,
@@ -54,7 +54,6 @@ class GraphRealization:
     vertices: np.ndarray  # (N, 1+n+m)
     n_scale: float
     t_max: float
-    rate_scale: float
     edge_u: np.ndarray  # int indices, u < v, sorted by arrival time
     edge_v: np.ndarray
     edge_t: np.ndarray
@@ -68,14 +67,13 @@ class GraphRealization:
         return int(np.searchsorted(self.edge_t, t, side="right"))
 
 
-def _realization(vertices, n_scale, t_max, rate_scale, eu, ev, et):
+def _realization(vertices, n_scale, t_max, eu, ev, et):
     """Edge arrays into a realization sorted by arrival time."""
     order = np.argsort(et, kind="stable")
     return GraphRealization(
         vertices=vertices,
         n_scale=float(n_scale),
         t_max=float(t_max),
-        rate_scale=float(rate_scale),
         edge_u=eu[order],
         edge_v=ev[order],
         edge_t=et[order],
@@ -88,7 +86,6 @@ def sample_graph(
     n_scale: float,
     t_max: float,
     seed: int | np.random.SeedSequence,
-    rate_scale: float = 1.0,
 ) -> GraphRealization:
     """Draw every edge with arrival time <= t_max.
 
@@ -96,16 +93,16 @@ def sample_graph(
     envelope rate of the vertex rows, each get a uniform arrival time in
     [0, t_max] and are thinned by :func:`particles.envelope_proposals`.
     The kept arrivals of a pair form a Poisson process of rate
-    ``rate_scale * kbar / n_scale``, so its first one, the one stored, is
-    the pair's exponential edge time.  An expected proposal count above
+    ``kbar / n_scale``, so its first one, the one stored, is the pair's
+    exponential edge time.  An expected proposal count above
     ``_MAX_PROPOSALS`` raises BudgetExceeded before any draw.
     """
     vertices = _check_table(sys, vertices)
-    _check_scales(n_scale, rate_scale)
+    _check_scale(n_scale)
     (t_max,) = check_times([t_max])
     rng = np.random.default_rng(seed)
     cum, guide, pair_cum = envelope(sys, vertices)
-    mean = 0.5 * rate_scale / n_scale * float(pair_cum[-1]) * t_max
+    mean = 0.5 / n_scale * float(pair_cum[-1]) * t_max
     if not mean <= _MAX_PROPOSALS:
         raise BudgetExceeded(
             f"expected {mean:.3g} edge proposals exceeds the budget "
@@ -132,9 +129,7 @@ def sample_graph(
     eu, ev, et = eu[order], ev[order], et[order]
     head = np.ones(eu.size, dtype=bool)
     head[1:] = (eu[1:] != eu[:-1]) | (ev[1:] != ev[:-1])
-    return _realization(
-        vertices, n_scale, t_max, rate_scale, eu[head], ev[head], et[head]
-    )
+    return _realization(vertices, n_scale, t_max, eu[head], ev[head], et[head])
 
 
 def _unrank_pairs(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -177,7 +172,9 @@ def _sample_graph_blocks(
     The oracle of :func:`coupling_test`: it shares no sampling code with
     the merge engine.  Vertices with equal rate rows form a type, and every
     pair of one type pair (a block) has the same edge probability
-    ``p = 1 - exp(-r t_max)``, ``r = rate_scale * kbar / n_scale``.  The
+    ``p = 1 - exp(-r t_max)``, ``r = rate_scale * kbar / n_scale``, where
+    ``rate_scale >= 0`` is the calibration control of :func:`coupling_test`
+    (1 samples the system's own law, 0 an empty graph).  The
     edges of a block are its Bernoulli(p) successes, found by geometric
     skipping, and each edge's time is Exp(r) truncated at t_max.  With K
     types this costs O(K^2 + N + edges); K(K+1)/2 type pairs or an
@@ -185,7 +182,9 @@ def _sample_graph_blocks(
     before any draw.
     """
     vertices = _check_table(sys, vertices)
-    _check_scales(n_scale, rate_scale)
+    _check_scale(n_scale)
+    if not 0 <= rate_scale <= float_info.max:
+        raise ValueError(f"rate_scale = {rate_scale} must be nonnegative and finite")
     (t_max,) = check_times([t_max])
     rng = np.random.default_rng(seed)
     rates = vertices[:, 1:]
@@ -238,7 +237,7 @@ def _sample_graph_blocks(
     # arrival times: Exp(rate) conditioned on arriving by t_max
     times = -np.log1p(-rng.random(blk.size) * prob[blk]) / rate[blk]
     return _realization(
-        vertices, n_scale, t_max, rate_scale,
+        vertices, n_scale, t_max,
         np.minimum(u, v), np.maximum(u, v), np.minimum(times, t_max),
     )
 
@@ -255,13 +254,12 @@ def graph_from_measure(
     n: int,
     t_max: float,
     seed: int | np.random.SeedSequence,
-    rate_scale: float = 1.0,
 ) -> GraphRealization:
     """Fixed vertex count n, rows i.i.d. from the normalized measure."""
     _check_vertices(n)
     rng = np.random.default_rng(seed)
     rows = sample_atoms(measure, n, rng)
-    return sample_graph(sys, rows, n, t_max, rng, rate_scale=rate_scale)
+    return sample_graph(sys, rows, n, t_max, rng)
 
 
 @dataclass(frozen=True)
@@ -352,14 +350,14 @@ def coupling_test(
     t: float,
     n_replicas: int,
     seed: int,
-    rate_scale: float = 1.0,
     graph_rate_factor: float = 1.0,
 ) -> CouplingReport:
     """Match component laws against merge-cluster laws, replica by replica.
 
     Each replica shares one sampled vertex set between the two dynamics.
-    ``graph_rate_factor`` deliberately mis-scales the graph side; anything
-    but 1.0 should make the test fail, which is the calibration control.
+    ``graph_rate_factor`` (nonnegative) deliberately mis-scales the graph
+    side; anything but 1.0 should make the test fail, which is the
+    calibration control.
     """
     g_largest = np.empty(n_replicas)
     g_counts = np.empty(n_replicas)
@@ -372,23 +370,12 @@ def coupling_test(
             measure, n, np.random.default_rng(child_seed(seed, r, 0))
         )
         graph = _sample_graph_blocks(
-            sys,
-            rows,
-            n,
-            t,
-            child_seed(seed, r, 1),
-            rate_scale=rate_scale * graph_rate_factor,
+            sys, rows, n, t, child_seed(seed, r, 1), rate_scale=graph_rate_factor
         )
         track = trajectory(graph, [t])[0]
         g_largest[r] = float(track.pi_c1[phi_cols].sum())
         g_counts[r] = track.n_components
-        ps = ParticleSystem(
-            sys,
-            rows,
-            n,
-            np.random.default_rng(child_seed(seed, r, 2)),
-            rate_scale=rate_scale,
-        )
+        ps = ParticleSystem(sys, rows, n, np.random.default_rng(child_seed(seed, r, 2)))
         snap = ps.run([t])[0]
         p_largest[r] = float(snap.gel_largest.g[phi_cols].sum())
         p_counts[r] = snap.n_particles
@@ -432,7 +419,6 @@ def duality_experiment(
     t_minus: float,
     t_plus: float,
     seed: int,
-    rate_scale: float = 1.0,
 ) -> DualityReport:
     """Remove the giant component at t_minus; what survives to t_plus should
     look like a fresh graph driven by the tilted measure.
@@ -440,11 +426,11 @@ def duality_experiment(
     The window must satisfy t_gel < t_minus < t_plus < t_gel(tilted), else
     the comparison is meaningless and WindowInvalid is raised.
     """
-    spectral = gelation(sys, measure, rate_scale)
-    coeff = solve_fixed_point(sys, measure, t_minus, rate_scale, spectral)
+    spectral = gelation(sys, measure)
+    coeff = solve_fixed_point(sys, measure, t_minus, spectral)
     rho = survival_probabilities(sys, measure, coeff)
     tilted = measure._tilted(rho)
-    t_gel, t_gel_tilted = spectral.t_g, gelation(sys, tilted, rate_scale).t_g
+    t_gel, t_gel_tilted = spectral.t_g, gelation(sys, tilted).t_g
     if not (t_gel < t_minus < t_plus < t_gel_tilted):
         raise WindowInvalid(
             f"need t_gel={t_gel:.6g} < t_minus < t_plus < "
@@ -455,9 +441,7 @@ def duality_experiment(
     rows = sample_atoms(
         measure, n, np.random.default_rng(child_seed(seed, 0))
     )
-    graph = sample_graph(
-        sys, rows, n, t_plus, child_seed(seed, 1), rate_scale=rate_scale
-    )
+    graph = sample_graph(sys, rows, n, t_plus, child_seed(seed, 1))
     eu, ev = graph.edge_u, graph.edge_v
     # components as seen at t_minus pick out the giant to delete
     stop = graph.edges_until(t_minus)
@@ -471,10 +455,7 @@ def duality_experiment(
     fresh_rows = sample_atoms(
         tilted, n_survivors, np.random.default_rng(child_seed(seed, 2))
     )
-    fresh = sample_graph(
-        sys, fresh_rows, n, t_plus, child_seed(seed, 3),
-        rate_scale=rate_scale,
-    )
+    fresh = sample_graph(sys, fresh_rows, n, t_plus, child_seed(seed, 3))
     fresh_sizes = np.bincount(
         contract(np.arange(n_survivors), n_survivors, fresh.edge_u, fresh.edge_v)[0]
     )

@@ -3,16 +3,16 @@
 Under the pair-merge dynamics the second moments of the conserved block
 close into an autonomous quadratic ODE system,
 
-    dQ/dt   = rs * Q A+ Q         Q_ij = <pi_i pi_j>,  1 <= i,j <= n
-    dz_i/dt = rs * (z A+ Q)_i     z_i  = <pi0 pi_i>,   1 <= i <= n
-    dz_0/dt = rs * z A+ z^T       z_0  = <pi0^2>
+    dQ/dt   = Q A+ Q         Q_ij = <pi_i pi_j>,  1 <= i,j <= n
+    dz_i/dt = (z A+ Q)_i     z_i  = <pi0 pi_i>,   1 <= i <= n
+    dz_0/dt = z A+ z^T       z_0  = <pi0^2>
 
 (mirror symmetry kills every mixed moment with a sign-odd coordinate, so
 the odd block never feeds back).  Bordering ``Q`` with ``z`` gives the
 (1+n) x (1+n) second-moment matrix ``Y = <(pi0, plus)(pi0, plus)^T>``, and
 the whole system is one matrix Riccati equation,
 
-    dY/dt = rs * Y A_hat Y,      A_hat = diag(0, A+),
+    dY/dt = Y A_hat Y,      A_hat = diag(0, A+),
 
 so ``Q^-1`` falls linearly in time and the solution has a closed form,
 which is what the production path evaluates.  The solution blows up in
@@ -35,8 +35,8 @@ from . import _rk
 from .errors import DualNotSubcritical, ExplosionReached, NumericError
 from .spectral import SpectralResult, gelation
 from .survival import _maximal_roots, gel_data, solve_fixed_point
-from .system import AtomicMeasure, BilinearSystem, GelData, gram_plus, moment_matrix
-from .system import check_rate_scale, check_times
+from .system import AtomicMeasure, BilinearSystem, GelData, check_times, gram_plus
+from .system import moment_matrix
 
 BLOWUP_THRESHOLD = 1e12
 
@@ -90,8 +90,8 @@ def _second_moments(state: MomentState) -> np.ndarray:
     return y
 
 
-def _riccati(sys: BilinearSystem, rate_scale: float):
-    """The whole moment flow ``dY = rs Y A_hat Y``, ``A_hat = diag(0, A+)``,
+def _riccati(sys: BilinearSystem):
+    """The whole moment flow ``dY = Y A_hat Y``, ``A_hat = diag(0, A+)``,
     on the flattened ``Y``."""
     m = sys.n + 1
     a_hat = np.zeros((m, m))
@@ -99,18 +99,16 @@ def _riccati(sys: BilinearSystem, rate_scale: float):
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         y = y.reshape(m, m)
-        dy = y @ a_hat @ y
-        dy *= rate_scale
-        return dy.reshape(-1)
+        return (y @ a_hat @ y).reshape(-1)
 
     return rhs
 
 
 def moment_rhs(
-    sys: BilinearSystem, state: MomentState, rate_scale: float = 1.0
+    sys: BilinearSystem, state: MomentState
 ) -> tuple[np.ndarray, np.ndarray]:
     """Time derivatives (dQ, dz) at the given state."""
-    dy = _riccati(sys, rate_scale)(state.t, _second_moments(state)).reshape(
+    dy = _riccati(sys)(state.t, _second_moments(state)).reshape(
         state.n + 1, state.n + 1
     )
     return dy[1:, 1:], dy[0]
@@ -120,19 +118,17 @@ def integrate_subcritical(
     sys: BilinearSystem,
     state0: MomentState,
     t_end: float,
-    rate_scale: float = 1.0,
     outputs=None,
 ) -> MomentState | list[MomentState]:
     """Moments at ``t_end`` by the closed form of the moment flow.
 
     The flow is a matrix Riccati equation, so ``Q^-1`` falls linearly:
-    ``Q(t) = (Q0^-1 - rs (t - t0) A+)^-1``, ``z+ = v Q`` and
+    ``Q(t) = (Q0^-1 - (t - t0) A+)^-1``, ``z+ = v Q`` and
     ``z0 = z0(t0) + v (Q - Q0) v^T`` with ``v = z+(t0) Q0^-1``.  Raises
     ExplosionReached once the bracket is no longer positive definite or an
     entry reaches the blowup threshold before ``t_end``.  With ``outputs``
     given, returns the states at those times instead of just the final state.
     """
-    check_rate_scale(rate_scale)
     t0, q0, z0 = state0.t, state0.q, state0.z
     check_times([t_end], t0)
     times = check_times([] if outputs is None else outputs, t0, t_end)
@@ -140,7 +136,7 @@ def integrate_subcritical(
     v = z0[1:] @ q0_inv
 
     def at(t: float) -> MomentState:
-        bracket = q0_inv - rate_scale * (t - t0) * sys.a_plus
+        bracket = q0_inv - (t - t0) * sys.a_plus
         try:
             np.linalg.cholesky(bracket)
         except np.linalg.LinAlgError:
@@ -165,7 +161,6 @@ def integrate_subcritical(
 def explosion_time(
     sys: BilinearSystem,
     state0: MomentState,
-    rate_scale: float = 1.0,
     rtol: float = 1e-9,
 ) -> float:
     """Blowup time of the moment ODE, found by integration.
@@ -175,7 +170,6 @@ def explosion_time(
     root extrapolates the blowup time.  Deliberately makes no use of the
     spectral formula, so the two routes cross-validate each other.
     """
-    check_rate_scale(rate_scale)
     m = state0.n + 1
     ts: list[float] = []
     peaks: list[float] = []
@@ -202,7 +196,7 @@ def explosion_time(
     # so the transient overflows are expected and harmless
     with np.errstate(over="ignore", invalid="ignore"):
         traj = _rk.integrate(
-            _riccati(sys, rate_scale),
+            _riccati(sys),
             state0.t,
             _second_moments(state0).reshape(-1),
             1e30,
@@ -234,7 +228,6 @@ def supercritical_moments(
     sys: BilinearSystem,
     measure: AtomicMeasure,
     t: float,
-    rate_scale: float = 1.0,
     spectral: SpectralResult | None = None,
 ) -> MomentState:
     """Sol-phase second moments after gelation, via the duality tilt.
@@ -246,48 +239,40 @@ def supercritical_moments(
     measure's own gelation result, solved here when not given.
     """
     if spectral is None:
-        spectral = gelation(sys, measure, rate_scale)
+        spectral = gelation(sys, measure)
     if t <= spectral.t_g:
         raise ValueError(
             f"t={t} is subcritical (t_g={spectral.t_g}); integrate directly"
         )
-    sol = solve_fixed_point(sys, measure, t, rate_scale, spectral)
-    return _dual(sys, measure, t, sol.c, rate_scale, spectral.t_g)
+    sol = solve_fixed_point(sys, measure, t, spectral)
+    return _dual(sys, measure, t, sol.c, spectral.t_g)
 
 
 def _dual(
-    sys: BilinearSystem,
-    measure: AtomicMeasure,
-    t: float,
-    c: np.ndarray,
-    rate_scale: float,
-    t_g: float,
+    sys: BilinearSystem, measure: AtomicMeasure, t: float, c: np.ndarray, t_g: float
 ) -> MomentState:
     """Sol moments at t from the fixed point ``c`` at t: the moment flow of
     the tilted measure, once its gelation time is checked to be past t."""
     tilted = measure._tilted(-np.expm1(-(measure.coords[:, 1 : 1 + sys.n] @ c)))
-    tilted_tg = gelation(sys, tilted, rate_scale).t_g
+    tilted_tg = gelation(sys, tilted).t_g
     # the tilted gap is about t - t_g, so the margin scales with it
     if tilted_tg - t <= 0.5 * (t - t_g):
         raise DualNotSubcritical(
             f"tilted system gels at {tilted_tg}, not after requested t={t}; "
             "fixed-point solution is inconsistent"
         )
-    return integrate_subcritical(sys, initial_state(tilted), t, rate_scale)
+    return integrate_subcritical(sys, initial_state(tilted), t)
 
 
 def moments_at(
-    sys: BilinearSystem,
-    measure: AtomicMeasure,
-    t: float,
-    rate_scale: float = 1.0,
+    sys: BilinearSystem, measure: AtomicMeasure, t: float
 ) -> tuple[MomentState, str]:
     """Moments of the sol at time t with the phase label."""
-    spectral = gelation(sys, measure, rate_scale)
+    spectral = gelation(sys, measure)
     if t <= spectral.t_g:
-        state = integrate_subcritical(sys, initial_state(measure), t, rate_scale)
+        state = integrate_subcritical(sys, initial_state(measure), t)
         return state, "sol-subcritical"
-    state = supercritical_moments(sys, measure, t, rate_scale, spectral)
+    state = supercritical_moments(sys, measure, t, spectral)
     return state, "supercritical-dual"
 
 
@@ -295,14 +280,13 @@ def gel_growth_ode(
     sys: BilinearSystem,
     measure: AtomicMeasure,
     t_to: float,
-    rate_scale: float = 1.0,
     outputs=None,
     rtol: float = 1e-7,
 ) -> list[tuple[float, GelData]]:
     """Post-gel trajectory of the gel data by direct integration.
 
     The gel absorbs sol particles at a rate set by the current sol moments:
-    dg_0 = rs * z A+ g_plus and dg_plus = rs * Q A+ g_plus, with (Q, z)
+    dg_0 = z A+ g_plus and dg_plus = Q A+ g_plus, with (Q, z)
     taken from the duality pipeline at each time; the fixed points of an
     attempted step's stage times are solved together, as one Newton stack.
     Starts at ``t_g (1 + 1e-3)``, or halfway to ``t_to`` if sooner, from the
@@ -310,14 +294,14 @@ def gel_growth_ode(
     independent gel curve.
     """
     given = check_times([t_to, *([] if outputs is None else outputs)])
-    spectral = gelation(sys, measure, rate_scale)
+    spectral = gelation(sys, measure)
     t_g = spectral.t_g
     if t_to <= t_g:
         raise ValueError(f"t_to={t_to} is not after the gelation time {t_g}")
     t_start = t_g * (1.0 + 1e-3)
     if t_to <= t_start:
         t_start = t_g + 0.5 * (t_to - t_g)
-    g0 = gel_data(sys, measure, t_start, rate_scale, spectral).g
+    g0 = gel_data(sys, measure, t_start, spectral).g
     n = sys.n
     coeff_cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -325,9 +309,9 @@ def gel_growth_ode(
         # the coefficients depend on t alone, so a step's stage times are
         # solved together; the last two stage times of a step coincide
         todo = np.array([u for u in dict.fromkeys(times) if u not in coeff_cache])
-        c = _maximal_roots(sys, measure, todo, rate_scale, t_g)
+        c = _maximal_roots(sys, measure, todo, t_g)
         for u, cu in zip(todo.tolist(), c):
-            state = _dual(sys, measure, u, cu, rate_scale, t_g)
+            state = _dual(sys, measure, u, cu, t_g)
             coeff_cache[u] = (state.q, state.z[1:])
 
     def rhs(t: float, g: np.ndarray) -> np.ndarray:
@@ -337,8 +321,8 @@ def gel_growth_ode(
         gp = g[1 : 1 + n]
         dg = np.zeros_like(g)
         flow = sys.a_plus @ gp
-        dg[0] = rate_scale * float(zp @ flow)
-        dg[1 : 1 + n] = rate_scale * (q @ flow)
+        dg[0] = float(zp @ flow)
+        dg[1 : 1 + n] = q @ flow
         return dg
 
     out = sorted({v for v in given if v >= t_start})

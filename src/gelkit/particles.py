@@ -1,16 +1,16 @@
 """Finite-N pair-merge simulator, exact in law.
 
 Particles are rows of a coordinate array; an unordered pair merges at rate
-``rate_scale * kbar(x, y) / n_scale``.  Because the sign-odd block makes
-``kbar`` non-factorizable, proposals are drawn from the entrywise-absolute
-envelope ``khat(x, y) = sum |a_kl| |pi_k(x)| |pi_l(y)| >= kbar`` (which does
+``kbar(x, y) / n_scale``.  Because the sign-odd block makes ``kbar``
+non-factorizable, proposals are drawn from the entrywise-absolute envelope
+``khat(x, y) = sum |a_kl| |pi_k(x)| |pi_l(y)| >= kbar`` (which does
 factorize) and thinned by the exact ratio.
 
 ``run`` never steps event by event.  The kernel is bilinear, so two
 clusters merge at the summed rate of their member pairs, and the clusters
 at time t are the connected components of a random graph on the run's
-starting rows whose edge {i, j} arrives at rate ``rate_scale * kbar(x_i,
-x_j) / n_scale``.  Each checkpoint interval draws a Poisson batch of pair
+starting rows whose edge {i, j} arrives at rate ``kbar(x_i, x_j) /
+n_scale``.  Each checkpoint interval draws a Poisson batch of pair
 proposals from the static envelope of the starting rows, keeps each with
 probability ``kbar / khat`` and contracts the kept edges into the current
 clusters, in fixed-size chunks.  ``events`` counts these static-envelope
@@ -84,14 +84,11 @@ def child_seed(seed: int, *key: int) -> np.random.SeedSequence:
     return np.random.SeedSequence((int(seed), *map(int, key)))
 
 
-def _check_scales(n_scale: float, rate_scale: float) -> None:
-    """ValueError unless n_scale is positive and finite and rate_scale is
-    nonnegative and finite (0 switches merging off).  The bounds are
+def _check_scale(n_scale: float) -> None:
+    """ValueError unless n_scale is positive and finite.  The bounds are
     compared, not converted: an integer past the double range is refused."""
     if not 0 < n_scale <= float_info.max:
         raise ValueError(f"n_scale = {n_scale} must be positive and finite")
-    if not 0 <= rate_scale <= float_info.max:
-        raise ValueError(f"rate_scale = {rate_scale} must be nonnegative and finite")
 
 
 def _check_table(sys: BilinearSystem, coords) -> np.ndarray:
@@ -363,14 +360,12 @@ class ParticleSystem:
         coords: np.ndarray,
         n_scale: float,
         rng: np.random.Generator,
-        rate_scale: float = 1.0,
         t: float = 0.0,
     ):
         self.coords = _check_table(sys, coords)
-        _check_scales(n_scale, rate_scale)
+        _check_scale(n_scale)
         self.sys = sys
         self.n_scale = float(n_scale)
-        self.rate_scale = float(rate_scale)
         (self.t,) = check_times([t])
         self.rng = rng
         self.events = 0
@@ -403,7 +398,7 @@ class ParticleSystem:
         cum, guide, pair_cum = envelope(self.sys, rows)
         merge_rate = 0.0
         if self.n_particles >= 2:
-            merge_rate = 0.5 * self.rate_scale / self.n_scale * float(pair_cum[-1])
+            merge_rate = 0.5 / self.n_scale * float(pair_cum[-1])
         if not math.isfinite(merge_rate):
             raise RateUnderflow(f"envelope rate {merge_rate} is not finite")
         clusters = self.n_particles
@@ -427,7 +422,8 @@ class ParticleSystem:
         return out
 
     def dump_state(self, path) -> None:
-        """Write the particle table in the documented binary layout."""
+        """Write the particle table in the documented binary layout; the
+        rate factor slot holds 1, as the rates are the system's."""
         header = _MAGIC + struct.pack(
             _HEADERS[2],
             2,
@@ -435,7 +431,7 @@ class ParticleSystem:
             self.sys.m,
             self.n_scale,
             self.t,
-            self.rate_scale,
+            1.0,
             self.n_particles,
         )
         try:
@@ -449,7 +445,9 @@ class ParticleSystem:
 def load_state(
     sys: BilinearSystem, path, seed: int | np.random.SeedSequence
 ) -> ParticleSystem:
-    """Rebuild a ParticleSystem from a dump; randomness restarts from seed."""
+    """Rebuild a ParticleSystem from a dump; randomness restarts from seed.
+    :meth:`ParticleSystem.dump_state` writes 1 in the rate factor slot; a
+    dump whose slot holds another factor runs on ``sys.scaled(slot)``."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -480,7 +478,9 @@ def load_state(
     ).reshape(count, width)
     rng = np.random.default_rng(seed)
     try:
-        return ParticleSystem(sys, coords, n_scale, rng, rate_scale=rate_scale, t=t)
+        if rate_scale != 1.0:
+            sys = sys.scaled(rate_scale)
+        return ParticleSystem(sys, coords, n_scale, rng, t=t)
     except ValueError as exc:
         raise SchemaError(str(path), str(exc)) from None
 
@@ -490,7 +490,6 @@ def init_poisson(
     measure: AtomicMeasure,
     n_scale: float,
     seed: int | np.random.SeedSequence,
-    rate_scale: float = 1.0,
 ) -> ParticleSystem:
     """Poissonized start: particle count ~ Poisson(n_scale * total mass),
     data i.i.d. from the normalized measure."""
@@ -500,14 +499,14 @@ def init_poisson(
             f"N = {n_scale} times mass {measure.total_mass:.3g} exceeds "
             f"the particle budget {_MAX_PARTICLES}"
         )
-    _check_scales(n_scale, rate_scale)
+    _check_scale(n_scale)
     rng = np.random.default_rng(seed)
     count = int(rng.poisson(n_scale * measure.total_mass))
     if count == 0:
         coords = np.zeros((0, 1 + sys.n + sys.m))
     else:
         coords = sample_atoms(measure, count, rng)
-    return ParticleSystem(sys, coords, n_scale, rng, rate_scale=rate_scale)
+    return ParticleSystem(sys, coords, n_scale, rng)
 
 
 class DirectPairSimulator:
@@ -523,13 +522,11 @@ class DirectPairSimulator:
         coords: np.ndarray,
         n_scale: float,
         rng: np.random.Generator,
-        rate_scale: float = 1.0,
     ):
         self.coords = _check_table(sys, coords)
-        _check_scales(n_scale, rate_scale)
+        _check_scale(n_scale)
         self.sys = sys
         self.n_scale = float(n_scale)
-        self.rate_scale = float(rate_scale)
         self.rng = rng
         self.t = 0.0
 
@@ -543,7 +540,7 @@ class DirectPairSimulator:
         pts = self.coords[:, 1:]
         iu = np.triu_indices(self.n_particles, k=1)
         kbar = pair_rates(self.sys, pts[iu[0]], pts[iu[1]])[0]
-        return kbar * (self.rate_scale / self.n_scale), iu
+        return kbar * (1.0 / self.n_scale), iu
 
     def run(self, checkpoint_times, xi: int | None = None) -> list[Snapshot]:
         """Advance through the given times, one merge event at a time, with

@@ -29,8 +29,7 @@ import numpy as np
 
 from . import _rk
 from .errors import BudgetExceeded, ToleranceFailure
-from .system import AtomicMeasure, BilinearSystem, GelData, pair_rates
-from .system import check_rate_scale, check_times
+from .system import AtomicMeasure, BilinearSystem, GelData, check_times, pair_rates
 
 # candidate pairs tested at once by TruncatedFlory._build_pairs
 _PAIR_BLOCK = 1 << 20
@@ -94,7 +93,6 @@ class TruncatedFlory:
         sys: BilinearSystem,
         measure: AtomicMeasure,
         xi: float,
-        rate_scale: float = 1.0,
         max_types: int = 100_000,
         max_pairs: int = 2_000_000,
     ):
@@ -102,7 +100,6 @@ class TruncatedFlory:
             raise ValueError("truncated dynamics start from an initial measure")
         self.sys = sys
         self.xi = float(xi)
-        self.rate_scale = check_rate_scale(rate_scale)
         self.types = enumerate_types(measure, xi, max_types)
         species = measure.coords  # (k, 1+n+m)
         if not self.types or species[:, 1 : 1 + sys.n].sum(axis=1).max() > xi + 1e-12:
@@ -125,7 +122,7 @@ class TruncatedFlory:
         # sol plus gel data is conserved, so each type's total merge rate
         # against it is fixed by the initial densities
         rate = self.coords[:, 1:]
-        self._loss = self.rate_scale * (rate @ (sys.block @ (dens0 @ rate)))
+        self._loss = rate @ (sys.block @ (dens0 @ rate))
         self.clamped = 0.0
 
     def _build_pairs(self, max_pairs: int) -> None:
@@ -179,7 +176,7 @@ class TruncatedFlory:
         self._iz = np.concatenate(iz)
         kv = pair_rates(self.sys, rate[self._ix], rate[self._iy])[0]
         coeff = np.where(self._ix == self._iy, 0.5, 1.0)
-        self._pair_rate = self.rate_scale * coeff * kv
+        self._pair_rate = coeff * kv
 
     def _rhs(self, t: float, n: np.ndarray) -> np.ndarray:
         flux = n[self._ix]
@@ -249,10 +246,7 @@ def integrate_truncated(
     measure: AtomicMeasure,
     xi: float,
     t_end: float,
-    rate_scale: float = 1.0,
     outputs=None,
 ) -> list[TruncatedState]:
     """One-call convenience wrapper around :class:`TruncatedFlory`."""
-    return TruncatedFlory(sys, measure, xi, rate_scale).integrate(
-        t_end, outputs=outputs
-    )
+    return TruncatedFlory(sys, measure, xi).integrate(t_end, outputs=outputs)

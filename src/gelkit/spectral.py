@@ -6,7 +6,7 @@ second-moment (Gram) matrix of the conserved coordinates under the initial
 measure.  ``L`` is entrywise nonnegative, similar to the symmetric matrix
 ``L_chol^T A_plus L_chol`` (Cholesky ``Q = L_chol L_chol^T``), so its
 spectral radius ``r`` is its largest eigenvalue and has a single-signed
-eigenvector.  Gelation happens at ``t_g = 1 / (rate_scale * r)``.
+eigenvector.  Gelation happens at ``t_g = 1 / r``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateMeasure, NoConvergence, SchemaError
-from .system import AtomicMeasure, BilinearSystem, check_rate_scale, gram_plus
+from .system import AtomicMeasure, BilinearSystem, gram_plus
 
 _GRAM_TOL = 1e-9
 _RESIDUAL_TOL = 1e-10
@@ -86,9 +86,7 @@ def spectral_radius(
     )
 
 
-def gelation(
-    sys: BilinearSystem, measure: AtomicMeasure, rate_scale: float = 1.0
-) -> SpectralResult:
+def gelation(sys: BilinearSystem, measure: AtomicMeasure) -> SpectralResult:
     """Full spectral solve: criticality matrix, radius, Perron vector, t_g.
 
     The Perron vector ``psi`` is normalized to ``psi^T Q psi = 1`` and is
@@ -96,9 +94,9 @@ def gelation(
     does not satisfy the admissibility hypotheses.  A measure that is not
     mirror symmetric (hypothesis A1) is refused with a :class:`SchemaError`
     at ``/atoms``: the limit theory, which reads only the conserved block,
-    does not describe it.  ``rate_scale`` must be positive and finite.
+    does not describe it.  A radius too small for ``1 / r`` to be finite is
+    a :class:`DegenerateMeasure`.
     """
-    check_rate_scale(rate_scale)
     if not measure.mirror_symmetric:
         raise SchemaError(
             "/atoms",
@@ -112,9 +110,9 @@ def gelation(
     sym = (sym + sym.T) / 2.0
     eigvals, eigvecs = np.linalg.eigh(sym)
     radius = float(eigvals[-1])
-    if radius <= 0.0:
+    if not (radius > 0.0 and 1.0 / radius < np.inf):
         raise DegenerateMeasure(
-            f"criticality matrix has nonpositive top eigenvalue {radius}"
+            f"criticality matrix has top eigenvalue {radius}: no finite t_g"
         )
     u = eigvecs[:, -1]
     # psi solves chol.T psi = u, hence L psi = radius psi and
@@ -137,11 +135,9 @@ def gelation(
         lambda_matrix=lam_mat,
         radius=radius,
         psi=psi,
-        t_g=1.0 / (rate_scale * radius),
+        t_g=1.0 / radius,
     )
 
 
-def gelation_time(
-    sys: BilinearSystem, measure: AtomicMeasure, rate_scale: float = 1.0
-) -> float:
-    return gelation(sys, measure, rate_scale).t_g
+def gelation_time(sys: BilinearSystem, measure: AtomicMeasure) -> float:
+    return gelation(sys, measure).t_g

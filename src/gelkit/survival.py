@@ -5,14 +5,14 @@ positive chance of being swallowed by the macroscopic cluster; that chance
 is ``rho(x) = 1 - exp(-plus(x) . c)`` where the coefficient vector ``c``
 solves
 
-    c = t * rate_scale * F(c),
+    c = t * F(c),
     F(c) = A_plus < plus * (1 - exp(-plus . c)) >_mu0.
 
 Among the solutions (0 is always one) the physical branch is the MAXIMAL
 one, which is zero exactly up to the gelation time.  Past it the maximal
-root is found by monotone Newton on ``G(c) = c - t * rate_scale * F(c)``:
+root is found by monotone Newton on ``G(c) = c - t * F(c)``:
 G is convex and order-monotone, so Newton started at the saturation bound
-``t * rate_scale * A_plus <plus>`` decreases to the maximal root (Ortega &
+``t * A_plus <plus>`` decreases to the maximal root (Ortega &
 Rheinboldt 1970, sec. 13.3), quadratically once close and by about half a
 step per iteration far above a root near zero.  Gel observables are the
 moments of ``rho`` against the initial measure.
@@ -74,13 +74,13 @@ def fixed_point_map(
 
 
 def _newton(
-    sys: BilinearSystem, measure: AtomicMeasure, scales: np.ndarray
+    sys: BilinearSystem, measure: AtomicMeasure, times: np.ndarray
 ) -> np.ndarray:
-    """Maximal roots of ``c = s * F(c)``, one row of the ``(k, n)`` result
-    per supercritical scale ``s = t * rate_scale`` in ``scales``.
+    """Maximal roots of ``c = t * F(c)``, one row of the ``(k, n)`` result
+    per supercritical time in ``times``.
 
     Each row runs monotone Newton from the saturation bound with the
-    Jacobian ``I - s * A_plus <plus plus^T exp(-plus . c)>`` and stops on
+    Jacobian ``I - t * A_plus <plus plus^T exp(-plus . c)>`` and stops on
     its own: after a step of at most ``_NEWTON_RTOL * |c|_inf``, or, without
     applying it, at a step with no positive entry, since the descent has
     then reached the rounding floor.
@@ -88,7 +88,7 @@ def _newton(
     plus = measure.coords[:, 1 : 1 + sys.n]
     w = measure.weight_array
     a = sys.a_plus
-    s = np.asarray(scales, dtype=float)[:, None]
+    s = np.asarray(times, dtype=float)[:, None]
     c = s * (a @ (plus.T @ w))
     live = np.arange(len(c))
     for _ in range(_MAX_NEWTON):
@@ -110,7 +110,7 @@ def _newton(
     if live.size:
         raise SlowConvergence(
             f"maximal fixed point not resolved in {_MAX_NEWTON} Newton steps at "
-            f"t * rate_scale = {float(s[live[0], 0])!r}"
+            f"t = {float(s[live[0], 0])!r}"
         )
     return c
 
@@ -119,14 +119,13 @@ def _maximal_roots(
     sys: BilinearSystem,
     measure: AtomicMeasure,
     times: np.ndarray,
-    rate_scale: float,
     t_g: float,
 ) -> np.ndarray:
     """Maximal roots at the array ``times``, one row each: exact zeros up to
     ``t_g * (1 + _CRITICAL_BAND)``, one :func:`_newton` stack past it."""
     c = np.zeros((times.size, sys.n))
     sup = times > t_g * (1.0 + _CRITICAL_BAND)
-    c[sup] = _newton(sys, measure, times[sup] * rate_scale)
+    c[sup] = _newton(sys, measure, times[sup])
     return c
 
 
@@ -134,23 +133,22 @@ def solve_fixed_point(
     sys: BilinearSystem,
     measure: AtomicMeasure,
     t: float,
-    rate_scale: float = 1.0,
     spectral: SpectralResult | None = None,
 ) -> SurvivalCoefficients:
-    """Maximal solution of ``c = t * rate_scale * F(c)``.
+    """Maximal solution of ``c = t * F(c)``.
 
     Subcritical times (up to ``t_g * (1 + 1e-12)``) return exact zeros from
     the spectral gate.  Supercritically, monotone Newton from the
     saturation bound decreases to the maximal root and stops on a step of
     at most ``1e-13 * |c|_inf``; it raises :class:`SlowConvergence` if that
-    takes more than 100 steps.  ``residual`` is ``|c - t * rate_scale *
-    F(c)|_inf`` at the returned ``c``.
+    takes more than 100 steps.  ``residual`` is ``|c - t * F(c)|_inf`` at
+    the returned ``c``.
     """
     check_times([t])
     if spectral is None:
-        spectral = gelation(sys, measure, rate_scale)
-    c = _maximal_roots(sys, measure, np.array([t]), rate_scale, spectral.t_g)[0]
-    gap = c - t * rate_scale * fixed_point_map(sys, measure, c)
+        spectral = gelation(sys, measure)
+    c = _maximal_roots(sys, measure, np.array([t]), spectral.t_g)[0]
+    gap = c - t * fixed_point_map(sys, measure, c)
     return SurvivalCoefficients(t, c, float(np.abs(gap).max()))
 
 
@@ -166,11 +164,10 @@ def gel_data(
     sys: BilinearSystem,
     measure: AtomicMeasure,
     t: float,
-    rate_scale: float = 1.0,
     spectral: SpectralResult | None = None,
 ) -> GelData:
     """Gel observables ``g_i = <pi_i rho_t>`` for all 1+n+m coordinates."""
-    sol = solve_fixed_point(sys, measure, t, rate_scale, spectral)
+    sol = solve_fixed_point(sys, measure, t, spectral)
     if sol.is_zero:
         return GelData(np.zeros(1 + sys.n + sys.m))
     rho = survival_probabilities(sys, measure, sol)
@@ -178,37 +175,27 @@ def gel_data(
 
 
 def tilted_measure(
-    sys: BilinearSystem,
-    measure: AtomicMeasure,
-    t: float,
-    rate_scale: float = 1.0,
+    sys: BilinearSystem, measure: AtomicMeasure, t: float
 ) -> AtomicMeasure:
     """The initial measure thinned by non-survival: weights times
     ``1 - rho_t``.  Describes the sol phase as a fresh subcritical system."""
-    sol = solve_fixed_point(sys, measure, t, rate_scale)
+    sol = solve_fixed_point(sys, measure, t)
     return measure._tilted(survival_probabilities(sys, measure, sol))
 
 
-def gel_curve(
-    sys: BilinearSystem,
-    measure: AtomicMeasure,
-    times,
-    rate_scale: float = 1.0,
-) -> np.ndarray:
+def gel_curve(sys: BilinearSystem, measure: AtomicMeasure, times) -> np.ndarray:
     """Rows ``(t, c_1..c_n, M, E_1..E_n)`` over a time grid, in its order;
     the supercritical times are solved together as one Newton stack."""
     t = time_array(np.ravel(times))
-    t_g = gelation(sys, measure, rate_scale).t_g
-    c = _maximal_roots(sys, measure, t, rate_scale, t_g)
+    t_g = gelation(sys, measure).t_g
+    c = _maximal_roots(sys, measure, t, t_g)
     rho = -np.expm1(-(c @ measure.coords[:, 1 : 1 + sys.n].T))
     g = (rho * measure.weight_array) @ measure.coords
     return np.column_stack((t, c, g[:, : 1 + sys.n]))
 
 
 def critical_slope(
-    sys: BilinearSystem,
-    measure: AtomicMeasure,
-    rate_scale: float = 1.0,
+    sys: BilinearSystem, measure: AtomicMeasure
 ) -> tuple[np.ndarray, np.ndarray]:
     """Right-derivatives at the gelation time: (dc/dt, dg/dt).
 
@@ -216,12 +203,12 @@ def critical_slope(
     onto the Perron direction psi (self-adjoint for the Q-weighted inner
     product) gives
 
-        c'(t_g+) = psi / (rate_scale * t_g^2 * <psi, Sigma(psi)>_Q),
+        c'(t_g+) = psi / (t_g^2 * <psi, Sigma(psi)>_Q),
         Sigma(psi)_i = 1/2 sum_j a+_ij <pi_j (psi . plus)^2>,
 
     and the gel slope g'_i = sum_j c'_j <pi_i pi_j> for i = 0..n.
     """
-    spectral = gelation(sys, measure, rate_scale)
+    spectral = gelation(sys, measure)
     psi, t_g = spectral.psi, spectral.t_g
     n = sys.n
     plus = measure.coords[:, 1 : 1 + n]
@@ -235,7 +222,7 @@ def critical_slope(
             "cubic moment term vanishes; the measure cannot support a "
             "nondegenerate gel onset"
         )
-    c_prime = psi / (rate_scale * t_g * t_g * denom)
+    c_prime = psi / (t_g * t_g * denom)
     z_plus = moment_matrix(measure, [0], range(1, n + 1))[0]
     g_prime = np.concatenate(([z_plus @ c_prime], q @ c_prime))
     assert np.all(g_prime > 0.0), "gel slope must be strictly positive"
@@ -265,11 +252,10 @@ class SizeBiasReport:
 def size_bias_check(
     sys: BilinearSystem,
     measure: AtomicMeasure,
-    rate_scale: float = 1.0,
     tol: float = 1e-9,
 ) -> SizeBiasReport:
-    spectral = gelation(sys, measure, rate_scale)
-    c_prime, g_prime = critical_slope(sys, measure, rate_scale)
+    spectral = gelation(sys, measure)
+    c_prime, g_prime = critical_slope(sys, measure)
     theta = spectral.psi / float(spectral.psi.sum())
     moments = first_moments(measure)
     lhs = float(theta @ g_prime[1:])

@@ -104,6 +104,20 @@ class BilinearSystem:
         """Number of rate-carrying coordinates (n + m)."""
         return self.n + self.m
 
+    def scaled(self, factor) -> "BilinearSystem":
+        """The system with every merge rate multiplied by ``factor``: both
+        blocks times the factor, the coordinate names kept.  Every time of
+        the limit theory divides by the factor.  ValueError unless the
+        factor is positive and finite, compared before it is converted, and
+        unless the scaled blocks stay finite with no row rounded to 0."""
+        if not 0 < factor <= _FLOAT_MAX:
+            raise ValueError(f"rate factor {factor} must be positive and finite")
+        with np.errstate(over="ignore"):
+            a_plus, a_par = self.a_plus * float(factor), self.a_par * float(factor)
+            if not (np.isfinite(a_plus).all() and np.isfinite(a_par).all()):
+                raise ValueError(f"rate factor {factor} overflows the merge rates")
+            return BilinearSystem(self.n, self.m, a_plus, a_par, self.coordinate_names)
+
     @cached_property
     def block(self) -> np.ndarray:
         """The full symmetric matrix diag(a_plus, a_par)."""
@@ -186,14 +200,6 @@ def check_times(values, start: float = 0.0, end: float = math.inf) -> list[float
                 f"t = {v} must be finite, not before {start} and not after {end}"
             )
     return sorted(map(float, values))
-
-
-def check_rate_scale(rate_scale) -> float:
-    """The rate scale of the limit solvers as a float; ValueError unless it
-    is positive and finite, compared before it is converted."""
-    if not 0 < rate_scale <= _FLOAT_MAX:
-        raise ValueError(f"rate_scale = {rate_scale} must be positive and finite")
-    return float(rate_scale)
 
 
 def _same_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:

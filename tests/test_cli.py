@@ -466,6 +466,40 @@ class TestMalformedInput:
         assert "/rate_scale" in capsys.readouterr().err
         assert not (tmp_path / "tg.json").exists()
 
+    @pytest.mark.parametrize("kind", ["tg", "simulate"])
+    @pytest.mark.parametrize("a_plus, rate", [(1.0, 0), (1.0, -1.5), (10.0, 1e308)])
+    def test_rate_scale_refused(self, tmp_path, capsys, kind, a_plus, rate):
+        # a rate of 1e308 times an entry of 10 overflows: tg once wrote
+        # t_g = 0 with exit 0, simulate exited 3
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({
+            "kind": kind, "seed": 1, "rate_scale": rate,
+            "params": {} if kind == "tg" else {"times": [1.0], "n": 100},
+            "system": {
+                "n": 1, "m": 0, "A_plus": [[a_plus]], "A_par": [],
+                "atoms": [{"pi0": 1, "plus": [1.0], "w": 1.0}],
+            },
+        }))
+        assert run_cli("run", str(cfg)) == 2
+        assert "/rate_scale" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("a_plus, rate", [(1e-320, 1.0), (1.0, 1e-320)])
+    def test_tiny_spectral_radius(self, tmp_path, capsys, a_plus, rate):
+        # 1 / radius overflows: tg once wrote "t_g": inf, which is not JSON
+        doc = {
+            "kind": "tg", "rate_scale": rate,
+            "system": {
+                "n": 1, "m": 0, "A_plus": [[a_plus]], "A_par": [],
+                "atoms": [{"pi0": 1, "plus": [1.0], "w": 1.0}],
+            },
+        }
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps(doc))
+        assert run_cli("run", str(cfg)) == 3
+        assert "no finite t_g" in capsys.readouterr().err
+        assert not (tmp_path / "tg.json").exists()
+
     def test_non_boolean_doubled_rates(self, tmp_path, capsys):
         cfg = tmp_path / "exp.json"
         cfg.write_text(json.dumps({
@@ -599,6 +633,34 @@ class TestStateFiles:
     def test_checkpoint_before_dump(self, out_dir, capsys):
         assert self._resume(self._dump(out_dir), "0.2,0.8") == 2
         assert "/params/times" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_resume_at_doubled_rates(self, out_dir, via):
+        # the rate flag reaches the loaded system: the resumed run is the
+        # library's load_state on sys.scaled(2), with the same child seed
+        dump = self._dump(out_dir)
+        if via == "flag":
+            code = run_cli(
+                "simulate", "--preset", "multiplicative", "--times", "0.8,1.2",
+                "--seed", "9", "--load-state", str(dump), "--doubled-rates",
+            )
+        else:
+            cfg = out_dir / "exp.json"
+            cfg.write_text(json.dumps({
+                "kind": "simulate", "system": str(path_for("multiplicative")),
+                "rate_scale": 2.0, "seed": 9,
+                "params": {"times": [0.8, 1.2], "load_state": str(dump)},
+            }))
+            code = run_cli("run", str(cfg))
+        assert code == 0
+        sys_, _ = gelkit.multiplicative()
+        ps = gelkit.load_state(sys_.scaled(2.0), dump, gelkit.child_seed(9, 0))
+        rows = [
+            [s.t, *s.gel_largest.g, *s.gel_threshold.g, s.n_particles]
+            for s in ps.run([0.8, 1.2])
+        ]
+        lines = (out_dir / "simulate.csv").read_text().splitlines()[1:]
+        assert [[float(v) for v in line.split(",")] for line in lines] == rows
 
     def test_dump_then_resume(self, out_dir):
         run_cli(

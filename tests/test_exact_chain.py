@@ -17,8 +17,8 @@ ROWS = {"multiplicative": [0] * N, "kinetic-gas": [0, 1, 2, 3, 0]}
 
 
 def _particles(cls):
-    def run(sys_, rows, t, rng, rate_scale):
-        ps = cls(sys_, rows, N, rng, rate_scale=rate_scale)
+    def run(sys_, rows, t, rng):
+        ps = cls(sys_, rows, N, rng)
         ps.run([t])
         return statistic_of_rows(ps.coords)
 
@@ -27,8 +27,8 @@ def _particles(cls):
 
 def _graph(sampler):
     # sampled past t, so that the law at t depends on the edge times
-    def run(sys_, rows, t, rng, rate_scale):
-        graph = sampler(sys_, rows, N, 2.0 * t, rng, rate_scale=rate_scale)
+    def run(sys_, rows, t, rng):
+        graph = sampler(sys_, rows, N, 2.0 * t, rng)
         (track,) = gk.trajectory(graph, [t])
         sizes = np.repeat(track.size_values, track.size_counts)
         return cluster_statistic(sizes, track.pi_c1 * N)
@@ -46,8 +46,9 @@ SAMPLERS = {
 SEED_KEY = {"batched": 0, "direct": 2, "graph": 3, "graph-blocks": 4}
 
 
-def chi2_pvalue(preset, sampler, seed, rate_scale=1.0):
-    """p-value of the sampled statistic against the exact law at rate 1."""
+def chi2_pvalue(preset, sampler, seed, rate=1.0):
+    """p-value of the sampled statistic against the exact law at rate 1,
+    with the sampler run on the system with its rates times ``rate``."""
     sys_, meas = gk.from_name(preset)
     rows = meas.coords[ROWS[preset]]
     t = 1.5 * gk.gelation_time(sys_, meas)
@@ -55,7 +56,7 @@ def chi2_pvalue(preset, sampler, seed, rate_scale=1.0):
     rng = np.random.default_rng(seed)
     counts: dict = {}
     for _ in range(REPLICAS):
-        stat = SAMPLERS[sampler](sys_, rows, t, rng, rate_scale)
+        stat = SAMPLERS[sampler](sys_.scaled(rate), rows, t, rng)
         counts[stat] = counts.get(stat, 0) + 1
     # classes expected fewer than 5 times, and any unknown one, are pooled,
     # into a bin of their own if it is expected 5 times, else into the last

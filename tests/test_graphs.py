@@ -21,7 +21,7 @@ class TestHandBuiltGraph:
         rows = np.column_stack([np.ones(6), 2.0 ** np.arange(6)])
         u, v = np.array(edges).T
         return GraphRealization(
-            vertices=rows, n_scale=6.0, t_max=1.0, rate_scale=1.0,
+            vertices=rows, n_scale=6.0, t_max=1.0,
             edge_u=u, edge_v=v, edge_t=np.array(times),
         )
 
@@ -78,7 +78,7 @@ class TestSampling:
         n = 3_000
         rows = np.tile([1.0, 1.0], (n, 1))
         g1 = gk.sample_graph(sys_, rows, n, 0.5, seed=6)
-        g2 = gk.sample_graph(sys_, rows, n, 0.5, seed=6, rate_scale=2.0)
+        g2 = gk.sample_graph(sys_.scaled(2.0), rows, n, 0.5, seed=6)
         ratio = g2.edge_t.size / g1.edge_t.size
         assert 1.7 < ratio < 2.3
 

@@ -113,14 +113,13 @@ class TestTruncatedDynamics:
         )
         assert [st.t for st in states] == [0.5, 1.0]
 
-    @pytest.mark.parametrize("rate_scale", [1e14, 1e16])
-    def test_rate_scale_divides_time(self, mult, rate_scale):
+    @pytest.mark.parametrize("rate", [1e14, 1e16])
+    def test_rate_scale_divides_time(self, mult, rate):
         # a span of 2e-16 once ended at the first step with no gel at all
-        ref = gk.TruncatedFlory(*mult, 16).integrate(2.0)[-1]
-        st = gk.TruncatedFlory(*mult, 16, rate_scale=rate_scale).integrate(
-            2.0 / rate_scale
-        )[-1]
-        assert st.t == 2.0 / rate_scale
+        sys_, meas = mult
+        ref = gk.TruncatedFlory(sys_, meas, 16).integrate(2.0)[-1]
+        st = gk.TruncatedFlory(sys_.scaled(rate), meas, 16).integrate(2.0 / rate)[-1]
+        assert st.t == 2.0 / rate
         assert st.gel.mass == pytest.approx(ref.gel.mass, rel=1e-9)
         np.testing.assert_allclose(st.densities, ref.densities, rtol=1e-9, atol=1e-15)
 
@@ -151,13 +150,14 @@ def _rhs_oracle(model, n):
         absorbed = n[i] * (rate[i] @ a @ gel[1:])
         dn[i] -= absorbed
         dgel += absorbed * model.coords[i]
-    return model.rate_scale * dn, model.rate_scale * dgel
+    return dn, dgel
 
 
 class TestRightHandSide:
     @pytest.mark.parametrize("preset, xi", [("mult", 8), ("bidi", 8), ("kac", 14)])
     def test_matches_pair_loop(self, preset, xi, request):
-        model = gk.TruncatedFlory(*request.getfixturevalue(preset), xi, rate_scale=2.5)
+        sys_, meas = request.getfixturevalue(preset)
+        model = gk.TruncatedFlory(sys_.scaled(2.5), meas, xi)
         rng = np.random.default_rng(21)
         for _ in range(3):
             n = rng.random(len(model.types)) * model.initial_densities.max()

@@ -28,8 +28,8 @@ class TestGelation:
 
     def test_rate_scale_halves_time(self, kac):
         sys_, meas = kac
-        t1 = gk.gelation_time(sys_, meas, rate_scale=1.0)
-        t2 = gk.gelation_time(sys_, meas, rate_scale=2.0)
+        t1 = gk.gelation_time(sys_, meas)
+        t2 = gk.gelation_time(sys_.scaled(2.0), meas)
         assert t2 == pytest.approx(t1 / 2.0, rel=1e-14)
 
     def test_criticality_matrix_kinetic(self, kac):

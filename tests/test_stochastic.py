@@ -30,11 +30,8 @@ class TestSeeding:
         assert not np.array_equal(a, b)
 
 
-# (n_scale, rate_scale) pairs that every sampler refuses
-BAD_SCALES = [
-    (0.0, 1.0), (-1.0, 1.0), (np.nan, 1.0), (np.inf, 1.0),
-    (1.0, -1.0), (1.0, np.nan), (1.0, np.inf), (10**400, 1.0),
-]
+# n_scale values that every sampler refuses
+BAD_SCALES = [0.0, -1.0, np.nan, np.inf, 10**400]
 
 
 class TestInit:
@@ -58,17 +55,14 @@ class TestInit:
         rows = gk.sample_atoms(meas, 10, np.random.default_rng(0))
         rng = np.random.default_rng(1)
         make = {
-            "particles": lambda n, r: gk.ParticleSystem(sys_, rows, n, rng, rate_scale=r),
-            "direct": lambda n, r: gk.DirectPairSimulator(sys_, rows, n, rng, rate_scale=r),
-            "graph": lambda n, r: gk.sample_graph(sys_, rows, n, 1.0, rng, rate_scale=r),
-            "blocks": lambda n, r: graphs._sample_graph_blocks(
-                sys_, rows, n, 1.0, rng, rate_scale=r
-            ),
+            "particles": lambda n: gk.ParticleSystem(sys_, rows, n, rng),
+            "direct": lambda n: gk.DirectPairSimulator(sys_, rows, n, rng),
+            "graph": lambda n: gk.sample_graph(sys_, rows, n, 1.0, rng),
+            "blocks": lambda n: graphs._sample_graph_blocks(sys_, rows, n, 1.0, rng),
         }[entry]
-        for n_scale, rate_scale in BAD_SCALES:
-            with pytest.raises(ValueError, match="_scale"):
-                make(n_scale, rate_scale)
-        make(10.0, 0.0)  # a zero rate scale switches merging off
+        for n_scale in BAD_SCALES:
+            with pytest.raises(ValueError, match="n_scale"):
+                make(n_scale)
 
     @pytest.mark.parametrize(
         "cls",
@@ -427,9 +421,11 @@ class TestPersistence:
         ps.run([0.05])
         path = tmp_path / "state.bin"
         ps.dump_state(path)
+        # the rates are the system's, so the rate factor slot holds 1
+        assert struct.unpack_from("<d", path.read_bytes(), 30) == (1.0,)
         ps2 = gk.load_state(sys_, path, 1)
         assert ps2.t == ps.t
-        assert ps2.rate_scale == ps.rate_scale
+        assert ps2.sys is sys_
         assert np.array_equal(ps2.coords, ps.coords)
 
     def test_fractional_scale_round_trip(self, kac, tmp_path):
@@ -440,31 +436,42 @@ class TestPersistence:
         ps.dump_state(path)
         assert gk.load_state(sys_, path, 1).n_scale == 1000.5
 
-    def test_zero_rate_scale_round_trip(self, kac, tmp_path):
-        sys_, meas = kac
-        rows = gk.sample_atoms(meas, 5, np.random.default_rng(3))
-        ps = gk.ParticleSystem(sys_, rows, 50, np.random.default_rng(4), rate_scale=0.0)
-        ps.run([1.0])
-        path = tmp_path / "state.bin"
-        ps.dump_state(path)
-        ps2 = gk.load_state(sys_, path, 1)
-        assert (ps2.rate_scale, ps2.t) == (0.0, 1.0)
-        assert np.array_equal(ps2.coords, rows)
-
-    def test_version_one_dump_loads(self, kac, tmp_path):
-        # v1 header: magic, then version, n, m, integer n_scale, t,
-        # rate_scale and the row count
-        sys_, _ = kac
+    @staticmethod
+    def _dump(sys_, path, version, slot):
+        # header: magic, then version, n, m, n_scale (an integer in v1), t,
+        # the rate factor slot and the row count
         rows = np.arange(2.0 * (1 + sys_.dim)).reshape(2, 1 + sys_.dim)
-        path = tmp_path / "v1.bin"
+        fmt = {1: "<BII Q d d Q", 2: "<BII d d d Q"}[version]
         path.write_bytes(
             b"GELK1"
-            + struct.pack("<BII Q d d Q", 1, sys_.n, sys_.m, 1000, 0.25, 2.0, 2)
+            + struct.pack(fmt, version, sys_.n, sys_.m, 1000, 0.25, slot, 2)
             + rows.astype("<f8").tobytes()
         )
-        ps = gk.load_state(sys_, path, 1)
-        assert (ps.n_scale, ps.t, ps.rate_scale) == (1000.0, 0.25, 2.0)
+        return rows
+
+    def test_version_one_dump_loads(self, kac, tmp_path):
+        # a slot of 2 runs the dump on the system with doubled rates
+        sys_, _ = kac
+        rows = self._dump(sys_, tmp_path / "v1.bin", 1, 2.0)
+        ps = gk.load_state(sys_, tmp_path / "v1.bin", 1)
+        assert (ps.n_scale, ps.t) == (1000.0, 0.25)
+        assert np.array_equal(ps.sys.block, 2.0 * sys_.block)
         assert np.array_equal(ps.coords, rows)
+
+    def test_version_two_rate_factor_slot(self, kac, tmp_path):
+        sys_, _ = kac
+        self._dump(sys_, tmp_path / "v2.bin", 2, 2.0)
+        ps = gk.load_state(sys_, tmp_path / "v2.bin", 1)
+        assert np.array_equal(ps.sys.block, 2.0 * sys_.block)
+        assert ps.sys.coordinate_names == sys_.coordinate_names
+
+    @pytest.mark.parametrize("slot", [0.0, -1.0, np.nan])
+    def test_bad_rate_factor_slot_refused(self, kac, tmp_path, slot):
+        path = tmp_path / "dump.bin"
+        self._dump(kac[0], path, 2, slot)
+        with pytest.raises(SchemaError, match="rate factor") as info:
+            gk.load_state(kac[0], path, 1)
+        assert info.value.pointer == str(path)
 
     def test_wrong_system_rejected(self, kac, mult, tmp_path):
         sys_k, meas_k = kac

@@ -63,8 +63,8 @@ class TestFixedPoint:
 
     def test_rate_scale_is_time_change(self, mult):
         sys_, meas = mult
-        a = gk.solve_fixed_point(sys_, meas, 1.5, rate_scale=2.0)
-        b = gk.solve_fixed_point(sys_, meas, 3.0, rate_scale=1.0)
+        a = gk.solve_fixed_point(sys_.scaled(2.0), meas, 1.5)
+        b = gk.solve_fixed_point(sys_, meas, 3.0)
         assert np.allclose(a.c, b.c, atol=1e-11)
 
 
@@ -179,7 +179,7 @@ class TestCriticalSlope:
 
     def test_doubled_rates_rescale(self, mult):
         sys_, meas = mult
-        c_prime, g_prime = gk.critical_slope(sys_, meas, rate_scale=2.0)
+        c_prime, g_prime = gk.critical_slope(sys_.scaled(2.0), meas)
         # t_g halves and the slope in t doubles twice over
         assert c_prime[0] == pytest.approx(4.0, abs=1e-12)
         assert g_prime[0] == pytest.approx(4.0, abs=1e-12)

@@ -64,8 +64,8 @@ class TestKernel:
 # that one atom) and returns what a nonzero rate there would show: the rate
 # itself, merges, edges, or an irreducible report.  The systems of
 # TestNegativeRateRule give the pair the rate -tail s^2 against an envelope
-# rate of about 2 s^2.  The engine and the direct oracle run to t = 10 at
-# rate scale 1e3 / s^2, so that the pair is proposed.
+# rate of about 2 s^2.  The engine and the direct oracle run to t = 10 with
+# the rates times 1e3 / s^2, so that the pair is proposed.
 
 
 def _kernel(sys_, s):
@@ -73,17 +73,17 @@ def _kernel(sys_, s):
 
 
 def _engine(sys_, s):
-    ps = gk.ParticleSystem(
-        sys_, np.tile([1.0, s, s], (2, 1)), 2, np.random.default_rng(0), 1e3 / s**2
-    )
+    rows = np.tile([1.0, s, s], (2, 1))
+    ps = gk.ParticleSystem(sys_.scaled(1e3 / s**2), rows, 2, np.random.default_rng(0))
     ps.run([10.0])
     assert ps.events > 100
     return ps.merges
 
 
 def _direct(sys_, s):
+    rows = np.tile([1.0, s, s], (2, 1))
     ps = gk.DirectPairSimulator(
-        sys_, np.tile([1.0, s, s], (2, 1)), 2, np.random.default_rng(0), 1e3 / s**2
+        sys_.scaled(1e3 / s**2), rows, 2, np.random.default_rng(0)
     )
     ps.run([10.0])
     return 2 - ps.n_particles
@@ -491,21 +491,90 @@ class TestTimeRule:
             TIME_ENTRIES[entry](ctx, t)
 
 
+# the entry points of the limit theory, each a function of the system, the
+# measure, a time unit u and the rate r.  On sys.scaled(r) with u = t_g / r
+# each returns what it returns on sys with u = t_g: time is divided by r,
+# and the critical slopes and the gelation time are brought back to rate 1
+COVARIANT = {
+    "gelation": lambda s, m, u, r: [gk.gelation(s, m).t_g * r],
+    "solve_fixed_point": lambda s, m, u, r: [gk.solve_fixed_point(s, m, 1.5 * u).c],
+    "gel_data": lambda s, m, u, r: [gk.gel_data(s, m, 1.5 * u).g],
+    "gel_curve":
+        lambda s, m, u, r: [gk.gel_curve(s, m, [0.5 * u, 1.2 * u, 2 * u])[:, 1:]],
+    "moments_at(sub)": lambda s, m, u, r: _moments(gk.moments_at(s, m, 0.7 * u)),
+    "moments_at(super)": lambda s, m, u, r: _moments(gk.moments_at(s, m, 1.5 * u)),
+    "explosion_time":
+        lambda s, m, u, r: [gk.explosion_time(s, gk.initial_state(m)) * r],
+    "critical_slope": lambda s, m, u, r: [d / r for d in gk.critical_slope(s, m)],
+    "gel_growth_ode": lambda s, m, u, r: [gk.gel_growth_ode(s, m, 2 * u)[-1][1].g],
+    "TruncatedFlory": lambda s, m, u, r: _flory(gk.TruncatedFlory(s, m, 8), 1.5 * u),
+}
+
+
+def _moments(result):
+    state, phase = result
+    return [state.q, state.z, np.array([phase == "sol-subcritical"])]
+
+
+def _flory(model, t):
+    state = model.integrate(t)[-1]
+    return [state.densities, state.gel.g]
+
+
 class TestRateScaleRule:
-    """The limit solvers refuse a rate scale that is not positive and finite."""
+    """A rate factor reaches the limit solvers and the samplers only through
+    ``BilinearSystem.scaled``: it multiplies both blocks, refuses a factor
+    that is not positive and finite or that overflows the rates, and every
+    limit entry point on ``sys.scaled(r)`` at ``t / r`` gives its rate-1
+    answer at ``t``."""
 
     @pytest.mark.parametrize("rate_scale", [0.0, -1.0, np.nan, np.inf, 10**400])
     @pytest.mark.parametrize(
-        "entry", ["gelation", "integrate_subcritical", "explosion_time", "TruncatedFlory"]
+        "entry",
+        ["gelation", "integrate_subcritical", "explosion_time", "TruncatedFlory"],
     )
     def test_bad_rate_scale_raises(self, mult, entry, rate_scale):
         sys_, meas = mult
         call = {
-            "gelation": lambda r: gk.gelation(sys_, meas, r),
+            "gelation": lambda s: gk.gelation(s, meas),
             "integrate_subcritical":
-                lambda r: gk.integrate_subcritical(sys_, gk.initial_state(meas), 0.5, r),
-            "explosion_time": lambda r: gk.explosion_time(sys_, gk.initial_state(meas), r),
-            "TruncatedFlory": lambda r: gk.TruncatedFlory(sys_, meas, 4, r),
+                lambda s: gk.integrate_subcritical(s, gk.initial_state(meas), 0.5),
+            "explosion_time": lambda s: gk.explosion_time(s, gk.initial_state(meas)),
+            "TruncatedFlory": lambda s: gk.TruncatedFlory(s, meas, 4),
         }[entry]
-        with pytest.raises(ValueError, match="rate_scale"):
-            call(rate_scale)
+        with pytest.raises(ValueError, match="rate factor"):
+            call(sys_.scaled(rate_scale))
+
+    @pytest.mark.parametrize("a_plus, a_par", [(1e10, 1.0), (1.0, -1e10)])
+    def test_overflowing_product_raises(self, a_plus, a_par):
+        sys_ = gk.BilinearSystem(1, 1, [[a_plus]], [[a_par]])
+        with pytest.raises(ValueError, match="overflows"):
+            sys_.scaled(1e300)
+
+    def test_vanishing_row_raises(self):
+        with pytest.raises(ValueError, match="entirely zero"):
+            gk.BilinearSystem(1, 0, [[1e-300]], []).scaled(1e-30)
+
+    def test_scaled_blocks_and_names(self, kac):
+        sys_ = gk.BilinearSystem(2, 1, [[0, 1], [1, 0]], [[-3.0]], ("a", "b", "c", "d"))
+        for factor in (2, 1.7, 1e16):
+            out = sys_.scaled(factor)
+            assert (out.n, out.m, out.coordinate_names) == (2, 1, sys_.coordinate_names)
+            assert np.array_equal(out.a_plus, sys_.a_plus * float(factor))
+            assert np.array_equal(out.a_par, sys_.a_par * float(factor))
+        assert kac[0].scaled(1.0).coordinate_names == kac[0].coordinate_names
+
+    @pytest.mark.parametrize("r", [2.0, 1.7, 1e14, 1e16])
+    @pytest.mark.parametrize("preset", ["mult", "bidi", "kac"])
+    @pytest.mark.parametrize("entry", list(COVARIANT))
+    def test_rate_covariance(self, entry, preset, r, request):
+        # 1e14 and 1e16 put the spans near 1e-16, where an absolute time
+        # floor in the integrator once ended a run at its first step
+        sys_, meas = request.getfixturevalue(preset)
+        t_g = gk.gelation_time(sys_, meas)
+        want = COVARIANT[entry](sys_, meas, t_g, 1.0)
+        got = COVARIANT[entry](sys_.scaled(r), meas, t_g / r, r)
+        # relative to each array's largest entry: kinetic-gas's sign-odd gel
+        # coordinates are 0 up to rounding noise of 1e-17
+        for a, b in zip(got, want, strict=True):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12 * np.abs(b).max())
