@@ -18,7 +18,9 @@ so ``Q^-1`` falls linearly in time and the solution has a closed form,
 which is what the production path evaluates.  The solution blows up in
 finite time; that blowup time equals the gelation time, and integrating
 the ODE to its pole gives a route to t_g independent of the spectral
-formula.
+formula: ``explosion_time`` integrates until the peak entry of ``Y`` has
+grown a million-fold over its start and fits the first-order pole with a
+quadratic in ``t`` over the last two decades of that growth.
 
 After gelation the sol phase is described through duality: tilt the
 initial measure by the non-survival factor, check the tilted system is
@@ -39,6 +41,10 @@ from .system import AtomicMeasure, BilinearSystem, GelData, check_times, gram_pl
 from .system import moment_matrix
 
 BLOWUP_THRESHOLD = 1e12
+# explosion_time stops once the peak |Y| entry has grown this much over its
+# start, and fits the pole to the steps within this factor of the last peak
+_POLE_GROWTH = 1e6
+_POLE_WINDOW = 1e2
 
 # rounding slack of |Y_ij| <= sqrt(Y_ii Y_jj); squared, it stays below 1e-7
 _CS_SLACK = 4.9e-8
@@ -165,12 +171,25 @@ def explosion_time(
 ) -> float:
     """Blowup time of the moment ODE, found by integration.
 
-    Runs until entries cross the blowup threshold, then fits the exact
-    first-order pole: 1/max-entry is asymptotically linear in t, and its
-    root extrapolates the blowup time.  Deliberately makes no use of the
-    spectral formula, so the two routes cross-validate each other.
+    Runs until the peak ``|Y|`` entry has grown a million-fold
+    (``_POLE_GROWTH``) over the start's, then fits the exact first-order
+    pole, ``1/peak = a (T - t) + b (T - t)^2 + O((T - t)^3)``: a quadratic
+    in ``t - t_last`` through the accepted steps within two decades
+    (``_POLE_WINDOW``) of the last peak, at least the last four, whose real
+    root nearest 0 puts ``T``.  There ``T - t`` is below about ``1e-4 T``,
+    so the dropped term is about ``1e-12`` relative.  The stop and the
+    window are relative, so the result follows any rescaling of the
+    coordinates.  Deliberately makes no use of the spectral formula, so the
+    two routes cross-validate each other.  NumericError for a start whose
+    peak entry is zero or not finite, and when the fit has no real root.
     """
     m = state0.n + 1
+    y0 = _second_moments(state0)
+    peak0 = float(np.abs(y0).max())
+    if not 0.0 < peak0 < np.inf:
+        raise NumericError(
+            f"starting second moments peak at {peak0}; no pole to integrate to"
+        )
     ts: list[float] = []
     peaks: list[float] = []
 
@@ -190,7 +209,7 @@ def explosion_time(
         # each accepted step's peak entry, kept for the pole fit
         ts.append(t)
         peaks.append(float(np.abs(y).max()))
-        return peaks[-1] >= BLOWUP_THRESHOLD
+        return peaks[-1] >= _POLE_GROWTH * peak0
 
     # trial steps overshoot the pole; the step controller rejects them,
     # so the transient overflows are expected and harmless
@@ -198,7 +217,7 @@ def explosion_time(
         traj = _rk.integrate(
             _riccati(sys),
             state0.t,
-            _second_moments(state0).reshape(-1),
+            y0.reshape(-1),
             1e30,
             rtol=rtol,
             atol=1e-12,
@@ -213,15 +232,18 @@ def explosion_time(
         )
     peaks = np.array(peaks)
     ts = np.array(ts)
-    cutoff = peaks[-1] / 10.0
-    sel = peaks >= cutoff
-    if sel.sum() < 3:
-        sel = np.zeros_like(sel)
-        sel[-3:] = True
-    slope, intercept = np.polyfit(ts[sel], 1.0 / peaks[sel], 1)
-    if slope >= 0.0:
-        raise NumericError("pole fit failed: 1/moments not decreasing")
-    return float(-intercept / slope)
+    sel = peaks >= peaks[-1] / _POLE_WINDOW
+    if sel.sum() < 4:
+        sel[-4:] = True
+    # centred on the last step, so that the fit stays well conditioned
+    c2, c1, c0 = np.polyfit(ts[sel] - ts[-1], 1.0 / peaks[sel], 2)
+    disc = c1 * c1 - 4.0 * c2 * c0
+    # of the roots h / c2 and c0 / h, the second is the one nearest 0, and
+    # it stays exact as c2 -> 0 (the n = 1 presets have 1/peak linear)
+    h = -0.5 * (c1 + np.copysign(np.sqrt(disc), c1)) if disc >= 0.0 else 0.0
+    if h == 0.0:
+        raise NumericError("pole fit failed: 1/moments has no real root")
+    return float(ts[-1] + c0 / h)
 
 
 def supercritical_moments(

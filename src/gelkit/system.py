@@ -54,7 +54,8 @@ def _as_matrix(a, size: int, name: str) -> np.ndarray:
     scale = max(1.0, float(np.abs(mat).max()) if mat.size else 0.0)
     if mat.size and float(np.abs(mat - mat.T).max()) > _SYMMETRY_TOL * scale:
         raise ValueError(f"{name} is not symmetric within {_SYMMETRY_TOL}")
-    mat = (mat + mat.T) / 2.0
+    # halved before the sum, which cannot overflow near the double range
+    mat = mat / 2.0 + mat.T / 2.0
     if not np.isfinite(mat).all():
         raise ValueError(f"{name} must be finite")
     mat.setflags(write=False)
@@ -271,6 +272,14 @@ class AtomicMeasure:
         return float(sum(self.weight_array.tolist()))
 
     @cached_property
+    def _gram_plus(self) -> np.ndarray:
+        # kept: the gelation check and the moment flow of one tilt both read it
+        idx = range(1, self.n + 1)
+        q = moment_matrix(self, idx, idx)
+        q.setflags(write=False)
+        return q
+
+    @cached_property
     def mirror_symmetric(self) -> bool:
         """Hypothesis A1: negating the sign-odd coordinates of any atom gives
         an atom of the measure, one atom under the distinctness rule, whose
@@ -390,9 +399,9 @@ def moment_matrix(
 
 
 def gram_plus(measure: AtomicMeasure) -> np.ndarray:
-    """Second-moment matrix of the conserved coordinates (n x n)."""
-    idx = range(1, measure.n + 1)
-    return moment_matrix(measure, idx, idx)
+    """Second-moment matrix of the conserved coordinates (n x n), read-only
+    and built once per measure."""
+    return measure._gram_plus
 
 
 def first_moments(measure: AtomicMeasure) -> np.ndarray:

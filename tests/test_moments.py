@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import gelkit as gk
-from gelkit import _rk, moments, survival
+from gelkit import _rk, moments, survival, system
 from gelkit.errors import (
     DualNotSubcritical,
     ExplosionReached,
@@ -145,6 +145,40 @@ class TestExplosionTime:
             gk.explosion_time(sys_, gk.MomentState(0.0, [[np.nan]], [1.0, 1.0]))
         assert time.perf_counter() - start < 1.0
 
+    def test_zero_state_refused(self, mult):
+        # a zero start has no scale to grow from
+        sys_, _ = mult
+        with pytest.raises(NumericError, match="no pole"):
+            gk.explosion_time(sys_, gk.MomentState(0.0, [[0.0]], [0.0, 0.0]))
+
+    @pytest.mark.parametrize("s", [1e-3, 1e3, 1e4, 1e6])
+    @pytest.mark.parametrize("preset", ["mult", "bidi", "kac"])
+    def test_coordinate_scale_covariance(self, preset, s, request):
+        # t_g falls as 1 / s^2; an absolute stop at 1e12 lost kinetic-gas's
+        # pole at s = 1e4 and every preset's at s = 1e6
+        sys_, meas = request.getfixturevalue(preset)
+        coords = np.array(meas.coords)
+        coords[:, 1:] *= s
+        meas = gk.AtomicMeasure(coords, meas.weight_array, meas.n)
+        t_g = gk.gelation_time(sys_, meas)
+        zeta = gk.explosion_time(sys_, gk.initial_state(meas))
+        assert abs(zeta - t_g) / t_g < 1e-9
+
+    @pytest.mark.parametrize("preset", ["mult", "bidi", "kac"])
+    def test_stops_six_decades_in(self, preset, request, monkeypatch):
+        # a second-order fit lets the run stop at a 1e6 growth; the stop at
+        # 1e12 took 727 / 703 / 660 accepted steps
+        sys_, meas = request.getfixturevalue(preset)
+        trajs, integrate = [], _rk.integrate
+
+        def recording(*args, **kwargs):
+            trajs.append(integrate(*args, **kwargs))
+            return trajs[-1]
+
+        monkeypatch.setattr(_rk, "integrate", recording)
+        gk.explosion_time(sys_, gk.initial_state(meas))
+        assert len(trajs) == 1 and trajs[0].n_accepted < 400
+
 
 class TestPackedRhs:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -175,6 +209,21 @@ class TestPackedRhs:
 
 
 class TestSupercritical:
+    def test_dual_builds_the_tilted_gram_once(self, kac, monkeypatch):
+        # the tilted gelation check and the tilted flow share one Gram matrix
+        sys_, meas = kac
+        t_g = gk.gelation_time(sys_, meas)
+        c = gk.solve_fixed_point(sys_, meas, 1.5 * t_g).c
+        grams, moment_matrix = [], system.moment_matrix
+
+        def counted(m, i_set, j_set):
+            grams.append(list(i_set) == list(j_set) == list(range(1, m.n + 1)))
+            return moment_matrix(m, i_set, j_set)
+
+        monkeypatch.setattr(system, "moment_matrix", counted)
+        moments._dual(sys_, meas, 1.5 * t_g, c, t_g)
+        assert grams.count(True) == 1
+
     def test_dual_anchor(self, mult):
         sys_, meas = mult
         st = gk.supercritical_moments(sys_, meas, 2.0)

@@ -1,4 +1,5 @@
 import json
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -146,6 +147,16 @@ class TestSystemValidation:
         with pytest.raises(ValueError):
             gk.BilinearSystem(1, 1, [[1.0]], [[0.0]])
 
+    def test_entries_near_the_double_range_accepted(self, kac):
+        # symmetrising by (A + A^T) / 2 overflowed above half the double range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big = gk.BilinearSystem(1, 0, [[1e308]], [])
+            scaled = kac[0].scaled(5e307)
+        assert big.a_plus[0, 0] == 1e308
+        assert np.array_equal(scaled.a_plus, kac[0].a_plus * 5e307)
+        assert np.array_equal(scaled.a_par, kac[0].a_par * 5e307)
+
     def test_block_layout(self, kac):
         sys_, _ = kac
         assert sys_.block.shape == (5, 5)
@@ -257,6 +268,13 @@ class TestAtomicMeasure:
         q = gk.gram_plus(meas)
         # energy moments of the two-speed quadrature: <e> = 3, <e^2> = 15
         assert np.allclose(q, [[1.0, 3.0], [3.0, 15.0]], atol=1e-12)
+
+    def test_gram_built_once_and_read_only(self, bidi):
+        # shared by every reader of the measure, so no reader may write it
+        _, meas = bidi
+        q = gk.gram_plus(meas)
+        assert gk.gram_plus(meas) is q and not q.flags.writeable
+        assert gk.gram_plus(meas.scaled(2.0)) is not q
 
 
 class TestHypotheses:
