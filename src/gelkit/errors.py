@@ -58,8 +58,8 @@ class DegenerateCubic(NumericError):
 
 
 class ExplosionReached(NumericError):
-    """Moment integration hit the blowup threshold before the requested
-    end time."""
+    """The moment flow is blown up at the requested time ``s`` after its
+    start: ``1 - s sigma_max <= 1e-12`` (``sigma`` of :class:`SpectralResult`)."""
 
 
 class DualNotSubcritical(NumericError):

@@ -14,13 +14,14 @@ the whole system is one matrix Riccati equation,
 
     dY/dt = Y A_hat Y,      A_hat = diag(0, A+),
 
-so ``Q^-1`` falls linearly in time and the solution has a closed form,
-which is what the production path evaluates.  The solution blows up in
-finite time; that blowup time equals the gelation time, and integrating
-the ODE to its pole gives a route to t_g independent of the spectral
-formula: ``explosion_time`` integrates until the peak entry of ``Y`` has
-grown a million-fold over its start and fits the first-order pole with a
-quadratic in ``t`` over the last two decades of that growth.
+so ``Q^-1`` falls linearly in time.  The gelation eigenproblem diagonalises
+it, mode k growing by ``1 / (1 - t sigma_k)``: that closed form is what the
+production path evaluates.  It blows up exactly at ``t sigma_max = 1``, the
+gelation time, and integrating the ODE to its pole gives a route to t_g
+independent of the spectral formula: ``explosion_time`` integrates until
+the peak entry of ``Y`` has grown a million-fold over its start and fits
+the first-order pole with a quadratic in ``t`` over the last two decades of
+that growth.
 
 After gelation the sol phase is described through duality: tilt the
 initial measure by the non-survival factor, check the tilted system is
@@ -35,12 +36,13 @@ import numpy as np
 
 from . import _rk
 from .errors import DualNotSubcritical, ExplosionReached, NumericError
-from .spectral import SpectralResult, gelation
+from .spectral import SpectralResult, _gelation, gelation
 from .survival import _maximal_roots, gel_data, solve_fixed_point
 from .system import AtomicMeasure, BilinearSystem, GelData, check_times, gram_plus
 from .system import moment_matrix
 
-BLOWUP_THRESHOLD = 1e12
+# the flow is blown up once 1 - (t - t0) sigma_max is at most this
+_POLE_GAP = 1e-12
 # explosion_time stops once the peak |Y| entry has grown this much over its
 # start, and fits the pole to the steps within this factor of the last peak
 _POLE_GROWTH = 1e6
@@ -52,25 +54,20 @@ _CS_SLACK = 4.9e-8
 
 @dataclass(frozen=True)
 class MomentState:
-    """Second moments at one time: Q (n x n) and z (length n+1)."""
+    """Second moments ``Y`` at one time; ``z = Y[0]``, ``Q = Y[1:, 1:]``."""
 
     t: float
-    q: np.ndarray
-    z: np.ndarray
+    y: np.ndarray
 
     def __post_init__(self):
-        q = np.asarray(self.q, dtype=float)
-        z = np.asarray(self.z, dtype=float)
-        if q.ndim != 2 or q.shape[0] != q.shape[1]:
-            raise ValueError("Q must be square")
-        if z.shape != (q.shape[0] + 1,):
-            raise ValueError("z must have length n+1")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "z", z)
+        y = np.asarray(self.y, dtype=float)
+        if y.ndim != 2 or y.shape[0] != y.shape[1] or y.shape[0] < 2:
+            raise ValueError("Y must be square, with n >= 1")
+        object.__setattr__(self, "y", y)
 
-    @property
-    def n(self) -> int:
-        return self.q.shape[0]
+    q = property(lambda self: self.y[1:, 1:])
+    z = property(lambda self: self.y[0])
+    n = property(lambda self: self.y.shape[0] - 1)
 
     @property
     def total_second_moment(self) -> float:
@@ -79,21 +76,11 @@ class MomentState:
 
 
 def initial_state(measure: AtomicMeasure) -> MomentState:
-    n = measure.n
-    return MomentState(
-        0.0,
-        gram_plus(measure),
-        moment_matrix(measure, [0], range(0, n + 1))[0],
-    )
-
-
-def _second_moments(state: MomentState) -> np.ndarray:
-    """``Y = <(pi0, plus)(pi0, plus)^T>``: ``z`` borders ``Q``."""
-    y = np.empty((state.n + 1, state.n + 1))
-    y[0] = state.z
-    y[1:, 0] = state.z[1:]
-    y[1:, 1:] = state.q
-    return y
+    y = np.empty((measure.n + 1, measure.n + 1))
+    y[0] = moment_matrix(measure, [0], range(0, measure.n + 1))[0]
+    y[1:, 0] = y[0, 1:]
+    y[1:, 1:] = gram_plus(measure)
+    return MomentState(0.0, y)
 
 
 def _riccati(sys: BilinearSystem):
@@ -114,10 +101,32 @@ def moment_rhs(
     sys: BilinearSystem, state: MomentState
 ) -> tuple[np.ndarray, np.ndarray]:
     """Time derivatives (dQ, dz) at the given state."""
-    dy = _riccati(sys)(state.t, _second_moments(state)).reshape(
-        state.n + 1, state.n + 1
-    )
+    dy = _riccati(sys)(state.t, state.y).reshape(state.n + 1, state.n + 1)
     return dy[1:, 1:], dy[0]
+
+
+def _modal_flow(
+    state0: MomentState, modes: SpectralResult, times: list[float]
+) -> list[MomentState]:
+    """The closed form of the moment flow from ``state0`` at ``times``, in
+    the modes of ``Q0 = W W^T``, ``A+ = W^-T diag(sigma) W^-1``:
+    ``Y(t) = Y0 + V diag(s sigma / (1 - s sigma)) V^T`` with ``s = t - t0``
+    and ``V = [W^-1 z+ ; W]``.  ExplosionReached once ``1 - s sigma_max``
+    is at most ``_POLE_GAP``, the one blowup rule; ``sigma`` is unchanged by
+    any change of units of the coordinates, so the rule is too."""
+    sigma, w = modes.sigma, modes.w
+    if 1.0 - (max(times) - state0.t) * sigma[-1] <= _POLE_GAP:
+        raise ExplosionReached(
+            f"second moments blow up at t={state0.t + 1.0 / sigma[-1]!r},"
+            f" not after requested t={max(times)!r}"
+        )
+    v = np.vstack((np.linalg.solve(w, state0.z[1:]), w))
+    states = []
+    for t in times:
+        s = t - state0.t
+        y = state0.y + (v * (s * sigma / (1.0 - s * sigma))) @ v.T
+        states.append(MomentState(t, (y + y.T) / 2.0))
+    return states
 
 
 def integrate_subcritical(
@@ -126,42 +135,16 @@ def integrate_subcritical(
     t_end: float,
     outputs=None,
 ) -> MomentState | list[MomentState]:
-    """Moments at ``t_end`` by the closed form of the moment flow.
-
-    The flow is a matrix Riccati equation, so ``Q^-1`` falls linearly:
-    ``Q(t) = (Q0^-1 - (t - t0) A+)^-1``, ``z+ = v Q`` and
-    ``z0 = z0(t0) + v (Q - Q0) v^T`` with ``v = z+(t0) Q0^-1``.  Raises
-    ExplosionReached once the bracket is no longer positive definite or an
-    entry reaches the blowup threshold before ``t_end``.  With ``outputs``
-    given, returns the states at those times instead of just the final state.
+    """Moments at ``t_end`` by the closed form of the moment flow, in the
+    modes of the gelation eigenproblem of ``state0.q`` (:func:`_modal_flow`).
+    Raises ExplosionReached when ``t_end`` is that close to the pole.  With
+    ``outputs`` given, returns the states at those times instead of just
+    the final state.
     """
-    t0, q0, z0 = state0.t, state0.q, state0.z
-    check_times([t_end], t0)
-    times = check_times([] if outputs is None else outputs, t0, t_end)
-    q0_inv = np.linalg.inv(q0)
-    v = z0[1:] @ q0_inv
-
-    def at(t: float) -> MomentState:
-        bracket = q0_inv - (t - t0) * sys.a_plus
-        try:
-            np.linalg.cholesky(bracket)
-        except np.linalg.LinAlgError:
-            raise ExplosionReached(
-                f"second moments blow up at or before t={t}"
-                f" (requested t_end={t_end})"
-            ) from None
-        q = np.linalg.inv(bracket)
-        q = (q + q.T) / 2.0
-        z = np.concatenate(([z0[0] + v @ (q - q0) @ v], v @ q))
-        if max(np.abs(q).max(), np.abs(z).max()) >= BLOWUP_THRESHOLD:
-            raise ExplosionReached(
-                f"second moments crossed {BLOWUP_THRESHOLD:.0e} at t={t}"
-                f" before requested t_end={t_end}"
-            )
-        return MomentState(t, q, z)
-
-    final = at(t_end)  # raises if the flow blows up before t_end
-    return final if outputs is None else [at(t) for t in times]
+    check_times([t_end], state0.t)
+    times = check_times([] if outputs is None else outputs, state0.t, t_end)
+    states = _modal_flow(state0, _gelation(sys, state0.q), [t_end, *times])
+    return states[0] if outputs is None else states[1:]
 
 
 def explosion_time(
@@ -177,15 +160,16 @@ def explosion_time(
     in ``t - t_last`` through the accepted steps within two decades
     (``_POLE_WINDOW``) of the last peak, at least the last four, whose real
     root nearest 0 puts ``T``.  There ``T - t`` is below about ``1e-4 T``,
-    so the dropped term is about ``1e-12`` relative.  The stop and the
-    window are relative, so the result follows any rescaling of the
-    coordinates.  Deliberately makes no use of the spectral formula, so the
+    so the dropped term is about ``1e-12`` relative.  It integrates the
+    normalised flow ``dY~/dtau = Y~ A_hat Y~`` from ``Y~0 = Y0 / max|Y0|`` in
+    ``tau = max|Y0| (t - t0)``, so no entry outgrows ``_POLE_GROWTH`` and the
+    result follows any rescaling of the coordinates up to the double range.
+    Deliberately makes no use of the spectral formula, so the
     two routes cross-validate each other.  NumericError for a start whose
     peak entry is zero or not finite, and when the fit has no real root.
     """
     m = state0.n + 1
-    y0 = _second_moments(state0)
-    peak0 = float(np.abs(y0).max())
+    peak0 = float(np.abs(state0.y).max())
     if not 0.0 < peak0 < np.inf:
         raise NumericError(
             f"starting second moments peak at {peak0}; no pole to integrate to"
@@ -209,15 +193,15 @@ def explosion_time(
         # each accepted step's peak entry, kept for the pole fit
         ts.append(t)
         peaks.append(float(np.abs(y).max()))
-        return peaks[-1] >= _POLE_GROWTH * peak0
+        return peaks[-1] >= _POLE_GROWTH
 
     # trial steps overshoot the pole; the step controller rejects them,
     # so the transient overflows are expected and harmless
     with np.errstate(over="ignore", invalid="ignore"):
         traj = _rk.integrate(
             _riccati(sys),
-            state0.t,
-            y0.reshape(-1),
+            0.0,
+            (state0.y / peak0).reshape(-1),
             1e30,
             rtol=rtol,
             atol=1e-12,
@@ -243,7 +227,7 @@ def explosion_time(
     h = -0.5 * (c1 + np.copysign(np.sqrt(disc), c1)) if disc >= 0.0 else 0.0
     if h == 0.0:
         raise NumericError("pole fit failed: 1/moments has no real root")
-    return float(ts[-1] + c0 / h)
+    return float(state0.t + (ts[-1] + c0 / h) / peak0)
 
 
 def supercritical_moments(
@@ -276,14 +260,14 @@ def _dual(
     """Sol moments at t from the fixed point ``c`` at t: the moment flow of
     the tilted measure, once its gelation time is checked to be past t."""
     tilted = measure._tilted(-np.expm1(-(measure.coords[:, 1 : 1 + sys.n] @ c)))
-    tilted_tg = gelation(sys, tilted).t_g
+    modes = gelation(sys, tilted)
     # the tilted gap is about t - t_g, so the margin scales with it
-    if tilted_tg - t <= 0.5 * (t - t_g):
+    if modes.t_g - t <= 0.5 * (t - t_g):
         raise DualNotSubcritical(
-            f"tilted system gels at {tilted_tg}, not after requested t={t}; "
+            f"tilted system gels at {modes.t_g}, not after requested t={t}; "
             "fixed-point solution is inconsistent"
         )
-    return integrate_subcritical(sys, initial_state(tilted), t)
+    return _modal_flow(initial_state(tilted), modes, [t])[0]
 
 
 def moments_at(

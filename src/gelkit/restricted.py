@@ -33,6 +33,8 @@ from .system import AtomicMeasure, BilinearSystem, GelData, check_times, pair_ra
 
 # candidate pairs tested at once by TruncatedFlory._build_pairs
 _PAIR_BLOCK = 1 << 20
+# a size within this fraction above xi is kept: rounding of the summed sizes
+_XI_SLACK = 1e-12
 
 
 def enumerate_types(
@@ -64,7 +66,7 @@ def enumerate_types(
                     )
             return
         c = 0
-        while used + c * sizes[species] <= xi + 1e-12:
+        while used + c * sizes[species] <= xi * (1.0 + _XI_SLACK):
             counts[species] = c
             grow(species + 1, used + c * sizes[species])
             c += 1
@@ -102,7 +104,8 @@ class TruncatedFlory:
         self.xi = float(xi)
         self.types = enumerate_types(measure, xi, max_types)
         species = measure.coords  # (k, 1+n+m)
-        if not self.types or species[:, 1 : 1 + sys.n].sum(axis=1).max() > xi + 1e-12:
+        too_big = species[:, 1 : 1 + sys.n].sum(axis=1).max() > xi * (1.0 + _XI_SLACK)
+        if not self.types or too_big:
             raise ValueError(
                 f"xi={xi} excludes an initial species; nothing to resolve"
             )
@@ -152,7 +155,7 @@ class TruncatedFlory:
         for start in range(0, t_count, block):
             # candidate pairs (i, j >= i) of these rows, in (i, j) order
             sizes = self.sizes[start : start + block, None] + self.sizes[None, start:]
-            i, j = np.nonzero(np.triu(sizes <= self.xi + 1e-12))
+            i, j = np.nonzero(np.triu(sizes <= self.xi * (1.0 + _XI_SLACK)))
             i += start
             j += start
             found = np.ones(len(i), dtype=bool)

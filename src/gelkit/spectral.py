@@ -6,7 +6,8 @@ second-moment (Gram) matrix of the conserved coordinates under the initial
 measure.  ``L`` is entrywise nonnegative, similar to the symmetric matrix
 ``L_chol^T A_plus L_chol`` (Cholesky ``Q = L_chol L_chol^T``), so its
 spectral radius ``r`` is its largest eigenvalue and has a single-signed
-eigenvector.  Gelation happens at ``t_g = 1 / r``.
+eigenvector.  Gelation happens at ``t_g = 1 / r``.  The eigenvectors ``U``
+of that matrix give the modes ``W = L_chol U`` of the moment flow.
 """
 
 from __future__ import annotations
@@ -32,9 +33,10 @@ def criticality_matrix(sys: BilinearSystem, measure: AtomicMeasure) -> np.ndarra
 
 
 def _criticality(sys: BilinearSystem, q: np.ndarray) -> np.ndarray:
-    """:func:`criticality_matrix` from the Gram matrix ``q``;
-    :class:`DegenerateMeasure` unless ``q`` is well conditioned."""
-    eigs = np.linalg.eigvalsh(q)
+    """:func:`criticality_matrix` from the Gram matrix ``q``; DegenerateMeasure
+    unless its correlation matrix, free of units, is well conditioned."""
+    d = np.sqrt(q.diagonal())
+    eigs = np.linalg.eigvalsh(q / np.outer(d, d)) if d.all() else np.zeros(1)
     if eigs[-1] <= 0.0 or eigs[0] <= _GRAM_TOL * eigs[-1]:
         raise DegenerateMeasure(
             "conserved coordinates are linearly dependent under the measure "
@@ -45,12 +47,15 @@ def _criticality(sys: BilinearSystem, q: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralResult:
-    """Criticality matrix, its Perron data, and the gelation time."""
+    """Criticality matrix, Perron data, gelation time, and the moment flow's
+    modes: ``sigma`` ascending, ``Q = w w^T``, ``w^T A_plus w = diag(sigma)``."""
 
     lambda_matrix: np.ndarray
     radius: float
     psi: np.ndarray
     t_g: float
+    sigma: np.ndarray
+    w: np.ndarray
 
 
 def spectral_radius(
@@ -103,7 +108,11 @@ def gelation(sys: BilinearSystem, measure: AtomicMeasure) -> SpectralResult:
             "the measure is not mirror symmetric (hypothesis A1): some atom's "
             "reflection is missing or carries another weight",
         )
-    q = gram_plus(measure)
+    return _gelation(sys, gram_plus(measure))
+
+
+def _gelation(sys: BilinearSystem, q: np.ndarray) -> SpectralResult:
+    """:func:`gelation` from the Gram matrix ``q``."""
     lam_mat = _criticality(sys, q)
     chol = np.linalg.cholesky(q)
     sym = chol.T @ sys.a_plus @ chol
@@ -136,6 +145,8 @@ def gelation(sys: BilinearSystem, measure: AtomicMeasure) -> SpectralResult:
         radius=radius,
         psi=psi,
         t_g=1.0 / radius,
+        sigma=eigvals,
+        w=chol @ eigvecs,
     )
 
 

@@ -216,8 +216,8 @@ def critical_slope(
     q = gram_plus(measure)
     sigma = 0.5 * (sys.a_plus @ (plus.T @ (w * (plus @ psi) ** 2)))
     denom = float(psi @ q @ sigma)
-    scale = float(np.abs(sys.a_plus).max() * (q.max() ** 1.5))
-    if denom <= 1e-14 * max(1.0, scale):
+    # denom grows like |A+| max Q under any change of units, and so does the floor
+    if denom <= 1e-14 * float(np.abs(sys.a_plus).max() * q.max()):
         raise DegenerateCubic(
             "cubic moment term vanishes; the measure cannot support a "
             "nondegenerate gel onset"

@@ -52,10 +52,11 @@ def _as_matrix(a, size: int, name: str) -> np.ndarray:
     if mat.shape != (size, size):
         raise ValueError(f"{name} must be {size}x{size}, got shape {mat.shape}")
     scale = max(1.0, float(np.abs(mat).max()) if mat.size else 0.0)
-    if mat.size and float(np.abs(mat - mat.T).max()) > _SYMMETRY_TOL * scale:
+    # halves: their difference and their sum cannot overflow near the double range
+    half = mat / 2.0
+    if mat.size and float(np.abs(half - half.T).max()) > _SYMMETRY_TOL * scale / 2.0:
         raise ValueError(f"{name} is not symmetric within {_SYMMETRY_TOL}")
-    # halved before the sum, which cannot overflow near the double range
-    mat = mat / 2.0 + mat.T / 2.0
+    mat = half + half.T
     if not np.isfinite(mat).all():
         raise ValueError(f"{name} must be finite")
     mat.setflags(write=False)

@@ -14,6 +14,42 @@ settings.register_profile(
 settings.load_profile("ci")
 
 
+class PropertyReports:
+    """The reports of each test of the property file in this session, by
+    test id; empty when the session did not collect the file.  Criterion 11
+    reads them."""
+
+    FILE = "test_properties.py"
+
+    def __init__(self):
+        self.by_id: dict[str, list] = {}
+
+    def pytest_collection_finish(self, session):
+        items = [item for item in session.items if item.path.name == self.FILE]
+        self.by_id = {item.nodeid: [] for item in items}
+
+    def pytest_runtest_logreport(self, report):
+        if report.nodeid in self.by_id:
+            self.by_id[report.nodeid].append(report)
+
+
+def pytest_configure(config):
+    config.pluginmanager.register(PropertyReports(), "property-reports")
+
+
+def pytest_collection_modifyitems(config, items):
+    # criterion 11 reads the property file's outcomes, so it runs after them
+    last = [item for item in items if item.name == "test_criterion_11_invariant_suites"]
+    items[:] = [item for item in items if item not in last] + last
+
+
+@pytest.fixture
+def property_reports(request):
+    """The in-session reports of the property file, or None when this
+    session did not collect it."""
+    return request.config.pluginmanager.get_plugin("property-reports").by_id or None
+
+
 @pytest.fixture(scope="session")
 def mult():
     return gk.multiplicative()
@@ -38,7 +74,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     lines = getattr(mod, "RESULTS", [])
     if lines:
         terminalreporter.section("acceptance criteria")
-        for line in lines:
+        for line in sorted(lines):
             terminalreporter.write_line(line)
 
 

@@ -136,6 +136,25 @@ class TestExitCodes:
         assert code == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_moments_in_large_units(self, out_dir):
+        # the multiplicative system with its one coordinate in units 1e6 times
+        # smaller: Q is 1e12 times larger, which an absolute blowup threshold
+        # of 1e12 refused at t = 0
+        system = {"n": 1, "m": 0, "A_plus": [[1.0]], "A_par": [],
+                  "atoms": [{"pi0": 1, "plus": [1e6], "w": 1.0}]}
+        (out_dir / "big.json").write_text(json.dumps(system))
+        times = "0,5e-13,2e-12"
+        assert run_cli("moments", "--system", "big.json", "--times", times) == 0
+        assert run_cli(
+            "moments", "--preset", "multiplicative", "--times", "0,0.5,2",
+            "--out", "unit.csv",
+        ) == 0
+        big = np.genfromtxt(out_dir / "moments.csv", delimiter=",", names=True)
+        unit = np.genfromtxt(out_dir / "unit.csv", delimiter=",", names=True)
+        np.testing.assert_allclose(big["Q_11"] / 1e12, unit["Q_11"], rtol=1e-14)
+        np.testing.assert_allclose(big["z_1"] / 1e6, unit["z_1"], rtol=1e-14)
+        np.testing.assert_allclose(big["z_0"], unit["z_0"], rtol=1e-14)
+
     @pytest.mark.parametrize(
         "argv", list(_OVER_BUDGET.values()), ids=list(_OVER_BUDGET)
     )

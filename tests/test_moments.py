@@ -21,6 +21,12 @@ def resolvent_oracle(q0: np.ndarray, a_plus: np.ndarray, t: float, rs=1.0):
     return q0 @ np.linalg.inv(np.eye(n) - t * rs * (a_plus @ q0))
 
 
+def bordered(t, q, z):
+    """The MomentState whose ``Y`` is ``Q`` bordered by ``z``."""
+    q, z = np.asarray(q, dtype=float), np.asarray(z, dtype=float)
+    return gk.MomentState(t, np.vstack((z, np.column_stack((z[1:], q)))))
+
+
 class TestSubcritical:
     def test_multiplicative_anchor(self, mult):
         sys_, meas = mult
@@ -71,7 +77,7 @@ class TestSubcritical:
         t_g = gk.gelation_time(sys_, meas)
 
         def rhs(t, y):
-            state = gk.MomentState(t, y[: n * n].reshape(n, n), y[n * n :])
+            state = bordered(t, y[: n * n].reshape(n, n), y[n * n :])
             dq, dz = gk.moment_rhs(sys_, state)
             return np.concatenate((dq.ravel(), dz))
 
@@ -84,6 +90,24 @@ class TestSubcritical:
         for st, y in zip(states, traj.ys):
             assert np.allclose(st.q.ravel(), y[: n * n], rtol=1e-8, atol=0)
             assert np.allclose(st.z, y[n * n :], rtol=1e-8, atol=0)
+
+    @pytest.mark.parametrize("preset", ["bidi", "kac"])
+    def test_near_pole_against_mpmath(self, preset, request):
+        # the modal form loses only the digits of 1 - t / t_g
+        mpmath = pytest.importorskip("mpmath")
+        sys_, meas = request.getfixturevalue(preset)
+        s0 = gk.initial_state(meas)
+        t_g = gk.gelation_time(sys_, meas)
+        with mpmath.workdps(60):
+            q0, a = mpmath.matrix(s0.q.tolist()), mpmath.matrix(sys_.a_plus.tolist())
+            for f in (0.5, 0.99, 1 - 1e-6, 1 - 1e-9):
+                exact = (q0**-1 - mpmath.mpf(t_g * f) * a) ** -1
+                q = gk.integrate_subcritical(sys_, s0, t_g * f).q
+                err = max(
+                    abs(mpmath.mpf(q[i, j]) / exact[i, j] - 1)
+                    for i in range(s0.n) for j in range(s0.n)
+                )
+                assert err < 10 * 2.2e-16 / (1 - f)
 
     def test_past_gelation_raises(self, mult):
         sys_, meas = mult
@@ -136,26 +160,27 @@ class TestExplosionTime:
     def test_cauchy_schwarz_violation_raises(self, preset, q, z, request):
         sys_, _ = request.getfixturevalue(preset)
         with pytest.raises(NumericError, match="Cauchy-Schwarz"):
-            gk.explosion_time(sys_, gk.MomentState(0.0, q, z))
+            gk.explosion_time(sys_, bordered(0.0, q, z))
 
     def test_nan_state_fails_fast(self, mult):
         sys_, _ = mult
         start = time.perf_counter()
         with pytest.raises(GelkitError):
-            gk.explosion_time(sys_, gk.MomentState(0.0, [[np.nan]], [1.0, 1.0]))
+            gk.explosion_time(sys_, bordered(0.0, [[np.nan]], [1.0, 1.0]))
         assert time.perf_counter() - start < 1.0
 
     def test_zero_state_refused(self, mult):
         # a zero start has no scale to grow from
         sys_, _ = mult
         with pytest.raises(NumericError, match="no pole"):
-            gk.explosion_time(sys_, gk.MomentState(0.0, [[0.0]], [0.0, 0.0]))
+            gk.explosion_time(sys_, bordered(0.0, [[0.0]], [0.0, 0.0]))
 
-    @pytest.mark.parametrize("s", [1e-3, 1e3, 1e4, 1e6])
+    @pytest.mark.parametrize("s", [1e-3, 1e3, 1e4, 1e6, 1e75, 1e150])
     @pytest.mark.parametrize("preset", ["mult", "bidi", "kac"])
     def test_coordinate_scale_covariance(self, preset, s, request):
         # t_g falls as 1 / s^2; an absolute stop at 1e12 lost kinetic-gas's
-        # pole at s = 1e4 and every preset's at s = 1e6
+        # pole at s = 1e4 and every preset's at s = 1e6, and integrating Y
+        # itself, not Y / max|Y0|, overflowed its right-hand side at 1e75
         sys_, meas = request.getfixturevalue(preset)
         coords = np.array(meas.coords)
         coords[:, 1:] *= s
@@ -195,8 +220,8 @@ class TestPackedRhs:
             x = rng.normal(size=(n, n))
             q = x @ x.T + n * np.eye(n)
             z = rng.uniform(0.1, 2.0, n + 1)
-            state = gk.MomentState(0.0, q, z)
-            y = moments._second_moments(state)
+            state = bordered(0.0, q, z)
+            y = state.y
             assert np.array_equal(y, y.T)
             dy = rhs(0.0, y.reshape(-1)).reshape(n + 1, n + 1)
             dq, dz = gk.moment_rhs(sys_, state)
@@ -256,12 +281,20 @@ class TestSupercritical:
         assert np.all(np.isfinite(st.q))
         assert 1e-3 * 10.0**k < st.q.max() < 1e3 * 10.0**k
 
-    def test_near_critical_blowup(self, kac):
-        # one decade closer, kinetic-gas Q passes the blowup threshold
-        sys_, meas = kac
-        t_g = gk.gelation_time(sys_, meas)
-        with pytest.raises(ExplosionReached):
-            gk.supercritical_moments(sys_, meas, t_g * (1.0 + 1e-11))
+    def test_near_critical_blowup(self, request):
+        # one blowup rule, 1 - t sigma_max <= 1e-12, on every preset: the sol
+        # a decade closer past t_g stays finite, and so does the flow a decade
+        # closer below it, but not within 5e-13 of t_g
+        for preset in ("mult", "bidi", "kac"):
+            sys_, meas = request.getfixturevalue(preset)
+            t_g = gk.gelation_time(sys_, meas)
+            st = gk.supercritical_moments(sys_, meas, t_g * (1.0 + 1e-11))
+            assert np.all(np.isfinite(st.q))
+            s0 = gk.initial_state(meas)
+            st = gk.integrate_subcritical(sys_, s0, t_g * (1.0 - 1e-11))
+            assert np.all(np.isfinite(st.y))
+            with pytest.raises(ExplosionReached):
+                gk.integrate_subcritical(sys_, s0, t_g * (1.0 - 5e-13))
 
     def test_dual_of_a_gelling_tilt_raises(self, mult):
         # c = 0 tilts nothing, so the "tilted" measure gels at t_g = 1 < t

@@ -22,6 +22,22 @@ class TestEnumeration:
         with pytest.raises(BudgetExceeded):
             gk.enumerate_types(meas, 40, max_types=10)
 
+    def test_type_space_follows_the_coordinate_unit(self, bidi):
+        # an absolute 1e-12 slack over xi lost the two types of size exactly
+        # xi at this scale: 286 types, not 288
+        _, meas = bidi
+        s = 1495.620878447425
+        coords = np.array(meas.coords)
+        coords[:, 1:] *= s
+        scaled = gk.AtomicMeasure(coords, meas.weight_array, meas.n)
+        types = gk.enumerate_types(meas, 32)
+        assert len(types) == 288
+        assert sorted(gk.enumerate_types(scaled, 32 * s)) == sorted(types)
+        sys_ = bidi[0]
+        assert len(gk.TruncatedFlory(sys_, scaled, 32 * s)._ix) == len(
+            gk.TruncatedFlory(sys_, meas, 32)._ix
+        )
+
     def test_zero_size_species(self, mult):
         # a species of plus-size 0 fits below any xi any number of times
         sys_, _ = mult
@@ -175,7 +191,7 @@ def _pair_oracle(model):
     comps = [np.array(c) for c in model.types]
     for i in range(len(model.types)):
         for j in range(i, len(model.types)):
-            if model.sizes[i] + model.sizes[j] > model.xi + 1e-12:
+            if model.sizes[i] + model.sizes[j] > model.xi * (1.0 + 1e-12):
                 continue
             merged = model.index.get(tuple(int(v) for v in comps[i] + comps[j]))
             if merged is None:
@@ -206,7 +222,7 @@ class TestPairTable:
 
     @pytest.mark.parametrize("xi", [0.3, 0.6, 0.9, 1.2])
     def test_sums_at_the_edge(self, xi):
-        # 0.1 + 0.2 rounds to just above 0.3, inside the 1e-12 slack
+        # 0.1 + 0.2 rounds to just above 0.3, inside the 1e-12 xi slack
         sys_ = gk.BilinearSystem(1, 0, [[1.0]], [])
         meas = gk.AtomicMeasure([[1, 0.1], [1, 0.2], [1, 0.3]], [1.0] * 3, 1)
         _assert_pairs_match(gk.TruncatedFlory(sys_, meas, xi))
@@ -214,16 +230,16 @@ class TestPairTable:
     @pytest.mark.parametrize(
         "sizes, xi, skipped",
         [
-            ([1688.8927983779404, 5911.12479432279, 9288.910391078673],
-             14355.588786212491, 1),
-            # here the count of the last species runs past its largest value
-            ([389409.72430939594, 89863.78253293752, 29954.594177645842],
-             539182.6951976251, 20),
+            ([1777.0081569735837, 3954.4060515743363, 6891.500372007032],
+             12839.446836429413, 3),
+            # here the count of a species runs past its largest value
+            ([181.3710551353201, 121.971713306028, 178.62364920315505],
+             893.118246014882, 1),
         ],
     )
     def test_product_out_of_range_skipped(self, sizes, xi, skipped):
-        # at this scale the pair sums and the enumeration round apart by
-        # more than the slack, so in-range pairs can merge to no type
+        # xi sits on the rounding edge of the slack, where the pair sums and
+        # the enumeration round apart, so in-range pairs can merge to no type
         sys_ = gk.BilinearSystem(1, 0, [[1.0]], [])
         meas = gk.AtomicMeasure([[1, s] for s in sizes], [1.0] * 3, 1)
         assert _assert_pairs_match(gk.TruncatedFlory(sys_, meas, xi)) == skipped

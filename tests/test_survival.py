@@ -190,6 +190,21 @@ class TestCriticalSlope:
             assert np.all(c_prime > 0.0)
             assert np.all(g_prime > 0.0)
 
+    @pytest.mark.parametrize("name", PRESETS)
+    def test_small_coordinate_scale(self, name):
+        # the degeneracy floor once grew like s^3 against a term growing like
+        # s^2, with max(1, .) on top, so every preset failed at s = 1e-8
+        sys_, meas = gk.from_name(name)
+        s = 1e-8
+        coords = np.array(meas.coords)
+        coords[:, 1:] *= s
+        small = gk.AtomicMeasure(coords, meas.weight_array, meas.n)
+        c_ref, g_ref = gk.critical_slope(sys_, meas)
+        c_prime, g_prime = gk.critical_slope(sys_, small)
+        np.testing.assert_allclose(c_prime, c_ref * s, rtol=1e-12)
+        np.testing.assert_allclose(g_prime[0], g_ref[0] * s * s, rtol=1e-12)
+        np.testing.assert_allclose(g_prime[1:], g_ref[1:] * s**3, rtol=1e-12)
+
     def test_finite_difference_agreement_bidisperse(self, bidi):
         sys_, meas = bidi
         c_prime, _ = gk.critical_slope(sys_, meas)

@@ -4,10 +4,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import gelkit as gk
 from gelkit import _rk, graphs
-from gelkit.errors import NegativeRate, SchemaError
+from gelkit.errors import GelkitError, NegativeRate, SchemaError
 from gelkit.system import check_times, time_array
 
 
@@ -156,6 +158,13 @@ class TestSystemValidation:
         assert big.a_plus[0, 0] == 1e308
         assert np.array_equal(scaled.a_plus, kac[0].a_plus * 5e307)
         assert np.array_equal(scaled.a_par, kac[0].a_par * 5e307)
+
+    def test_asymmetry_near_the_double_range_refused(self):
+        # the symmetry test subtracted A^T from A, which overflowed here
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not symmetric"):
+                gk.BilinearSystem(2, 0, [[1.0, 1e308], [-1e308, 1.0]], [])
 
     def test_block_layout(self, kac):
         sys_, _ = kac
@@ -510,33 +519,82 @@ class TestTimeRule:
 
 
 # the entry points of the limit theory, each a function of the system, the
-# measure, a time unit u and the rate r.  On sys.scaled(r) with u = t_g / r
-# each returns what it returns on sys with u = t_g: time is divided by r,
-# and the critical slopes and the gelation time are brought back to rate 1
+# measure, a time unit u, the rate r and the coordinate scale k.  On
+# sys.scaled(r) with every coordinate but pi0 times k and u = t_g / (r k^2),
+# each returns what it returns on sys with u = t_g, once brought back to
+# r = k = 1: time is divided by r k^2, a conserved or sign-odd coordinate is
+# k times larger and the fixed point c is k times smaller
 COVARIANT = {
-    "gelation": lambda s, m, u, r: [gk.gelation(s, m).t_g * r],
-    "solve_fixed_point": lambda s, m, u, r: [gk.solve_fixed_point(s, m, 1.5 * u).c],
-    "gel_data": lambda s, m, u, r: [gk.gel_data(s, m, 1.5 * u).g],
-    "gel_curve":
-        lambda s, m, u, r: [gk.gel_curve(s, m, [0.5 * u, 1.2 * u, 2 * u])[:, 1:]],
-    "moments_at(sub)": lambda s, m, u, r: _moments(gk.moments_at(s, m, 0.7 * u)),
-    "moments_at(super)": lambda s, m, u, r: _moments(gk.moments_at(s, m, 1.5 * u)),
+    "gelation": lambda s, m, u, r, k: _spectral(gk.gelation(s, m), r, k),
+    "solve_fixed_point":
+        lambda s, m, u, r, k: [gk.solve_fixed_point(s, m, 1.5 * u).c * k],
+    "gel_data": lambda s, m, u, r, k: [_unit(gk.gel_data(s, m, 1.5 * u).g, k)],
+    "gel_curve": lambda s, m, u, r, k: _curve(
+        gk.gel_curve(s, m, [0.5 * u, 1.2 * u, 2 * u]), s.n, k
+    ),
+    "moments_at(sub)": lambda s, m, u, r, k: _moments(gk.moments_at(s, m, 0.7 * u), k),
+    "moments_at(super)":
+        lambda s, m, u, r, k: _moments(gk.moments_at(s, m, 1.5 * u), k),
+    "supercritical_moments": lambda s, m, u, r, k: _moments(
+        (gk.supercritical_moments(s, m, 1.2 * u), "supercritical-dual"), k
+    ),
     "explosion_time":
-        lambda s, m, u, r: [gk.explosion_time(s, gk.initial_state(m)) * r],
-    "critical_slope": lambda s, m, u, r: [d / r for d in gk.critical_slope(s, m)],
-    "gel_growth_ode": lambda s, m, u, r: [gk.gel_growth_ode(s, m, 2 * u)[-1][1].g],
-    "TruncatedFlory": lambda s, m, u, r: _flory(gk.TruncatedFlory(s, m, 8), 1.5 * u),
+        lambda s, m, u, r, k: [gk.explosion_time(s, gk.initial_state(m)) * r * k * k],
+    "critical_slope": lambda s, m, u, r, k: _slope(gk.critical_slope(s, m), r, k),
+    "gel_growth_ode":
+        lambda s, m, u, r, k: [_unit(gk.gel_growth_ode(s, m, 2 * u)[-1][1].g, k)],
+    "TruncatedFlory":
+        lambda s, m, u, r, k: _flory(gk.TruncatedFlory(s, m, 8 * k), 1.5 * u, k),
 }
+# relative tolerance of the scale suite: the closed forms and Newton roots at
+# 1e-12, the ODE pole and the integrated curves at their integrators' scale
+COVARIANT_TOL = {"explosion_time": 1e-9, "gel_growth_ode": 1e-7, "TruncatedFlory": 1e-10}
 
 
-def _moments(result):
+def _unit(g, k):
+    """Gel data ``(M, E, P)`` with ``E`` and ``P`` brought back to k = 1."""
+    g = np.array(g, dtype=float)
+    g[..., 1:] /= k
+    return g
+
+
+def _spectral(res, r, k):
+    return [np.array([res.t_g * r * k * k]), res.psi * k, res.sigma / (r * k * k)]
+
+
+def _curve(rows, n, k):
+    return [rows[:, 1 : 1 + n] * k, _unit(rows[:, 1 + n :], k)]
+
+
+def _moments(result, k):
     state, phase = result
-    return [state.q, state.z, np.array([phase == "sol-subcritical"])]
+    d = np.concatenate(([1.0], np.full(state.n, k)))
+    return [state.y / np.outer(d, d), np.array([phase == "sol-subcritical"])]
 
 
-def _flory(model, t):
+def _slope(slopes, r, k):
+    dc, dg = slopes
+    return [dc / (r * k), _unit(dg / (r * k * k), k)]
+
+
+def _flory(model, t, k):
+    # keyed by composition: types of equal size may sort in either order
     state = model.integrate(t)[-1]
-    return [state.densities, state.gel.g]
+    densities = [d for _, d in sorted(model.density_map(state).items())]
+    return [np.array(densities), _unit(state.gel.g, k)]
+
+
+def _scaled_measure(meas, k):
+    coords = np.array(meas.coords)
+    coords[:, 1:] *= k
+    return gk.AtomicMeasure(coords, meas.weight_array, meas.n)
+
+
+def _assert_covariant(got, want, rtol):
+    # relative to each array's largest entry: kinetic-gas's sign-odd gel
+    # coordinates are 0 up to rounding noise of 1e-17
+    for a, b in zip(got, want, strict=True):
+        np.testing.assert_allclose(a, b, rtol=0, atol=rtol * np.abs(b).max())
 
 
 class TestRateScaleRule:
@@ -590,9 +648,67 @@ class TestRateScaleRule:
         # floor in the integrator once ended a run at its first step
         sys_, meas = request.getfixturevalue(preset)
         t_g = gk.gelation_time(sys_, meas)
-        want = COVARIANT[entry](sys_, meas, t_g, 1.0)
-        got = COVARIANT[entry](sys_.scaled(r), meas, t_g / r, r)
-        # relative to each array's largest entry: kinetic-gas's sign-odd gel
-        # coordinates are 0 up to rounding noise of 1e-17
-        for a, b in zip(got, want, strict=True):
-            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12 * np.abs(b).max())
+        want = COVARIANT[entry](sys_, meas, t_g, 1.0, 1.0)
+        got = COVARIANT[entry](sys_.scaled(r), meas, t_g / r, r, 1.0)
+        _assert_covariant(got, want, 1e-12)
+
+
+class TestScaleCovariance:
+    """Every limit entry point follows a change of time unit (the rate as
+    ``sys.scaled(r)``) and of coordinate unit (every coordinate but pi0
+    times k) from 1e-8 to 1e16 and 1e-8 to 1e8: it returns the rescaled
+    answer of r = k = 1, or raises the GelkitError that r = k = 1 raises.
+    No absolute constant of the solvers may read the units."""
+
+    @pytest.fixture(scope="class")
+    def unscaled(self, mult, bidi, kac):
+        out = {}
+        for preset, (sys_, meas) in zip(("mult", "bidi", "kac"), (mult, bidi, kac)):
+            t_g = gk.gelation_time(sys_, meas)
+            for entry, call in COVARIANT.items():
+                try:
+                    out[preset, entry] = call(sys_, meas, t_g, 1.0, 1.0)
+                except GelkitError as exc:
+                    out[preset, entry] = type(exc)
+        return out
+
+    @settings(max_examples=12)
+    @given(
+        log_r=st.floats(-8.0, 16.0, allow_nan=False),
+        log_k=st.floats(-8.0, 8.0, allow_nan=False),
+    )
+    @example(log_r=-8.0, log_k=8.0)
+    @example(log_r=16.0, log_k=-8.0)
+    @pytest.mark.parametrize("preset", ["mult", "bidi", "kac"])
+    def test_rate_and_coordinate_scale(self, preset, unscaled, request, log_r, log_k):
+        sys_, meas = request.getfixturevalue(preset)
+        r, k = 10.0**log_r, 10.0**log_k
+        t_g = gk.gelation_time(sys_, meas)
+        scaled, scaled_meas = sys_.scaled(r), _scaled_measure(meas, k)
+        for entry, call in COVARIANT.items():
+            want = unscaled[preset, entry]
+            if isinstance(want, type):
+                with pytest.raises(want):
+                    call(scaled, scaled_meas, t_g / (r * k * k), r, k)
+                continue
+            got = call(scaled, scaled_meas, t_g / (r * k * k), r, k)
+            _assert_covariant(got, want, COVARIANT_TOL.get(entry, 1e-12))
+
+    def test_unequal_units_per_conserved_coordinate(self, kac):
+        # A+ -> D^-1 A+ D^-1 with plus -> D plus leaves every rate, t_g and M
+        # as they are, and Q becomes D Q D
+        sys_, meas = kac
+        d = np.array([1e-6, 3e5])
+        coords = np.array(meas.coords)
+        coords[:, 1:3] *= d
+        unit = gk.AtomicMeasure(coords, meas.weight_array, meas.n)
+        a_plus = sys_.a_plus / np.outer(d, d)
+        unit_sys = gk.BilinearSystem(2, sys_.m, a_plus, sys_.a_par)
+        t_g = gk.gelation_time(sys_, meas)
+        assert gk.gelation_time(unit_sys, unit) == pytest.approx(t_g, rel=1e-12)
+        for t in (0.7 * t_g, 1.5 * t_g):
+            st0, _ = gk.moments_at(sys_, meas, t)
+            st1, _ = gk.moments_at(unit_sys, unit, t)
+            np.testing.assert_allclose(st1.q, st0.q * np.outer(d, d), rtol=1e-12)
+            m0 = gk.gel_data(sys_, meas, t).mass
+            assert gk.gel_data(unit_sys, unit, t).mass == pytest.approx(m0, rel=1e-12)
