@@ -2,8 +2,8 @@
 
 Small, dependency-free, and tailored to what this package needs from an ODE
 solver: exact landing on requested output times, a per-accepted-step
-callback that may clamp the state, a stop predicate for blowup detection,
-and a per-attempted-step callback told the step's stage times in advance.
+callback that may clamp the state, and a stop predicate for blowup
+detection.
 FSAL is exploited (the 7th stage of an accepted step seeds the next).
 """
 
@@ -73,7 +73,6 @@ def integrate(
     accept_cb: Callable[[float, np.ndarray], np.ndarray | None] | None = None,
     stop: Callable[[float, np.ndarray], bool] | None = None,
     max_steps: int = 1_000_000,
-    stages: Callable[[list[float]], None] | None = None,
 ) -> Trajectory:
     """Integrate y' = f(t, y) from t0 to t_end.
 
@@ -81,13 +80,9 @@ def integrate(
     interpolation.  ``accept_cb`` runs after each accepted step and may
     return a replacement state, possibly the array it was given, clamped in
     place (used for positivity clamping); ``stop`` ends the run early when
-    it returns True (used for blowup detection).
-    ``stages`` runs once per attempted step, accepted or rejected, before
-    its first new stage, with the times at which ``f`` is then evaluated,
-    the very floats ``f`` receives (so that ``f`` may solve their
-    time-only coefficients together).  ``f`` may not keep the array it is
-    given: the stages reuse one buffer.  A step too small to advance ``t``
-    raises :class:`NoConvergence`.
+    it returns True (used for blowup detection).  ``f`` may not keep the
+    array it is given: the stages reuse one buffer.  A step too small to
+    advance ``t`` raises :class:`NoConvergence`.
     """
     y = np.array(y0, dtype=float)
     t = float(t0)
@@ -130,8 +125,6 @@ def integrate(
         if t + h_step == t:
             raise NoConvergence(f"integrator step underflow at t={t} (step {h_step!r})")
         stage_ts = [t + c * h_step for c in _C_STAGES] + [t + h_step]
-        if stages is not None:
-            stages(stage_ts)
         for s, (row, ks) in enumerate(rows, 1):
             np.matmul(row, ks, out=tmp)
             tmp *= h_step

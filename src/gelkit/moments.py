@@ -37,7 +37,7 @@ import numpy as np
 from . import _rk
 from .errors import DualNotSubcritical, ExplosionReached, NumericError
 from .spectral import SpectralResult, _gelation, gelation
-from .survival import _maximal_roots, gel_data, solve_fixed_point
+from .survival import gel_data, solve_fixed_point
 from .system import AtomicMeasure, BilinearSystem, GelData, check_times, gram_plus
 from .system import moment_matrix
 
@@ -287,17 +287,17 @@ def gel_growth_ode(
     measure: AtomicMeasure,
     t_to: float,
     outputs=None,
-    rtol: float = 1e-7,
 ) -> list[tuple[float, GelData]]:
     """Post-gel trajectory of the gel data by direct integration.
 
     The gel absorbs sol particles at a rate set by the current sol moments:
-    dg_0 = z A+ g_plus and dg_plus = Q A+ g_plus, with (Q, z)
-    taken from the duality pipeline at each time; the fixed points of an
-    attempted step's stage times are solved together, as one Newton stack.
-    Starts at ``t_g (1 + 1e-3)``, or halfway to ``t_to`` if sooner, from the
-    fixed-point gel, and drops outputs before that start.  The second,
-    independent gel curve.
+    dg_0 = z A+ g_plus and dg_plus = Q A+ g_plus.  On the maximal branch the
+    fixed point is ``c = t A+ g_plus``, so (Q, z) are the tilted moments of
+    ``_dual`` at that ``c``, and the right-hand side is a function of
+    ``(t, g)`` alone; along it ``c - t F(c)`` stays 0.  Starts at
+    ``t_g (1 + 1e-3)``, or halfway to ``t_to`` if sooner, from the
+    fixed-point gel (the one fixed-point solve), and drops outputs before
+    that start.  The second, independent gel curve.
     """
     given = check_times([t_to, *([] if outputs is None else outputs)])
     spectral = gelation(sys, measure)
@@ -309,31 +309,16 @@ def gel_growth_ode(
         t_start = t_g + 0.5 * (t_to - t_g)
     g0 = gel_data(sys, measure, t_start, spectral).g
     n = sys.n
-    coeff_cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-
-    def prefetch(times) -> None:
-        # the coefficients depend on t alone, so a step's stage times are
-        # solved together; the last two stage times of a step coincide
-        todo = np.array([u for u in dict.fromkeys(times) if u not in coeff_cache])
-        c = _maximal_roots(sys, measure, todo, t_g)
-        for u, cu in zip(todo.tolist(), c):
-            state = _dual(sys, measure, u, cu, t_g)
-            coeff_cache[u] = (state.q, state.z[1:])
 
     def rhs(t: float, g: np.ndarray) -> np.ndarray:
-        if t not in coeff_cache:
-            prefetch([t])
-        q, zp = coeff_cache[t]
-        gp = g[1 : 1 + n]
+        flow = sys.a_plus @ g[1 : 1 + n]
         dg = np.zeros_like(g)
-        flow = sys.a_plus @ gp
-        dg[0] = float(zp @ flow)
-        dg[1 : 1 + n] = q @ flow
+        dg[: 1 + n] = _dual(sys, measure, t, t * flow, t_g).y[:, 1:] @ flow
         return dg
 
     out = sorted({v for v in given if v >= t_start})
     traj = _rk.integrate(
-        rhs, t_start, g0, t_to, rtol=rtol, atol=1e-10, outputs=out,
-        max_steps=20_000, stages=prefetch,
+        rhs, t_start, g0, t_to, rtol=1e-7, atol=1e-10, outputs=out,
+        max_steps=20_000,
     )
     return [(t, GelData(y)) for t, y in zip(traj.ts, traj.ys)]

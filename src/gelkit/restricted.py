@@ -42,7 +42,8 @@ def enumerate_types(
 ) -> list[tuple[int, ...]]:
     """All compositions over the measure's species with plus-size <= xi.
 
-    Sorted by (size, composition) so downstream indexing is reproducible.
+    Sorted by (size, composition), sizes equal up to rounding counting as
+    one, so downstream indexing is reproducible in any coordinate unit.
     Raises BudgetExceeded when the space outgrows ``max_types``.
     """
     sizes = measure.coords[:, 1 : 1 + measure.n].sum(axis=1).tolist()
@@ -74,7 +75,15 @@ def enumerate_types(
 
     grow(0, 0.0)
     found.sort()
-    return [comp for _, comp in found]
+    # sizes within the rounding slack of a group's smallest are one size,
+    # ordered by composition, so the order does not read the coordinate unit
+    groups: list[list[tuple[int, ...]]] = []
+    for used, comp in found:
+        if not groups or used > first + xi * _XI_SLACK:
+            first = used
+            groups.append([])
+        groups[-1].append(comp)
+    return [comp for group in groups for comp in sorted(group)]
 
 
 @dataclass(frozen=True)
@@ -210,13 +219,7 @@ class TruncatedFlory:
             t=t, densities=n, gel=GelData(g), phi_sol=float(n @ self.phi_vec)
         )
 
-    def integrate(
-        self,
-        t_end: float,
-        outputs=None,
-        rtol: float = 1e-10,
-        atol: float = 1e-14,
-    ) -> list[TruncatedState]:
+    def integrate(self, t_end: float, outputs=None) -> list[TruncatedState]:
         """Trajectory from t=0; returns states at ``outputs`` (default: only
         ``t_end``)."""
         out = sorted(set(check_times([t_end, *([] if outputs is None else outputs)])))
@@ -225,8 +228,8 @@ class TruncatedFlory:
             0.0,
             self.initial_densities,
             t_end,
-            rtol=rtol,
-            atol=atol,
+            rtol=1e-10,
+            atol=1e-14,
             outputs=out,
             accept_cb=self._accept,
             max_steps=200_000,

@@ -379,67 +379,39 @@ class TestGelGrowth:
         assert own.count(False) > 10  # each tilted measure is still solved
 
     @pytest.mark.parametrize("preset", ["mult", "bidi", "kac"])
-    def test_stage_batch_changes_nothing(self, preset, request, monkeypatch):
-        # each step's stage times solved as one Newton stack against the
-        # same run with one solve per stage time
+    def test_one_fixed_point_solve(self, preset, request, monkeypatch):
+        # the right-hand side reads the fixed point off the gel itself, so
+        # the starting gel is the only Newton solve
         sys_, meas = request.getfixturevalue(preset)
         t_g = gk.gelation_time(sys_, meas)
-        outputs = [1.2 * t_g, 1.5 * t_g]
-        rows = []
-        newton = survival._newton
+        rows, newton = [], survival._newton
 
-        def counted(s, m, scales):
-            rows.append(len(scales))
-            return newton(s, m, scales)
+        def counted(s, m, times):
+            rows.append(len(times))
+            return newton(s, m, times)
 
         monkeypatch.setattr(survival, "_newton", counted)
-        batched = gk.gel_growth_ode(sys_, meas, 2.0 * t_g, outputs=outputs)
-        assert max(rows) > 1
-        integrate, dropped = _rk.integrate, []
+        gk.gel_growth_ode(sys_, meas, 2.0 * t_g, outputs=[1.2 * t_g, 1.5 * t_g])
+        assert rows == [1]
 
-        def per_stage(*args, stages=None, **kwargs):
-            dropped.append(stages is not None)
-            return integrate(*args, **kwargs)
-
-        monkeypatch.setattr(_rk, "integrate", per_stage)
-        rows.clear()
-        single = gk.gel_growth_ode(sys_, meas, 2.0 * t_g, outputs=outputs)
-        assert dropped == [True] and max(rows) == 1
-        assert [t for t, _ in batched] == [t for t, _ in single] == [*outputs, 2.0 * t_g]
-        for (_, a), (_, b) in zip(batched, single):
-            assert np.array_equal(a.g, b.g)
+    @pytest.mark.parametrize("preset", ["mult", "bidi", "kac"])
+    def test_start_in_the_critical_band_raises(self, preset, request):
+        # the start t_g (1 + 7.5e-13) is inside the critical band, so it is
+        # the zero gel, and the untilted measure is not subcritical past t_g
+        sys_, meas = request.getfixturevalue(preset)
+        t_g = gk.gelation_time(sys_, meas)
+        with pytest.raises(DualNotSubcritical):
+            gk.gel_growth_ode(sys_, meas, t_g * (1.0 + 1.5e-12))
 
     def test_slow_stage_solve_raises(self, kac, monkeypatch):
+        # the starting gel just past t_g needs more Newton steps than this
         sys_, meas = kac
-        t_g = gk.gelation_time(sys_, meas)
-        t_to = t_g * (1.0 + 1e-6)
-        start = gk.gel_data(sys_, meas, t_g + 0.5 * (t_to - t_g))
-        monkeypatch.setattr(moments, "gel_data", lambda *args: start)
         monkeypatch.setattr(survival, "_MAX_NEWTON", 5)
         with pytest.raises(SlowConvergence):
-            gk.gel_growth_ode(sys_, meas, t_to)
+            gk.gel_growth_ode(sys_, meas, 2.0 * gk.gelation_time(sys_, meas))
 
 
 class TestRkStages:
-    def test_stage_times_announced_per_attempted_step(self):
-        # a fast oscillation makes the step controller reject steps
-        seen, announced = [], []
-
-        def f(t, y):
-            seen.append(t)
-            return 5.0 * np.cos(30.0 * t) * y
-
-        traj = _rk.integrate(
-            f, 0.0, np.ones(1), 3.0, outputs=[0.5],
-            stages=lambda times: announced.append((len(seen), list(times))),
-        )
-        assert traj.n_rejected > 0
-        assert len(announced) == traj.n_accepted + traj.n_rejected
-        assert seen[0] == 0.0 and len(seen) == 1 + 6 * len(announced)
-        for i, (at, times) in enumerate(announced):
-            assert at == 1 + 6 * i
-            assert seen[at : at + 6] == times
-
     def test_retry_starts_from_the_accepted_slope(self):
         # y' = 5 cos(30 t) y rejects many steps; each retry must start from
         # f(t, y), not from the rejected trial's last stage
@@ -453,16 +425,18 @@ class TestRkStages:
 
     def test_far_end_time_does_not_set_the_first_step(self):
         # y' = y^2 blows up at t = 1; an end time of 1e30 is only a sentinel
-        attempts, first = [], []
+        calls, first = [], []
+
+        def f(t, y):
+            calls.append(t)
+            return y * y
 
         def stop(t, y):
-            first.append(len(attempts))
+            # f runs once at the start and six times per attempted step
+            first.append((len(calls) - 1) // 6)
             return y[0] > 1e6
 
-        traj = _rk.integrate(
-            lambda t, y: y * y, 0.0, np.ones(1), 1e30, stop=stop,
-            stages=lambda times: attempts.append(times),
-        )
+        traj = _rk.integrate(f, 0.0, np.ones(1), 1e30, stop=stop)
         assert traj.stopped and first[0] == 1
 
     def test_step_underflow_raises(self):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,15 @@ class TestEnumeration:
         assert len(gk.TruncatedFlory(sys_, scaled, 32 * s)._ix) == len(
             gk.TruncatedFlory(sys_, meas, 32)._ix
         )
+
+    def test_type_order_follows_the_coordinate_unit(self, bidi):
+        # equal sizes were once ordered by the rounding of their summed
+        # sizes, which at this scale swapped types of equal size
+        _, meas = bidi
+        coords = np.array(meas.coords)
+        coords[:, 1:] *= 1e-4
+        scaled = gk.AtomicMeasure(coords, meas.weight_array, meas.n)
+        assert gk.enumerate_types(scaled, 8e-4) == gk.enumerate_types(meas, 8)
 
     def test_zero_size_species(self, mult):
         # a species of plus-size 0 fits below any xi any number of times
@@ -145,28 +156,30 @@ def _rhs_oracle(model, n):
 
     The gel is explicit: it holds the data the densities have lost, takes
     every merge product that is not a type, and absorbs each type at the
-    rate ``x . A g``.
+    rate ``x . A g``, one term per type's lost data.  Each ``dn`` entry is
+    a correctly rounded sum of its terms, since gain and loss may cancel to
+    a small fraction of either.
     """
     rate = model.coords[:, 1:]
     a = model.sys.block
-    gel = (model.initial_densities - n) @ model.coords
+    lost = model.initial_densities - n
     comps = [np.array(c) for c in model.types]
-    dn = np.zeros(len(n))
-    dgel = np.zeros(len(gel))
+    terms = [[] for _ in n]
+    dgel = np.zeros(model.coords.shape[1])
     for i in range(len(n)):
         for j in range(i, len(n)):
             flux = (0.5 if i == j else 1.0) * (rate[i] @ a @ rate[j]) * n[i] * n[j]
-            dn[i] -= flux
-            dn[j] -= flux
+            terms[i].append(-flux)
+            terms[j].append(-flux)
             merged = model.index.get(tuple(int(v) for v in comps[i] + comps[j]))
             if merged is None:
                 dgel += flux * (model.coords[i] + model.coords[j])
             else:
-                dn[merged] += flux
-        absorbed = n[i] * (rate[i] @ a @ gel[1:])
-        dn[i] -= absorbed
-        dgel += absorbed * model.coords[i]
-    return dn, dgel
+                terms[merged].append(flux)
+        absorbed = [n[i] * (rate[i] @ a @ rate[j]) * lost[j] for j in range(len(n))]
+        terms[i] += [-x for x in absorbed]
+        dgel += math.fsum(absorbed) * model.coords[i]
+    return np.array([math.fsum(t) for t in terms]), dgel
 
 
 class TestRightHandSide:

@@ -111,8 +111,8 @@ class TestNearCritical:
 
     @pytest.mark.parametrize("name", PRESETS)
     def test_newton_stack_rows_equal_one_row_solves(self, name):
-        # gel_curve and gel_growth_ode solve many times as one stack and
-        # rely on each row being its one-row solve, bit for bit
+        # gel_curve solves many times as one stack and relies on each row
+        # being its one-row solve, bit for bit
         sys_, meas = gk.from_name(name)
         t_g = gk.gelation_time(sys_, meas)
         scales = t_g * np.concatenate((1.0 + 10.0 ** -np.arange(2, 7), [1.5, 10.0]))

@@ -578,10 +578,8 @@ def _slope(slopes, r, k):
 
 
 def _flory(model, t, k):
-    # keyed by composition: types of equal size may sort in either order
     state = model.integrate(t)[-1]
-    densities = [d for _, d in sorted(model.density_map(state).items())]
-    return [np.array(densities), _unit(state.gel.g, k)]
+    return [np.array(model.types), state.densities, _unit(state.gel.g, k)]
 
 
 def _scaled_measure(meas, k):
