@@ -57,9 +57,8 @@ def matrix() -> list[tuple[str, list[str]]]:
                 "--n", "2000")
             add(f"{tag}coupling.json", "coupling", *stochastic, *rate, "--n", "300",
                 "--t", last, "--replicas", "20")
-            if window is not None:
-                add(f"{tag}restricted.csv", "restricted", *common, *rate, "--times",
-                    times, "--xi", "8")
+            add(f"{tag}restricted.csv", "restricted", *common, *rate, "--times",
+                times, "--xi", "8")
         add("moments.csv", "moments", *common, "--times", times)
         add("replicas.csv", "simulate", *stochastic, "--times", times, "--n", "2000",
             "--replicas", "3")

@@ -23,7 +23,6 @@ from .errors import (
     RateUnderflow,
     SchemaError,
     SlowConvergence,
-    ToleranceFailure,
     WindowInvalid,
 )
 from .graphs import (

@@ -2,9 +2,8 @@
 
 Small, dependency-free, and tailored to what this package needs from an ODE
 solver: exact landing on requested output times, a per-accepted-step
-callback that may clamp the state, and a stop predicate for blowup
-detection.
-FSAL is exploited (the 7th stage of an accepted step seeds the next).
+callback that may replace the state, and a stop predicate for blowup
+detection.  FSAL is exploited (the 7th stage of an accepted step seeds the next).
 """
 
 from __future__ import annotations
@@ -78,11 +77,10 @@ def integrate(
 
     ``outputs`` are hit exactly by clipping the step size, never by
     interpolation.  ``accept_cb`` runs after each accepted step and may
-    return a replacement state, possibly the array it was given, clamped in
-    place (used for positivity clamping); ``stop`` ends the run early when
-    it returns True (used for blowup detection).  ``f`` may not keep the
-    array it is given: the stages reuse one buffer.  A step too small to
-    advance ``t`` raises :class:`NoConvergence`.
+    return a replacement state (``explosion_time`` symmetrises its ``Y``);
+    ``stop`` ends the run early when it returns True (used for blowup
+    detection).  ``f`` may not keep the array it is given: the stages reuse
+    one buffer.  A step too small to advance ``t`` raises NoConvergence.
     """
     y = np.array(y0, dtype=float)
     t = float(t0)

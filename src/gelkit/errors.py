@@ -67,11 +67,6 @@ class DualNotSubcritical(NumericError):
     time, so the duality route cannot produce sol moments."""
 
 
-class ToleranceFailure(NumericError):
-    """An invariant that must hold along a computation was violated
-    beyond tolerance."""
-
-
 class RateUnderflow(NumericError):
     """The merge envelope rate of a particle run is not finite: the rows'
     absolute coordinate totals overflow double precision."""

@@ -1,34 +1,38 @@
 """Truncated Flory dynamics on a finite composition space.
 
-Types are integer composition vectors over the initial species: merging is
-exact integer bookkeeping, so closure under merge is trivial to test.  A
-composition is kept while its conserved-coordinate size (sum of the plus
-block) stays within the truncation threshold ``xi``; a merge product beyond
-the threshold leaves the resolved system for the gel, and the gel also
-absorbs resolved particles directly, at the bilinear rate against its data.
-Sol plus gel data is conserved and the kernel is bilinear in it, so every
-type's total loss rate is a constant coefficient of its density, fixed by
-the initial data: the Flory equation.  The one-type reduction shows it:
-u' = -u(u+g), u+g = 1, so the monomer density is e^-t.
+Types are integer composition vectors over the initial species, kept while
+their conserved-coordinate size (sum of the plus block) is within ``xi``; a
+merge product beyond it leaves for the gel, which also absorbs resolved
+particles at the bilinear rate against its data.  Sol plus gel data is
+conserved, so a type's loss rate ``loss_c`` is constant and linear in ``c``.
 
-The state is therefore the resolved densities alone, and the gel is read
-off at each output by conservation, as the data the densities have lost:
-``(n0 - n) . coords``.  A density that rounds below zero is clamped to zero
-after its step; conservation books the amount clamped against the gel, so
-the conserved total still holds, and ``clamped`` sums it.
+The equation is solved in closed form.  With ``N_c = sum_s c_s`` particles,
 
-As xi grows, resolved densities increase and the truncated gel decreases,
-converging to the fixed-point gel of the survival module.
+    n_c(t) = w_c t^(N_c - 1) e^(-loss_c t),   w_c = T_K(c) prod_s n0_s^c_s / c_s!,
+
+where ``T_K(c)`` sums, over the spanning trees on c's particles, the product
+of the species pair rates ``K_ss'`` on their edges.  It holds because
+``e^(-loss_c t)`` leaves every gain term (``loss`` is linear) and cutting one
+of a tree's ``N_c - 1`` edges leaves two trees joined by one pair:
+``(N_c - 1) w_c = 1/2 sum_{a+b=c} K(a, b) w_a w_b``.  By the matrix-tree
+theorem ``T_K(c) = prod_s d_s^(c_s - 1) det(L_-j) / c_j`` over the species
+present, with ``d = K c``, ``L`` of zero row sums and ``L_ss' = -K_ss' c_s'``
+off the diagonal, and ``L_-j`` without species ``j``.  One species gives
+Cayley's ``K^(N-1) N^(N-2)``; the multiplicative kernel, Flory-Stockmayer's
+``n_k = k^(k-2) t^(k-1) e^(-kt) / k!``.  Evaluated in logs, no density
+overflows or goes negative.  The gel is read off by conservation,
+``(n0 - n) . coords``, and decreases to the fixed-point gel as xi grows.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
-from . import _rk
-from .errors import BudgetExceeded, ToleranceFailure
+from .errors import BudgetExceeded
 from .system import AtomicMeasure, BilinearSystem, GelData, check_times, pair_rates
 
 # candidate pairs tested at once by TruncatedFlory._build_pairs
@@ -53,27 +57,27 @@ def enumerate_types(
         raise BudgetExceeded(
             "a species with zero conserved size makes the truncated space infinite"
         )
-    k = len(sizes)
+    limit = xi * (1.0 + _XI_SLACK)
+    # the smallest size from each species on: where it does not fit, every
+    # later count is 0 and the composition is complete
+    floor = [*accumulate(reversed(sizes), min)][::-1] + [math.inf]
     found: list[tuple[float, tuple[int, ...]]] = []
-    counts = [0] * k
-
-    def grow(species: int, used: float) -> None:
-        if species == k:
-            if counts != [0] * k:
-                found.append((used, tuple(counts)))
+    # depth first over (next species, size so far, counts so far)
+    stack = [(0, 0.0, ())]
+    while stack:
+        species, used, counts = stack.pop()
+        c = 0
+        while (size := used + c * sizes[species]) <= limit:
+            comp = counts + (c,)
+            c += 1
+            if size + floor[species + 1] <= limit:
+                stack.append((species + 1, size, comp))
+            elif size > 0.0:  # sizes are positive: not the empty composition
+                found.append((size, comp + (0,) * (len(sizes) - len(comp))))
                 if len(found) > max_types:
                     raise BudgetExceeded(
                         f"more than {max_types} compositions below xi={xi}"
                     )
-            return
-        c = 0
-        while used + c * sizes[species] <= xi * (1.0 + _XI_SLACK):
-            counts[species] = c
-            grow(species + 1, used + c * sizes[species])
-            c += 1
-        counts[species] = 0
-
-    grow(0, 0.0)
     found.sort()
     # sizes within the rounding slack of a group's smallest are one size,
     # ordered by composition, so the order does not read the coordinate unit
@@ -99,6 +103,9 @@ class TruncatedState:
 class TruncatedFlory:
     """Precomputed generator of the truncated dynamics for one (measure, xi)."""
 
+    # no density is ever clamped; perfbench's tracer still reads this
+    clamped = 0.0
+
     def __init__(
         self,
         sys: BilinearSystem,
@@ -118,24 +125,22 @@ class TruncatedFlory:
             raise ValueError(
                 f"xi={xi} excludes an initial species; nothing to resolve"
             )
-        t_count = len(self.types)
         self.index = {comp: i for i, comp in enumerate(self.types)}
         comp_mat = np.array(self.types, dtype=float)
         self.coords = comp_mat @ species  # type data rows, pi0 included
         self.sizes = self.coords[:, 1 : 1 + sys.n].sum(axis=1)
         self.phi_vec = self.coords[:, 0] + self.sizes
-        # initial densities: each species starts as its own singleton type
-        dens0 = np.zeros(t_count)
-        for a_idx, w in enumerate(measure.weight_array):
-            comp = tuple(1 if j == a_idx else 0 for j in range(len(measure)))
-            dens0[self.index[comp]] += w
+        self._measure = measure
+        # a spanning tree's edges: initial particles per type, less one
+        self._edges = comp_mat.sum(axis=1) - 1.0
+        # each species starts as its own singleton type
+        dens0 = np.where(self._edges == 0.0, comp_mat @ measure.weight_array, 0.0)
         self.initial_densities = dens0
         self._build_pairs(max_pairs)
         # sol plus gel data is conserved, so each type's total merge rate
         # against it is fixed by the initial densities
         rate = self.coords[:, 1:]
         self._loss = rate @ (sys.block @ (dens0 @ rate))
-        self.clamped = 0.0
 
     def _build_pairs(self, max_pairs: int) -> None:
         """Every in-range pair (i, j >= i) with the type its merge makes.
@@ -155,8 +160,7 @@ class TruncatedFlory:
             key = rank * base + digit
             levels.append(np.unique(key))
             rank = np.searchsorted(levels[-1], key)
-        type_of_rank = np.empty(len(rank), dtype=np.intp)
-        type_of_rank[rank] = np.arange(len(rank))
+        type_of_rank = np.argsort(rank)  # the ranks are a permutation
         t_count = len(rank)
         block = max(1, _PAIR_BLOCK // t_count)
         ix, iy, iz = [], [], []
@@ -183,12 +187,9 @@ class TruncatedFlory:
             ix.append(i[found])
             iy.append(j[found])
             iz.append(type_of_rank[rank[found]])
-        self._ix = np.concatenate(ix)
-        self._iy = np.concatenate(iy)
-        self._iz = np.concatenate(iz)
+        self._ix, self._iy, self._iz = map(np.concatenate, (ix, iy, iz))
         kv = pair_rates(self.sys, rate[self._ix], rate[self._iy])[0]
-        coeff = np.where(self._ix == self._iy, 0.5, 1.0)
-        self._pair_rate = coeff * kv
+        self._pair_rate = np.where(self._ix == self._iy, 0.5, 1.0) * kv
 
     def _rhs(self, t: float, n: np.ndarray) -> np.ndarray:
         flux = n[self._ix]
@@ -197,19 +198,34 @@ class TruncatedFlory:
         gain = np.bincount(self._iz, weights=flux, minlength=len(n))
         return gain - n * self._loss
 
-    def _accept(self, t: float, n: np.ndarray):
-        low = float(n.min())
-        if low >= 0.0:
-            return None
-        scale = max(1.0, float(n.max()))
-        if low < -1e-6 * scale:
-            raise ToleranceFailure(
-                f"density {low} fell far below zero at t={t}"
-            )
-        negative = n < 0.0
-        self.clamped -= float(n[negative].sum())
-        n[negative] = 0.0
-        return n
+    def _log_weights(self) -> np.ndarray:
+        """``log w_c`` of every type (-inf for a tree weight 0), by groups of
+        types with ``p`` species present and ``p x p`` Laplacians.  ``K_ss'``
+        is clipped at 0; ``_build_pairs`` has checked each entry used."""
+        digits = np.array(self.types, dtype=np.int64)
+        width = (digits > 0).sum(axis=1)
+        log_fact = np.array([math.lgamma(c + 1.0) for c in range(digits.max() + 1)])
+        log_n0 = np.log(self._measure.weight_array)
+        log_w = np.empty(len(digits))
+        for p in np.unique(width).tolist():
+            rows = np.flatnonzero(width == p)
+            species = np.nonzero(digits[rows])[1].reshape(-1, p)
+            counts = digits[rows[:, None], species]
+            c = counts.astype(float)
+            x = self._measure.coords[species, 1:]
+            k = np.maximum(x @ self.sys.block @ np.swapaxes(x, 1, 2), 0.0)
+            eye = np.eye(p, dtype=bool)
+            lap = np.where(eye, 0.0, -k * c[:, None, :])  # -K_ss' c_s' off the diagonal
+            lap[:, eye] = -lap.sum(axis=2)  # and zero row sums
+            # the cofactor of the first present species
+            sign, log_det = np.linalg.slogdet(lap[:, 1:, 1:])
+            d = np.einsum("gab,gb->ga", k, c)
+            with np.errstate(divide="ignore"):
+                log_d = np.log(d, out=np.zeros_like(d), where=counts > 1)
+            terms = c * log_n0[species] - log_fact[counts] + (c - 1.0) * log_d
+            log_det = np.where(sign > 0.0, log_det, -np.inf) - np.log(c[:, 0])
+            log_w[rows] = terms.sum(axis=1) + log_det
+        return log_w
 
     def _state(self, t: float, n: np.ndarray) -> TruncatedState:
         g = (self.initial_densities - n) @ self.coords
@@ -220,21 +236,15 @@ class TruncatedFlory:
         )
 
     def integrate(self, t_end: float, outputs=None) -> list[TruncatedState]:
-        """Trajectory from t=0; returns states at ``outputs`` (default: only
-        ``t_end``)."""
+        """States at ``outputs`` (default: only ``t_end``), by the closed
+        form; at t = 0 the densities are the initial ones."""
         out = sorted(set(check_times([t_end, *([] if outputs is None else outputs)])))
-        traj = _rk.integrate(
-            self._rhs,
-            0.0,
-            self.initial_densities,
-            t_end,
-            rtol=1e-10,
-            atol=1e-14,
-            outputs=out,
-            accept_cb=self._accept,
-            max_steps=200_000,
-        )
-        return [self._state(t, y) for t, y in zip(traj.ts, traj.ys)]
+        log_w = self._log_weights()
+        return [
+            self._state(t, np.exp(log_w + self._edges * math.log(t) - self._loss * t)
+                        if t > 0.0 else self.initial_densities.copy())
+            for t in out
+        ]
 
     def conserved_total(self, state: TruncatedState) -> float:
         """phi of everything, resolved or not; constant in time."""
@@ -242,9 +252,7 @@ class TruncatedFlory:
         return state.phi_sol + float(g[0] + g[1 : 1 + self.sys.n].sum())
 
     def density_map(self, state: TruncatedState) -> dict[tuple[int, ...], float]:
-        return {
-            comp: float(state.densities[i]) for comp, i in self.index.items()
-        }
+        return dict(zip(self.types, state.densities.tolist()))
 
 
 def integrate_truncated(

@@ -213,6 +213,33 @@ class TestExitCodes:
         assert code == 2
         assert "/system" in capsys.readouterr().err
 
+    def test_restricted_late_time(self, out_dir):
+        # an adaptive integrator ran out of steps here (exit 3), and at
+        # t = 1e4 it still wrote densities of 5e-15 where e^-1e4 is 0
+        assert run_cli(
+            "restricted", "--preset", "multiplicative", "--times", "100000",
+            "--xi", "16",
+        ) == 0
+        head, row = (out_dir / "restricted.csv").read_text().splitlines()
+        cols = dict(zip(head.split(","), map(float, row.split(","))))
+        assert abs(cols["M_xi"] - 1.0) <= 1e-12
+        dens = np.loadtxt(out_dir / "restricted_densities.csv", delimiter=",", skiprows=1)
+        assert (dens[:, -1] == 0.0).all()
+
+    def test_restricted_many_species(self, out_dir, tmp_path):
+        # 1500 species, each its own type: enumerating the types once
+        # recursed once per species and ended in a RecursionError
+        atoms = [{"pi0": 1, "plus": [1 + 3e-4 * i], "par": [], "w": 1 / 1500}
+                 for i in range(1500)]
+        doc = {"n": 1, "m": 0, "A_plus": [[1]], "A_par": [], "atoms": atoms}
+        system = tmp_path / "many.json"
+        system.write_text(json.dumps(doc))
+        assert run_cli(
+            "restricted", "--system", str(system), "--times", "0.5", "--xi", "1.5"
+        ) == 0
+        rows = (out_dir / "restricted_densities.csv").read_text().splitlines()
+        assert len(rows) == 1 + 1500
+
 
 # every command whose output relies on the limit theory, with small params
 _LIMIT_RUNS = {

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import gelkit as gk
+from gelkit import _rk
 from gelkit.errors import BudgetExceeded
 
 
@@ -149,6 +150,83 @@ class TestTruncatedDynamics:
         assert st.t == 2.0 / rate
         assert st.gel.mass == pytest.approx(ref.gel.mass, rel=1e-9)
         np.testing.assert_allclose(st.densities, ref.densities, rtol=1e-9, atol=1e-15)
+
+
+# below the normal range a double has no relative precision
+_TINY = np.finfo(float).tiny
+_PRESETS = pytest.mark.parametrize("preset, xi", [("mult", 16), ("bidi", 8), ("kac", 14)])
+
+
+def _flory_stockmayer(model, t):
+    """``n_k = k^(k-2) t^(k-1) e^(-kt) / k!`` for the one-species types."""
+    k = np.array([c[0] for c in model.types], dtype=float)
+    log_fact = np.array([math.lgamma(v + 1.0) for v in k])
+    return np.exp((k - 2.0) * np.log(k) + (k - 1.0) * np.log(t) - k * t - log_fact)
+
+
+class TestClosedForm:
+    """The densities are the spanning-tree closed form: Flory-Stockmayer on
+    one species, a tight integration of the generator on every preset, and
+    finite at any time."""
+
+    @pytest.mark.parametrize("t", [0.5, 2.0, 10.0])
+    def test_flory_stockmayer(self, mult, t):
+        model = gk.TruncatedFlory(*mult, 64)
+        got = model.integrate(t)[-1].densities
+        np.testing.assert_allclose(got, _flory_stockmayer(model, t), rtol=1e-12, atol=_TINY)
+
+    @pytest.mark.parametrize("tau", [0.5, 2.0, 10.0])
+    def test_flory_stockmayer_small_species(self, mult, tau):
+        # 1000 types of up to 1000 particles of size x, at x^2 t = tau
+        x = 2e-3
+        model = gk.TruncatedFlory(mult[0], gk.AtomicMeasure([[1.0, x]], [1.0], 1), 2.0)
+        assert len(model.types) == 1000
+        got = model.integrate(tau / x**2)[-1].densities
+        np.testing.assert_allclose(got, _flory_stockmayer(model, tau), rtol=1e-10, atol=_TINY)
+
+    @_PRESETS
+    def test_matches_tight_integration(self, preset, xi, request):
+        sys_, meas = request.getfixturevalue(preset)
+        model = gk.TruncatedFlory(sys_, meas, xi)
+        t_end = 2.0 * gk.gelation_time(sys_, meas)
+        times = [0.5 * t_end, t_end]
+        ref = _rk.integrate(
+            model._rhs, 0.0, model.initial_densities, t_end, rtol=1e-13, atol=1e-24,
+            outputs=times,
+        )
+        for st, want in zip(model.integrate(t_end, outputs=times), ref.ys, strict=True):
+            big = want > 1e-12 * want.max()
+            np.testing.assert_allclose(st.densities[big], want[big], rtol=1e-10)
+
+    @_PRESETS
+    def test_derivative_is_the_generator(self, preset, xi, request):
+        # absolute in the largest loss flux: kinetic-gas's same-atom types
+        # are about 1e-24, with rates that are rounding
+        sys_, meas = request.getfixturevalue(preset)
+        model = gk.TruncatedFlory(sys_, meas, xi)
+        edges = np.array(model.types).sum(axis=1) - 1.0
+        t_g = gk.gelation_time(sys_, meas)
+        for t in (0.1 * t_g, 0.5 * t_g, t_g, 3.0 * t_g):
+            n = model.integrate(t)[-1].densities
+            dn = n * (edges / t - model._loss)
+            tol = 1e-12 * (model._loss * n).max()
+            np.testing.assert_allclose(dn, model._rhs(t, n), rtol=0, atol=tol)
+
+    def test_zero_rates_keep_the_initial_densities(self):
+        sys_ = gk.BilinearSystem(2, 0, [[0.0, 1.0], [1.0, 0.0]], [])
+        meas = gk.AtomicMeasure([[1, 1, 0], [1, 2, 0]], [0.25, 0.75], 2)
+        model = gk.TruncatedFlory(sys_, meas, 4)
+        got = model.integrate(3.0)[-1].densities
+        np.testing.assert_allclose(got, model.initial_densities, rtol=1e-15, atol=0)
+
+    @_PRESETS
+    def test_late_times(self, preset, xi, request):
+        sys_, meas = request.getfixturevalue(preset)
+        model = gk.TruncatedFlory(sys_, meas, xi)
+        t_late = 1e12 * gk.gelation_time(sys_, meas)
+        for st in model.integrate(t_late, outputs=[1e5]):
+            assert np.isfinite(st.densities).all()
+            assert (st.densities >= 0.0).all()
 
 
 def _rhs_oracle(model, n):
