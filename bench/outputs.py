@@ -72,6 +72,11 @@ def matrix() -> list[tuple[str, list[str]]]:
         if window is not None:
             add("duality.json", "graph-duality", *stochastic, "--n", "2000",
                 "--t-minus", window[0], "--t-plus", window[1])
+    # the densities at a path of their own, not the default beside the output
+    runs.append(("bidisperse/named.csv", [
+        "restricted", "--preset", "bidisperse", "--times", PRESETS["bidisperse"][0],
+        "--xi", "6", "--densities", "bidisperse/named_densities.csv",
+    ]))
     return runs
 
 

@@ -1,9 +1,9 @@
 """Adaptive Dormand-Prince 5(4) integrator.
 
 Small, dependency-free, and tailored to what this package needs from an ODE
-solver: exact landing on requested output times, a per-accepted-step
-callback that may replace the state, and a stop predicate for blowup
-detection.  FSAL is exploited (the 7th stage of an accepted step seeds the next).
+solver: exact landing on requested output times, and a stop predicate run
+after each accepted step for blowup detection.  FSAL is exploited (the 7th
+stage of an accepted step seeds the next).
 """
 
 from __future__ import annotations
@@ -69,17 +69,14 @@ def integrate(
     rtol: float = 1e-9,
     atol: float = 1e-12,
     outputs: Sequence[float] | None = None,
-    accept_cb: Callable[[float, np.ndarray], np.ndarray | None] | None = None,
     stop: Callable[[float, np.ndarray], bool] | None = None,
     max_steps: int = 1_000_000,
 ) -> Trajectory:
     """Integrate y' = f(t, y) from t0 to t_end.
 
     ``outputs`` are hit exactly by clipping the step size, never by
-    interpolation.  ``accept_cb`` runs after each accepted step and may
-    return a replacement state (``explosion_time`` symmetrises its ``Y``);
-    ``stop`` ends the run early when it returns True (used for blowup
-    detection).  ``f`` may not keep the array it is given: the stages reuse
+    interpolation.  ``stop`` runs after each accepted step and ends the run
+    early when it returns True (used for blowup detection).  ``f`` may not keep the array it is given: the stages reuse
     one buffer.  A step too small to advance ``t`` raises NoConvergence.
     """
     y = np.array(y0, dtype=float)
@@ -151,11 +148,6 @@ def integrate(
         y = y5
         k[0] = k[6]
         traj.n_accepted += 1
-        if accept_cb is not None:
-            replacement = accept_cb(t, y)
-            if replacement is not None:
-                y = np.asarray(replacement, dtype=float)
-                k[0] = f(t, y)
         emit_outputs()
         if stop is not None and stop(t, y):
             traj.stopped = True

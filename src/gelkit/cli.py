@@ -100,20 +100,20 @@ def _manifest_path(out: Path) -> Path:
     return out.parent / (out.stem + ".manifest.json")
 
 
-def _writable(out: Path) -> Path:
-    """Make the parent of ``out``; check before any work that ``out`` and its
-    manifest can be written as files (SchemaError at ``/output`` if not)."""
+def _writable(path: Path, pointer: str) -> Path:
+    """Make the parent of ``path``; check before any work that ``path`` can be
+    written as a file (SchemaError at ``pointer`` if not)."""
     try:
-        if "\0" in str(out):
+        if "\0" in str(path):
             raise ValueError("embedded null byte")
-        out.parent.mkdir(parents=True, exist_ok=True)
-        if out.is_dir() or _manifest_path(out).is_dir():
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if path.is_dir():
             raise IsADirectoryError("a directory is in the way")
-        if not os.access(out.parent, os.W_OK):
+        if not os.access(path.parent, os.W_OK):
             raise PermissionError("the directory is not writable")
     except (OSError, ValueError) as exc:
-        raise SchemaError("/output", f"cannot write {str(out)!r}: {exc}") from None
-    return out
+        raise SchemaError(pointer, f"cannot write {str(path)!r}: {exc}") from None
+    return path
 
 
 def _write_manifest(out: Path, kind: str, resolved: dict, wall: float) -> None:
@@ -347,6 +347,10 @@ def _exec_duality(model, measure, cfg, out: Path) -> None:
 def _exec_restricted(model, measure, cfg, out: Path) -> None:
     params = cfg["params"]
     times = params["times"]
+    dens_path = _writable(
+        Path(params["densities"] or out.parent / (out.stem + "_densities.csv")),
+        "/params/densities",
+    )
     try:
         flory = TruncatedFlory(model, measure, params["xi"])
     except ValueError as exc:
@@ -359,16 +363,13 @@ def _exec_restricted(model, measure, cfg, out: Path) -> None:
         [st.t, st.phi_sol] + st.gel.g.tolist() for st in states
     ]
     _write_csv(out, header, rows)
-    dens_name = params["densities"]
-    dens_path = (
-        Path(dens_name) if dens_name else out.parent / (out.stem + "_densities.csv")
-    )
     k = len(measure)
     dheader = ["t"] + [f"n_species_{i + 1}" for i in range(k)] + ["density"]
-    drows = []
-    for st in states:
-        for comp, dens in zip(flory.types, st.densities):
-            drows.append([st.t] + [int(c) for c in comp] + [dens])
+    # each composition's cells, written once as one preformatted cell
+    comps = [",".join(map(str, comp)) for comp in flory.types]
+    drows = [
+        [st.t, comp, dens] for st in states for comp, dens in zip(comps, st.densities)
+    ]
     _write_csv(dens_path, dheader, drows)
 
 
@@ -509,8 +510,9 @@ def _execute(kind, model, measure, rate_scale, seed, params, out_arg) -> Path:
     except ValueError as exc:  # zero, negative or overflowing, reported as given
         raise SchemaError("/rate_scale", str(exc)) from None
     out = _writable(
-        Path(out_arg or Path(os.environ.get("GELKIT_OUT", ".")) / cmd.out)
+        Path(out_arg or Path(os.environ.get("GELKIT_OUT", ".")) / cmd.out), "/output"
     )
+    _writable(_manifest_path(out), "/output")
     resolved = {
         "kind": kind,
         "system": system_measure_to_json(model, measure),

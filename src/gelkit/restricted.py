@@ -22,6 +22,10 @@ Cayley's ``K^(N-1) N^(N-2)``; the multiplicative kernel, Flory-Stockmayer's
 ``n_k = k^(k-2) t^(k-1) e^(-kt) / k!``.  Evaluated in logs, no density
 overflows or goes negative.  The gel is read off by conservation,
 ``(n0 - n) . coords``, and decreases to the fixed-point gel as xi grows.
+
+The weights read ``K_ss'`` only for species pairs that fit below ``xi``
+together, the two-particle types, so the negative-rate rule of
+:func:`pair_rates` is applied to those pairs once, at construction.
 """
 
 from __future__ import annotations
@@ -35,8 +39,6 @@ import numpy as np
 from .errors import BudgetExceeded
 from .system import AtomicMeasure, BilinearSystem, GelData, check_times, pair_rates
 
-# candidate pairs tested at once by TruncatedFlory._build_pairs
-_PAIR_BLOCK = 1 << 20
 # a size within this fraction above xi is kept: rounding of the summed sizes
 _XI_SLACK = 1e-12
 
@@ -101,7 +103,7 @@ class TruncatedState:
 
 
 class TruncatedFlory:
-    """Precomputed generator of the truncated dynamics for one (measure, xi)."""
+    """The truncated dynamics of one (measure, xi), in closed form."""
 
     # no density is ever clamped; perfbench's tracer still reads this
     clamped = 0.0
@@ -112,7 +114,6 @@ class TruncatedFlory:
         measure: AtomicMeasure,
         xi: float,
         max_types: int = 100_000,
-        max_pairs: int = 2_000_000,
     ):
         if not (measure.coords[:, 0] == 1.0).all():
             raise ValueError("truncated dynamics start from an initial measure")
@@ -136,72 +137,23 @@ class TruncatedFlory:
         # each species starts as its own singleton type
         dens0 = np.where(self._edges == 0.0, comp_mat @ measure.weight_array, 0.0)
         self.initial_densities = dens0
-        self._build_pairs(max_pairs)
+        # a pair of species fits below xi together exactly when it is itself
+        # a type; every merge rate sum_ss' a_s b_s' K_ss' of two types
+        # combines these with nonnegative weights, so they carry the
+        # negative-rate rule
+        pairs = comp_mat[self._edges == 1.0].cumsum(axis=1)
+        # the species of each pair's first and of its second particle
+        first, second = (pairs < 1.0).sum(axis=1), (pairs < 2.0).sum(axis=1)
+        pair_rates(sys, species[first, 1:], species[second, 1:])
         # sol plus gel data is conserved, so each type's total merge rate
         # against it is fixed by the initial densities
         rate = self.coords[:, 1:]
         self._loss = rate @ (sys.block @ (dens0 @ rate))
 
-    def _build_pairs(self, max_pairs: int) -> None:
-        """Every in-range pair (i, j >= i) with the type its merge makes.
-
-        A composition is read as a mixed-radix number, one digit per species,
-        and after each digit the prefix is replaced by its rank among the
-        types' prefixes, so keys stay below ``T * radix`` for any number of
-        species.  A merged composition is a type when every digit is in
-        range and every prefix is found.
-        """
-        rate = self.coords[:, 1:]
-        digits = np.array(self.types, dtype=np.int64).T  # one row per species
-        radix = digits.max(axis=1) + 1
-        levels = []
-        rank = np.zeros(digits.shape[1], dtype=np.int64)
-        for digit, base in zip(digits, radix):
-            key = rank * base + digit
-            levels.append(np.unique(key))
-            rank = np.searchsorted(levels[-1], key)
-        type_of_rank = np.argsort(rank)  # the ranks are a permutation
-        t_count = len(rank)
-        block = max(1, _PAIR_BLOCK // t_count)
-        ix, iy, iz = [], [], []
-        count = 0
-        for start in range(0, t_count, block):
-            # candidate pairs (i, j >= i) of these rows, in (i, j) order
-            sizes = self.sizes[start : start + block, None] + self.sizes[None, start:]
-            i, j = np.nonzero(np.triu(sizes <= self.xi * (1.0 + _XI_SLACK)))
-            i += start
-            j += start
-            found = np.ones(len(i), dtype=bool)
-            rank = np.zeros(len(i), dtype=np.int64)
-            for digit, base, level in zip(digits, radix, levels):
-                merged = digit[i] + digit[j]
-                key = rank * base + merged
-                rank = np.minimum(np.searchsorted(level, key), len(level) - 1)
-                found &= (merged < base) & (level[rank] == key)
-            # a merged composition not found fell out of range (float edge)
-            count += int(found.sum())
-            if count > max_pairs:
-                raise BudgetExceeded(
-                    f"more than {max_pairs} in-range pairs at xi={self.xi}"
-                )
-            ix.append(i[found])
-            iy.append(j[found])
-            iz.append(type_of_rank[rank[found]])
-        self._ix, self._iy, self._iz = map(np.concatenate, (ix, iy, iz))
-        kv = pair_rates(self.sys, rate[self._ix], rate[self._iy])[0]
-        self._pair_rate = np.where(self._ix == self._iy, 0.5, 1.0) * kv
-
-    def _rhs(self, t: float, n: np.ndarray) -> np.ndarray:
-        flux = n[self._ix]
-        flux *= n[self._iy]
-        flux *= self._pair_rate
-        gain = np.bincount(self._iz, weights=flux, minlength=len(n))
-        return gain - n * self._loss
-
     def _log_weights(self) -> np.ndarray:
         """``log w_c`` of every type (-inf for a tree weight 0), by groups of
         types with ``p`` species present and ``p x p`` Laplacians.  ``K_ss'``
-        is clipped at 0; ``_build_pairs`` has checked each entry used."""
+        is clipped at 0; ``__init__`` has checked each entry used."""
         digits = np.array(self.types, dtype=np.int64)
         width = (digits > 0).sum(axis=1)
         log_fact = np.array([math.lgamma(c + 1.0) for c in range(digits.max() + 1)])

@@ -213,6 +213,22 @@ class TestExitCodes:
         assert code == 2
         assert "/system" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "dens", ["a_dir", "a_file/d.csv"], ids=["directory", "under-a-file"]
+    )
+    def test_restricted_unwritable_densities(self, dens, out_dir, capsys):
+        # restricted.csv was written first, then the densities ended in a
+        # bare IsADirectoryError or NotADirectoryError with exit 1
+        (out_dir / "a_file").write_text("")
+        (out_dir / "a_dir").mkdir()
+        code = run_cli(
+            "restricted", "--preset", "multiplicative", "--times", "0.5", "--xi", "4",
+            "--densities", dens,
+        )
+        assert code == 2
+        assert "/params/densities" in capsys.readouterr().err
+        assert sorted(p.name for p in out_dir.iterdir()) == ["a_dir", "a_file"]
+
     def test_restricted_late_time(self, out_dir):
         # an adaptive integrator ran out of steps here (exit 3), and at
         # t = 1e4 it still wrote densities of 5e-15 where e^-1e4 is 0

@@ -5,7 +5,7 @@ import pytest
 
 import gelkit as gk
 from gelkit import _rk
-from gelkit.errors import BudgetExceeded
+from gelkit.errors import BudgetExceeded, NegativeRate
 
 
 class TestEnumeration:
@@ -36,10 +36,6 @@ class TestEnumeration:
         types = gk.enumerate_types(meas, 32)
         assert len(types) == 288
         assert sorted(gk.enumerate_types(scaled, 32 * s)) == sorted(types)
-        sys_ = bidi[0]
-        assert len(gk.TruncatedFlory(sys_, scaled, 32 * s)._ix) == len(
-            gk.TruncatedFlory(sys_, meas, 32)._ix
-        )
 
     def test_type_order_follows_the_coordinate_unit(self, bidi):
         # equal sizes were once ordered by the rounding of their summed
@@ -124,6 +120,15 @@ class TestTruncatedDynamics:
         with pytest.raises(ValueError):
             gk.TruncatedFlory(sys_, meas, 1)  # heavy species has size 2
 
+    def test_negative_rate_where_the_species_pair_fits(self):
+        # K = 4 and 7 within a species, 2 - 3 across: the cross pair has
+        # size 3, so only a xi it fits below makes its rate count
+        sys_ = gk.BilinearSystem(1, 1, [[1.0]], [[3.0]])
+        meas = gk.AtomicMeasure([[1, 1, 1], [1, 2, -1]], [0.5, 0.5], 1)
+        gk.TruncatedFlory(sys_, meas, 2.5)
+        with pytest.raises(NegativeRate):
+            gk.TruncatedFlory(sys_, meas, 3.0)
+
     def test_kinetic_truncation_runs(self, kac):
         sys_, meas = kac
         t_g = gk.gelation_time(sys_, meas)
@@ -164,6 +169,41 @@ def _flory_stockmayer(model, t):
     return np.exp((k - 2.0) * np.log(k) + (k - 1.0) * np.log(t) - k * t - log_fact)
 
 
+def _pair_oracle(model):
+    """Every in-range pair (i, j >= i) of types that merges to a type, with
+    the type it makes and its rate, by a double loop with a dict lookup per
+    pair."""
+    ix, iy, iz, coeff = [], [], [], []
+    comps = [np.array(c) for c in model.types]
+    for i in range(len(model.types)):
+        for j in range(i, len(model.types)):
+            if model.sizes[i] + model.sizes[j] > model.xi * (1.0 + 1e-12):
+                continue
+            merged = model.index.get(tuple(int(v) for v in comps[i] + comps[j]))
+            if merged is None:
+                continue  # float edge: product fell out of range
+            ix.append(i)
+            iy.append(j)
+            iz.append(merged)
+            coeff.append(0.5 if i == j else 1.0)
+    ix, iy = np.array(ix, dtype=np.intp), np.array(iy, dtype=np.intp)
+    rate = model.coords[:, 1:]
+    kv = np.einsum("ij,ij->i", rate[ix] @ model.sys.block, rate[iy])
+    return ix, iy, np.array(iz, dtype=np.intp), np.array(coeff) * kv
+
+
+def _generator(model):
+    """The right-hand side of the truncated equation, on the pair table of
+    :func:`_pair_oracle`: merge gains less the constant loss rates."""
+    ix, iy, iz, rate = _pair_oracle(model)
+
+    def rhs(t, n):
+        gain = np.bincount(iz, weights=n[ix] * n[iy] * rate, minlength=len(n))
+        return gain - n * model._loss
+
+    return rhs
+
+
 class TestClosedForm:
     """The densities are the spanning-tree closed form: Flory-Stockmayer on
     one species, a tight integration of the generator on every preset, and
@@ -175,12 +215,18 @@ class TestClosedForm:
         got = model.integrate(t)[-1].densities
         np.testing.assert_allclose(got, _flory_stockmayer(model, t), rtol=1e-12, atol=_TINY)
 
-    @pytest.mark.parametrize("tau", [0.5, 2.0, 10.0])
-    def test_flory_stockmayer_small_species(self, mult, tau):
-        # 1000 types of up to 1000 particles of size x, at x^2 t = tau
+    @pytest.mark.parametrize(
+        "tau, xi",
+        [(0.5, 2.0), (2.0, 2.0), (10.0, 2.0), (2.0, 8.0)],
+        ids=["0.5", "2.0", "10.0", "2.0-xi8"],
+    )
+    def test_flory_stockmayer_small_species(self, mult, tau, xi):
+        # xi / x types of up to xi / x particles of size x, at x^2 t = tau;
+        # the 4000 types of xi = 8 make 4 million pairs of compositions,
+        # which a budget on a table of such pairs once refused
         x = 2e-3
-        model = gk.TruncatedFlory(mult[0], gk.AtomicMeasure([[1.0, x]], [1.0], 1), 2.0)
-        assert len(model.types) == 1000
+        model = gk.TruncatedFlory(mult[0], gk.AtomicMeasure([[1.0, x]], [1.0], 1), xi)
+        assert len(model.types) == round(xi / x)
         got = model.integrate(tau / x**2)[-1].densities
         np.testing.assert_allclose(got, _flory_stockmayer(model, tau), rtol=1e-10, atol=_TINY)
 
@@ -191,8 +237,8 @@ class TestClosedForm:
         t_end = 2.0 * gk.gelation_time(sys_, meas)
         times = [0.5 * t_end, t_end]
         ref = _rk.integrate(
-            model._rhs, 0.0, model.initial_densities, t_end, rtol=1e-13, atol=1e-24,
-            outputs=times,
+            _generator(model), 0.0, model.initial_densities, t_end, rtol=1e-13,
+            atol=1e-24, outputs=times,
         )
         for st, want in zip(model.integrate(t_end, outputs=times), ref.ys, strict=True):
             big = want > 1e-12 * want.max()
@@ -205,12 +251,13 @@ class TestClosedForm:
         sys_, meas = request.getfixturevalue(preset)
         model = gk.TruncatedFlory(sys_, meas, xi)
         edges = np.array(model.types).sum(axis=1) - 1.0
+        rhs = _generator(model)
         t_g = gk.gelation_time(sys_, meas)
         for t in (0.1 * t_g, 0.5 * t_g, t_g, 3.0 * t_g):
             n = model.integrate(t)[-1].densities
             dn = n * (edges / t - model._loss)
             tol = 1e-12 * (model._loss * n).max()
-            np.testing.assert_allclose(dn, model._rhs(t, n), rtol=0, atol=tol)
+            np.testing.assert_allclose(dn, rhs(t, n), rtol=0, atol=tol)
 
     def test_zero_rates_keep_the_initial_densities(self):
         sys_ = gk.BilinearSystem(2, 0, [[0.0, 1.0], [1.0, 0.0]], [])
@@ -265,89 +312,13 @@ class TestRightHandSide:
     def test_matches_pair_loop(self, preset, xi, request):
         sys_, meas = request.getfixturevalue(preset)
         model = gk.TruncatedFlory(sys_.scaled(2.5), meas, xi)
+        rhs = _generator(model)
         rng = np.random.default_rng(21)
         for _ in range(3):
             n = rng.random(len(model.types)) * model.initial_densities.max()
             dn, dgel = _rhs_oracle(model, n)
-            got = model._rhs(0.0, n)
+            got = rhs(0.0, n)
             np.testing.assert_allclose(got, dn, rtol=1e-12)
             # the gel read off by conservation takes what the densities lose
             np.testing.assert_allclose(-got @ model.coords, dgel, rtol=1e-12)
 
-
-def _pair_oracle(model):
-    """The pair table by a double loop with a dict lookup per pair."""
-    ix, iy, iz, coeff = [], [], [], []
-    skipped = 0
-    comps = [np.array(c) for c in model.types]
-    for i in range(len(model.types)):
-        for j in range(i, len(model.types)):
-            if model.sizes[i] + model.sizes[j] > model.xi * (1.0 + 1e-12):
-                continue
-            merged = model.index.get(tuple(int(v) for v in comps[i] + comps[j]))
-            if merged is None:
-                skipped += 1  # float edge: product fell out of range
-                continue
-            ix.append(i)
-            iy.append(j)
-            iz.append(merged)
-            coeff.append(0.5 if i == j else 1.0)
-    ix, iy = np.array(ix, dtype=np.intp), np.array(iy, dtype=np.intp)
-    rate = model.coords[:, 1:]
-    kv = np.einsum("ij,ij->i", rate[ix] @ model.sys.block, rate[iy])
-    return ix, iy, np.array(iz, dtype=np.intp), np.array(coeff) * kv, skipped
-
-
-def _assert_pairs_match(model):
-    ix, iy, iz, rate, skipped = _pair_oracle(model)
-    tables = (model._ix, model._iy, model._iz, model._pair_rate)
-    for got, want in zip(tables, (ix, iy, iz, rate)):
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want)
-    return skipped
-
-
-class TestPairTable:
-    def test_bidisperse_matches_loop(self, bidi):
-        assert _assert_pairs_match(gk.TruncatedFlory(*bidi, 32)) == 0
-
-    @pytest.mark.parametrize("xi", [0.3, 0.6, 0.9, 1.2])
-    def test_sums_at_the_edge(self, xi):
-        # 0.1 + 0.2 rounds to just above 0.3, inside the 1e-12 xi slack
-        sys_ = gk.BilinearSystem(1, 0, [[1.0]], [])
-        meas = gk.AtomicMeasure([[1, 0.1], [1, 0.2], [1, 0.3]], [1.0] * 3, 1)
-        _assert_pairs_match(gk.TruncatedFlory(sys_, meas, xi))
-
-    @pytest.mark.parametrize(
-        "sizes, xi, skipped",
-        [
-            ([1777.0081569735837, 3954.4060515743363, 6891.500372007032],
-             12839.446836429413, 3),
-            # here the count of a species runs past its largest value
-            ([181.3710551353201, 121.971713306028, 178.62364920315505],
-             893.118246014882, 1),
-        ],
-    )
-    def test_product_out_of_range_skipped(self, sizes, xi, skipped):
-        # xi sits on the rounding edge of the slack, where the pair sums and
-        # the enumeration round apart, so in-range pairs can merge to no type
-        sys_ = gk.BilinearSystem(1, 0, [[1.0]], [])
-        meas = gk.AtomicMeasure([[1, s] for s in sizes], [1.0] * 3, 1)
-        assert _assert_pairs_match(gk.TruncatedFlory(sys_, meas, xi)) == skipped
-
-    def test_many_species(self):
-        # 11 species that pair, then 64 that pair with nothing: a plain
-        # mixed-radix key would weigh the first 11 by a multiple of 2**64
-        sys_ = gk.BilinearSystem(1, 0, [[1.0]], [])
-        sizes = [1.0 + 0.01 * s for s in range(11)]
-        sizes += [1.5 + 0.001 * s for s in range(64)]
-        meas = gk.AtomicMeasure([[1, s] for s in sizes], [1.0] * 75, 1)
-        model = gk.TruncatedFlory(sys_, meas, 2.2)
-        assert _assert_pairs_match(model) == 0
-        assert len(model._ix) == 66
-
-    def test_pair_budget(self, bidi):
-        pairs = len(gk.TruncatedFlory(*bidi, 32)._ix)
-        gk.TruncatedFlory(*bidi, 32, max_pairs=pairs)
-        with pytest.raises(BudgetExceeded, match="in-range pairs"):
-            gk.TruncatedFlory(*bidi, 32, max_pairs=pairs - 1)

@@ -100,9 +100,10 @@ def _blocks(sys_, s):
 
 
 def _restricted(sys_, s):
-    # at xi = 4 the 1e-3 atom runs past the pair budget first
+    # the density of the two-particle type, 0 where its rate clips
     meas = gk.AtomicMeasure([[1.0, s, s]], [1.0], 1)
-    return float(np.abs(gk.TruncatedFlory(sys_, meas, 2.0)._pair_rate).sum())
+    model = gk.TruncatedFlory(sys_, meas, 2.0)
+    return float(model.integrate(1.0)[-1].densities[model.index[(2,)]])
 
 
 def _hypotheses(sys_, s):
