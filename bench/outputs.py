@@ -77,6 +77,11 @@ def matrix() -> list[tuple[str, list[str]]]:
         "restricted", "--preset", "bidisperse", "--times", PRESETS["bidisperse"][0],
         "--xi", "6", "--densities", "bidisperse/named_densities.csv",
     ]))
+    # one replica per side: its p-values must still be JSON numbers
+    runs.append(("multiplicative/single_coupling.json", [
+        "coupling", "--preset", "multiplicative", "--seed", SEED, "--n", "300",
+        "--t", "2", "--replicas", "1",
+    ]))
     return runs
 
 

@@ -27,7 +27,6 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-import scipy
 
 from .errors import BudgetExceeded, NumericError, SchemaError
 from .graphs import coupling_test, duality_experiment, graph_from_measure, trajectory
@@ -123,7 +122,6 @@ def _write_manifest(out: Path, kind: str, resolved: dict, wall: float) -> None:
         "config_sha256": hashlib.sha256(canon.encode()).hexdigest(),
         "gelkit_version": _package_version(),
         "numpy_version": np.__version__,
-        "scipy_version": scipy.__version__,
         "python_version": platform.python_version(),
         "wall_time_s": round(wall, 3),
         "output": out.name,

@@ -32,11 +32,13 @@ from .particles import (
     ParticleSystem,
     _check_scale,
     _check_table,
+    _cluster_sums,
     _size_threshold,
     child_seed,
     contract,
     envelope,
     envelope_proposals,
+    snapshot,
 )
 from .spectral import gelation
 from .survival import solve_fixed_point, survival_probabilities
@@ -343,6 +345,23 @@ class CouplingReport:
         return self.p_largest > 1e-3 and self.p_count > 1e-3
 
 
+def _ks_equal(a: np.ndarray, b: np.ndarray) -> float:
+    """Exact p-value of the two-sided two-sample Kolmogorov-Smirnov test on
+    two samples of one size n: exact for continuous laws, conservative with
+    ties.  ``h = n D`` is an integer, and (Gnedenko & Korolyuk, 1951)
+    ``P(D >= h/n) = 2 sum_k (-1)^(k-1) C(2n, n-kh) / C(2n, n)``."""
+    n, pooled = a.size, np.concatenate([a, b])
+    # n times each empirical distribution function, at every pooled value
+    cdf = [np.searchsorted(np.sort(x), pooled, side="right") for x in (a, b)]
+    h = int(np.abs(cdf[0] - cdf[1]).max())
+    if h == 0:
+        return 1.0
+    # C(2n, n-j) / C(2n, n) = prod_{i<j} (n-i) / (n+1+i), at j = h, 2h, ...
+    i = np.arange(n)
+    terms = np.cumprod((n - i) / (n + 1.0 + i))[h - 1 :: h]
+    return min(1.0, 2.0 * float(terms[::2].sum() - terms[1::2].sum()))
+
+
 def coupling_test(
     sys: BilinearSystem,
     measure: AtomicMeasure,
@@ -354,11 +373,14 @@ def coupling_test(
 ) -> CouplingReport:
     """Match component laws against merge-cluster laws, replica by replica.
 
-    Each replica shares one sampled vertex set between the two dynamics.
-    ``graph_rate_factor`` (nonnegative) deliberately mis-scales the graph
-    side; anything but 1.0 should make the test fail, which is the
-    calibration control.
+    Each replica shares one sampled vertex set between the two dynamics,
+    and both sides pick their largest object by the rule of
+    :func:`particles.snapshot`.  ``graph_rate_factor`` (nonnegative)
+    deliberately mis-scales the graph side; anything but 1.0 should make
+    the test fail, which is the calibration control.
     """
+    if n_replicas < 1:
+        raise ValueError(f"n_replicas = {n_replicas} must be at least 1")
     g_largest = np.empty(n_replicas)
     g_counts = np.empty(n_replicas)
     p_largest = np.empty(n_replicas)
@@ -372,23 +394,20 @@ def coupling_test(
         graph = _sample_graph_blocks(
             sys, rows, n, t, child_seed(seed, r, 1), rate_scale=graph_rate_factor
         )
-        track = trajectory(graph, [t])[0]
-        g_largest[r] = float(track.pi_c1[phi_cols].sum())
-        g_counts[r] = track.n_components
+        labels, count = contract(np.arange(n), n, graph.edge_u, graph.edge_v)
+        comps = snapshot(sys, _cluster_sums(graph.vertices.T, labels, count), n, t)
+        g_largest[r] = float(comps.gel_largest.g[phi_cols].sum())
+        g_counts[r] = comps.n_particles
         ps = ParticleSystem(sys, rows, n, np.random.default_rng(child_seed(seed, r, 2)))
         snap = ps.run([t])[0]
         p_largest[r] = float(snap.gel_largest.g[phi_cols].sum())
         p_counts[r] = snap.n_particles
-    from scipy.stats import ks_2samp  # imported here: it is slow to import
-
-    ks1 = ks_2samp(g_largest, p_largest, method="asymp")
-    ks2 = ks_2samp(g_counts, p_counts, method="asymp")
     return CouplingReport(
         n=n,
         t=t,
         n_replicas=n_replicas,
-        p_largest=float(ks1.pvalue),
-        p_count=float(ks2.pvalue),
+        p_largest=_ks_equal(g_largest, p_largest),
+        p_count=_ks_equal(g_counts, p_counts),
         graph_largest=g_largest,
         particle_largest=p_largest,
         graph_counts=g_counts,

@@ -23,9 +23,9 @@ Cayley's ``K^(N-1) N^(N-2)``; the multiplicative kernel, Flory-Stockmayer's
 overflows or goes negative.  The gel is read off by conservation,
 ``(n0 - n) . coords``, and decreases to the fixed-point gel as xi grows.
 
-The weights read ``K_ss'`` only for species pairs that fit below ``xi``
-together, the two-particle types, so the negative-rate rule of
-:func:`pair_rates` is applied to those pairs once, at construction.
+The negative-rate rule of :func:`pair_rates` is applied once, at
+construction, to every pair of initial species; the weights and the loss
+rates read the same clipped ``K_ss'``.
 """
 
 from __future__ import annotations
@@ -37,7 +37,9 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import BudgetExceeded
-from .system import AtomicMeasure, BilinearSystem, GelData, check_times, pair_rates
+from .system import (
+    _RATE_BLOCK, AtomicMeasure, BilinearSystem, GelData, check_times, pair_rates,
+)
 
 # a size within this fraction above xi is kept: rounding of the summed sizes
 _XI_SLACK = 1e-12
@@ -137,23 +139,21 @@ class TruncatedFlory:
         # each species starts as its own singleton type
         dens0 = np.where(self._edges == 0.0, comp_mat @ measure.weight_array, 0.0)
         self.initial_densities = dens0
-        # a pair of species fits below xi together exactly when it is itself
-        # a type; every merge rate sum_ss' a_s b_s' K_ss' of two types
-        # combines these with nonnegative weights, so they carry the
-        # negative-rate rule
-        pairs = comp_mat[self._edges == 1.0].cumsum(axis=1)
-        # the species of each pair's first and of its second particle
-        first, second = (pairs < 1.0).sum(axis=1), (pairs < 2.0).sum(axis=1)
-        pair_rates(sys, species[first, 1:], species[second, 1:])
         # sol plus gel data is conserved, so each type's total merge rate
-        # against it is fixed by the initial densities
-        rate = self.coords[:, 1:]
-        self._loss = rate @ (sys.block @ (dens0 @ rate))
+        # against it is fixed: sum_s c_s times species s's clipped rate
+        # against the initial densities, by blocks of species rows
+        x = species[:, 1:]
+        step = max(1, _RATE_BLOCK // len(x))
+        flux = np.concatenate([
+            pair_rates(sys, x[a : a + step, None], x[None])[0] @ measure.weight_array
+            for a in range(0, len(x), step)
+        ])
+        self._loss = comp_mat @ flux
 
     def _log_weights(self) -> np.ndarray:
         """``log w_c`` of every type (-inf for a tree weight 0), by groups of
         types with ``p`` species present and ``p x p`` Laplacians.  ``K_ss'``
-        is clipped at 0; ``__init__`` has checked each entry used."""
+        is clipped at 0; ``__init__`` has checked every species pair."""
         digits = np.array(self.types, dtype=np.int64)
         width = (digits > 0).sum(axis=1)
         log_fact = np.array([math.lgamma(c + 1.0) for c in range(digits.max() + 1)])

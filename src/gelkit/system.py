@@ -290,7 +290,7 @@ class AtomicMeasure:
         Sorted together with the atoms, a reflection lands next to the atom
         that matches it unless noise below the tolerance sorts them apart;
         the reflections that no neighbour matches are compared with every
-        atom near them, so the check is exact."""
+        atom in a slab around them, so the check is exact."""
         k = len(self)
         mirror = self.coords.copy()
         mirror[:, 1 + self.n :] *= -1.0
@@ -309,14 +309,17 @@ class AtomicMeasure:
         rest = np.flatnonzero(~matched)
         if not rest.size:
             return True
-        from scipy.spatial import cKDTree  # slow to import, rarely needed
-
-        # every atom that matches a reflection lies in this max-norm ball
+        # every atom that matches a reflection lies in this max-norm ball,
+        # so in its slab on the coordinate of widest spread
         radius = 2.0 * COORD_TOL * np.maximum(1.0, np.abs(rows[rest, 1:]).max(axis=1))
-        balls = cKDTree(self.coords).query_ball_point(rows[rest], radius, p=np.inf)
+        j = int(np.argmax(np.ptp(self.coords, axis=0)))
+        by = np.argsort(self.coords[:, j], kind="stable")
+        key = self.coords[by, j]
+        lo = np.searchsorted(key, rows[rest, j] - radius, side="left")
+        hi = np.searchsorted(key, rows[rest, j] + radius, side="right")
         return all(
-            match(np.full(len(js), i), k + np.array(js, dtype=np.intp)).any()
-            for i, js in zip(rest, balls)
+            match(np.full(stop - start, i), k + by[start:stop]).any()
+            for i, start, stop in zip(rest, lo, hi)
         )
 
     def scaled(self, factors) -> "AtomicMeasure":

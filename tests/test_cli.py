@@ -337,6 +337,17 @@ class TestFormatting:
         assert doc["t_g"] == pytest.approx(0.5, abs=1e-12)
         assert doc["rate_scale"] == 2.0
 
+    def test_single_replica_coupling_is_json(self, out_dir):
+        # the asymptotic p-value of one replica per side was nan, which is
+        # not JSON
+        assert run_cli(
+            "coupling", "--preset", "multiplicative", "--n", "100", "--t", "1.5",
+            "--replicas", "1", "--seed", "7",
+        ) == 0
+        doc = json.loads((out_dir / "coupling.json").read_text())
+        assert 0.0 <= doc["p_largest"] <= 1.0
+        assert 0.0 <= doc["p_count"] <= 1.0
+
 
 class TestHeaders:
     def test_gel_curve_header(self, out_dir):
@@ -767,7 +778,7 @@ def _loaded_after_cli_import(module: str, then: str = "") -> str:
 
 
 def test_import_leaves_scipy_stats_out():
-    # scipy.stats takes most of a second to import; only coupling needs it
+    # scipy.stats takes most of a second to import; no command needs it
     assert _loaded_after_cli_import("scipy.stats") == "False"
 
 
@@ -791,6 +802,47 @@ def test_merging_leaves_scipy_sparse_out():
         "assert gk.check_hypotheses(*gk.kinetic_gas()).irreducible\n"
     )
     assert _loaded_after_cli_import("scipy.sparse", merge) == "False"
+
+
+def test_runs_without_scipy(out_dir):
+    # scipy is a test-only dependency: with it blocked, a fresh interpreter
+    # runs every command, the particle merge, the graph trajectory, the
+    # irreducibility check and the A1 check's fallback for a reflection
+    # that sorts away from its match
+    runs = []
+    for kind, params in _PARITY.items():
+        flags = ["--preset", "multiplicative"]
+        for key, val in params.items():
+            text = ",".join(map(str, val)) if isinstance(val, list) else str(val)
+            flags += ["--" + key.replace("_", "-"), text]
+        if COMMANDS[kind].stochastic:
+            flags += ["--seed", "3"]
+        runs.append([kind, *flags])
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import gelkit as gk\n"
+        "from gelkit.cli import main\n"
+        f"for argv in {runs!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+        "s, m = gk.multiplicative()\n"
+        "ps = gk.init_poisson(s, m, 2000, 1)\n"
+        "ps.run([0.5, 2.0])\n"
+        "assert ps.merges > 0\n"
+        "g = gk.graph_from_measure(s, m, 500, 2.0, 1)\n"
+        "assert gk.trajectory(g, [2.0])[-1].n_components < 500\n"
+        "assert gk.check_hypotheses(*gk.kinetic_gas()).irreducible\n"
+        "near = gk.AtomicMeasure([[1, 1, 1], [1, 1 + 1e-12, -1]], [1, 1], 1)\n"
+        "two = gk.BilinearSystem(1, 1, [[1.0]], [[1.0]])\n"
+        "assert gk.check_hypotheses(two, near).mirror_symmetric\n"
+    )
+    src = str(Path(gelkit.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, cwd=out_dir,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert {p.name for p in out_dir.iterdir()} >= {c.out for c in COMMANDS.values()}
 
 
 class TestInstalledEntryPoint:

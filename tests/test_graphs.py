@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 import gelkit as gk
 from gelkit.errors import BudgetExceeded, NegativeRate, WindowInvalid
@@ -9,6 +10,7 @@ from gelkit.graphs import (
     GraphRealization,
     _block_hits,
     _histogram_distance,
+    _ks_equal,
     _sample_graph_blocks,
     _unrank_pairs,
 )
@@ -256,6 +258,55 @@ class TestCoupling:
             graph_rate_factor=2.0,
         )
         assert not rep.passed
+
+    def test_largest_by_the_snapshot_rule(self, monkeypatch):
+        # two species that never merge across, each pair joined almost
+        # surely by t = 100: two components of two vertices each, phi 4
+        # and 6.  The lighter holds vertex 0, so the rule of the lowest
+        # vertex reported phi 4 where the particle side reports 6
+        sys_ = gk.BilinearSystem(2, 0, np.eye(2), [])
+        meas = gk.AtomicMeasure([[1, 1, 0], [1, 0, 2]], [0.5, 0.5], 2)
+        rows = np.array([[1.0, 1.0, 0.0]] * 2 + [[1.0, 0.0, 2.0]] * 2)
+        monkeypatch.setattr(gk.graphs, "sample_atoms", lambda *a: rows.copy())
+        rep = gk.coupling_test(sys_, meas, 4, 100.0, n_replicas=5, seed=1)
+        assert list(rep.graph_counts) == [2] * 5
+        assert list(rep.graph_largest) == [1.5] * 5
+        assert list(rep.particle_largest) == [1.5] * 5
+
+    def test_replica_count_checked(self, mult):
+        sys_, meas = mult
+        with pytest.raises(ValueError, match="n_replicas"):
+            gk.coupling_test(sys_, meas, 100, 1.5, n_replicas=0, seed=1)
+
+
+def _ks_draws():
+    # equal samples (D = 0), disjoint ones (D = 1), then seeded equal-size
+    # pairs at sizes 1 to 1e4, continuous and with ties
+    yield np.arange(5.0), np.arange(5.0)[::-1]
+    yield np.zeros(3), np.ones(3)
+    rng = np.random.default_rng(28)
+    for n in (1, 2, 3, 5, 8, 13, 20, 50, 200, 1_000, 10_000):
+        for shift in (0.0, 0.1, 0.5):
+            yield rng.normal(size=n), rng.normal(shift, size=n)
+            ties = np.floor(rng.normal(1.5 + shift, 1.0, n))
+            yield rng.integers(0, 4, n) * 1.0, ties
+
+
+class TestExactKS:
+    """The equal-size Kolmogorov-Smirnov null against scipy's exact method."""
+
+    def test_matches_scipy_exact(self):
+        compared = 0
+        for a, b in _ks_draws():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    ref = ks_2samp(a, b, method="exact").pvalue
+                except RuntimeWarning:  # scipy fell back to asymp
+                    continue
+            assert _ks_equal(a, b) == pytest.approx(ref, rel=1e-9, abs=0.0)
+            compared += 1
+        assert compared >= 50
 
 
 class TestDuality:

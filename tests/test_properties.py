@@ -166,6 +166,29 @@ def _close_pair(a, b) -> bool:
     )
 
 
+def _near_mirror(rng):
+    """Layout, rows and weights: 1 to 5 atoms with nonzero sign-odd
+    coordinates, and each atom's partner, its reflection with the weight
+    and every coordinate but pi0 moved by up to one relative noise scale
+    in [1e-11, 1e-7], the first plus coordinate upward.  Sorted, the atom
+    then lies between its reflection and its partner, so the neighbour
+    pass of the A1 check leaves a reflection unmatched."""
+    n, m = (int(v) for v in rng.integers(1, 3, size=2))
+    k = int(rng.integers(1, 6))
+    atoms = rng.integers(1, 4, size=(k, 1 + n + m)).astype(float)
+    atoms[:, 0] = rng.integers(1, 3, size=k)
+    atoms[:, 1 + n :] *= rng.choice([-1.0, 1.0], size=(k, m))
+    weights = rng.integers(1, 5, size=k) * 0.25
+    scale = 10.0 ** rng.uniform(-11.0, -7.0)
+    noise = scale * rng.uniform(-1.0, 1.0, size=(k, 1 + n + m))
+    noise[:, 1] = np.abs(noise[:, 1])
+    partners = atoms.copy()
+    partners[:, 1 + n :] *= -1.0
+    partners[:, 1:] *= 1.0 + noise[:, 1:]
+    rows = np.vstack([atoms, partners])
+    return n, rows, np.concatenate([weights, weights * (1.0 + noise[:, 0])])
+
+
 class TestMeasureChecks:
     @given(grid_measure())
     def test_checks_match_pairwise(self, case):
@@ -193,6 +216,31 @@ class TestMeasureChecks:
             for i in range(len(rows))
         )
         assert meas.mirror_symmetric == symmetric
+
+    def test_noisy_mirrors_match_pairwise(self):
+        # the reflections the neighbour pass leaves unmatched are searched
+        # in a slab; the verdict must still be the pairwise one
+        rng = np.random.default_rng(28)
+        verdicts = []
+        while len(verdicts) < 200:
+            n, rows, weights = _near_mirror(rng)
+            try:
+                meas = gk.AtomicMeasure(rows, weights, n)
+            except ValueError:  # two atoms within the tolerance
+                continue
+            mirror = rows.copy()
+            mirror[:, 1 + n :] *= -1.0
+            symmetric = all(
+                any(
+                    _close_pair(mirror[i], rows[j])
+                    and abs(weights[j] - weights[i]) <= 1e-9 * max(1.0, weights[i])
+                    for j in range(len(rows))
+                )
+                for i in range(len(rows))
+            )
+            assert meas.mirror_symmetric == symmetric
+            verdicts.append(symmetric)
+        assert 50 < sum(verdicts) < 150
 
     @given(grid_measure(), st.lists(st.floats(0.0, 1e3), min_size=2, max_size=2))
     def test_tilt_carries_a1_verdict(self, case, c):

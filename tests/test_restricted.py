@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -120,14 +121,37 @@ class TestTruncatedDynamics:
         with pytest.raises(ValueError):
             gk.TruncatedFlory(sys_, meas, 1)  # heavy species has size 2
 
-    def test_negative_rate_where_the_species_pair_fits(self):
-        # K = 4 and 7 within a species, 2 - 3 across: the cross pair has
-        # size 3, so only a xi it fits below makes its rate count
+    @pytest.mark.parametrize("xi", [2.5, 3.0])
+    def test_negative_rate_on_any_species_pair(self, xi):
+        # K = 4 and 7 within a species, 2 - 3 across: the cross pair counts
+        # whether or not it fits below xi (size 3), since the loss rates
+        # read it either way
         sys_ = gk.BilinearSystem(1, 1, [[1.0]], [[3.0]])
         meas = gk.AtomicMeasure([[1, 1, 1], [1, 2, -1]], [0.5, 0.5], 1)
-        gk.TruncatedFlory(sys_, meas, 2.5)
         with pytest.raises(NegativeRate):
-            gk.TruncatedFlory(sys_, meas, 3.0)
+            gk.TruncatedFlory(sys_, meas, xi)
+
+    def test_negative_rate_where_no_pair_fits(self):
+        # K = -6, -4 and -1 over sizes 2 and 3: no pair fits below xi = 3.5,
+        # yet the loss rates read them all; unchecked, the sol grew past
+        # 1e11 against a conserved 3.5
+        sys_ = gk.BilinearSystem(1, 1, [[1.0]], [[-10.0]])
+        meas = gk.AtomicMeasure([[1, 2, 1], [1, 3, 1]], [0.5, 0.5], 1)
+        with pytest.raises(NegativeRate):
+            gk.TruncatedFlory(sys_, meas, 3.5)
+
+    def test_rate_within_tolerance_clips_in_the_loss(self):
+        # K = -1e-12 clips to 0 in the weights and in the loss rate alike,
+        # so the monomer neither grows nor overflows at late times
+        sys_ = gk.BilinearSystem(1, 1, [[1.0]], [[-(1.0 + 1e-12)]])
+        meas = gk.AtomicMeasure([[1.0, 1.0, 1.0]], [1.0], 1)
+        model = gk.TruncatedFlory(sys_, meas, 2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            states = model.integrate(1e15, outputs=[1.0, 1e12, 1e15])
+        for st in states:
+            assert st.densities[model.index[(1,)]] == 1.0
+            assert st.densities[model.index[(2,)]] == 0.0
 
     def test_kinetic_truncation_runs(self, kac):
         sys_, meas = kac
