@@ -1,9 +1,8 @@
 """Adaptive Dormand-Prince 5(4) integrator.
 
 Small, dependency-free, and tailored to what this package needs from an ODE
-solver: exact landing on requested output times, and a stop predicate run
-after each accepted step for blowup detection.  FSAL is exploited (the 7th
-stage of an accepted step seeds the next).
+solver: exact landing on requested output times.  FSAL is exploited (the
+7th stage of an accepted step seeds the next).
 """
 
 from __future__ import annotations
@@ -56,7 +55,6 @@ class Trajectory:
 
     ts: list[float] = field(default_factory=list)
     ys: list[np.ndarray] = field(default_factory=list)
-    stopped: bool = False
     n_accepted: int = 0
     n_rejected: int = 0
 
@@ -69,15 +67,13 @@ def integrate(
     rtol: float = 1e-9,
     atol: float = 1e-12,
     outputs: Sequence[float] | None = None,
-    stop: Callable[[float, np.ndarray], bool] | None = None,
     max_steps: int = 1_000_000,
 ) -> Trajectory:
     """Integrate y' = f(t, y) from t0 to t_end.
 
     ``outputs`` are hit exactly by clipping the step size, never by
-    interpolation.  ``stop`` runs after each accepted step and ends the run
-    early when it returns True (used for blowup detection).  ``f`` may not keep the array it is given: the stages reuse
-    one buffer.  A step too small to advance ``t`` raises NoConvergence.
+    interpolation.  ``f`` may not keep the array it is given: the stages
+    reuse one buffer.  A step too small to advance ``t`` raises NoConvergence.
     """
     y = np.array(y0, dtype=float)
     t = float(t0)
@@ -149,9 +145,6 @@ def integrate(
         k[0] = k[6]
         traj.n_accepted += 1
         emit_outputs()
-        if stop is not None and stop(t, y):
-            traj.stopped = True
-            break
         if t >= t_end - 1e-15 * abs(t_end):
             break
         factor = _MAX_FACTOR if err == 0.0 else min(

@@ -181,8 +181,11 @@ class TruncatedFlory:
 
     def _state(self, t: float, n: np.ndarray) -> TruncatedState:
         g = (self.initial_densities - n) @ self.coords
-        # M and E of what was lost are nonnegative; P is signed
+        # M and E of what was lost are nonnegative; P is signed, and exactly
+        # 0 under mirror symmetry, where the sum leaves only rounding
         np.maximum(g[: 1 + self.sys.n], 0.0, out=g[: 1 + self.sys.n])
+        if self._measure.mirror_symmetric:
+            g[1 + self.sys.n :] = 0.0
         return TruncatedState(
             t=t, densities=n, gel=GelData(g), phi_sol=float(n @ self.phi_vec)
         )

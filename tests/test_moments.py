@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import gelkit as gk
-from gelkit import _rk, moments, survival, system
+from gelkit import _rk, moments, spectral, survival, system
 from gelkit.errors import (
     DualNotSubcritical,
     ExplosionReached,
@@ -134,12 +134,12 @@ class TestExplosionTime:
 
     @pytest.mark.parametrize("rate", [1.0, 1.7])
     @pytest.mark.parametrize("preset", ["mult", "bidi", "kac"])
-    def test_within_1e9_of_spectral(self, preset, rate, request):
+    def test_within_1e11_of_spectral(self, preset, rate, request):
         sys_, meas = request.getfixturevalue(preset)
         sys_ = sys_.scaled(rate)
         t_g = gk.gelation_time(sys_, meas)
         zeta = gk.explosion_time(sys_, gk.initial_state(meas))
-        assert abs(zeta - t_g) / t_g < 1e-9
+        assert abs(zeta - t_g) / t_g < 1e-11
 
     def test_coarse_tolerance_still_finds_the_pole(self, mult):
         # a retried step used to start from a rejected trial's last slope,
@@ -155,6 +155,8 @@ class TestExplosionTime:
         [
             ("kac", [[1.0, 2.0], [2.0, 1.0]], [1.0, 0.5, 0.5]),  # in Q
             ("mult", [[1.0]], [1.0, 2.0]),  # in z
+            # in z, where the flow [[1 + t, 1], [1, 0]] is a polynomial
+            ("mult", [[0.0]], [1.0, 1.0]),
         ],
     )
     def test_cauchy_schwarz_violation_raises(self, preset, q, z, request):
@@ -187,22 +189,59 @@ class TestExplosionTime:
         meas = gk.AtomicMeasure(coords, meas.weight_array, meas.n)
         t_g = gk.gelation_time(sys_, meas)
         zeta = gk.explosion_time(sys_, gk.initial_state(meas))
-        assert abs(zeta - t_g) / t_g < 1e-9
+        assert abs(zeta - t_g) / t_g < 1e-11
 
     @pytest.mark.parametrize("preset", ["mult", "bidi", "kac"])
     def test_stops_six_decades_in(self, preset, request, monkeypatch):
-        # a second-order fit lets the run stop at a 1e6 growth; the stop at
-        # 1e12 took 727 / 703 / 660 accepted steps
+        # a second-order fit lets the run stop at a 1e6 growth, and each
+        # series step covers a quarter of the way to the pole: 49 steps
         sys_, meas = request.getfixturevalue(preset)
-        trajs, integrate = [], _rk.integrate
+        steps, step = [], moments._series_step
 
-        def recording(*args, **kwargs):
-            trajs.append(integrate(*args, **kwargs))
-            return trajs[-1]
+        def counting(*args):
+            steps.append(None)
+            return step(*args)
 
-        monkeypatch.setattr(_rk, "integrate", recording)
+        monkeypatch.setattr(moments, "_series_step", counting)
         gk.explosion_time(sys_, gk.initial_state(meas))
-        assert len(trajs) == 1 and trajs[0].n_accepted < 400
+        assert len(steps) <= 60
+
+    @pytest.mark.parametrize("preset", ["mult", "bidi", "kac"])
+    def test_independent_of_the_spectral_route(self, preset, request, monkeypatch):
+        sys_, meas = request.getfixturevalue(preset)
+        t_g = gk.gelation_time(sys_, meas)
+        state0 = gk.initial_state(meas)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the pole oracle used the spectral route")
+
+        monkeypatch.setattr(spectral, "_gelation", refused)
+        monkeypatch.setattr(moments, "_gelation", refused)
+        monkeypatch.setattr(moments, "_modal_flow", refused)
+        for name in ("eigh", "eigvalsh", "cholesky", "solve", "inv"):
+            monkeypatch.setattr(np.linalg, name, refused)
+        zeta = gk.explosion_time(sys_, state0)
+        assert abs(zeta - t_g) / t_g < 1e-11
+
+    def test_flow_at_rest_refused(self):
+        # Q = e1 e1^T and A+ with a zero diagonal: Y A_hat Y = 0, so the
+        # series never grows
+        sys_ = gk.BilinearSystem(2, 0, [[0.0, 1.0], [1.0, 0.0]], [])
+        state0 = bordered(0.0, [[1.0, 0.0], [0.0, 0.0]], [1.0, 1.0, 0.0])
+        with pytest.raises(NumericError, match="no blowup"):
+            gk.explosion_time(sys_, state0)
+
+    def test_step_budget_raises(self, mult, monkeypatch):
+        sys_, meas = mult
+        monkeypatch.setattr(moments, "_SERIES_STEPS", 10)
+        with pytest.raises(NumericError, match="no blowup"):
+            gk.explosion_time(sys_, gk.initial_state(meas))
+
+    def test_pole_fit_without_a_real_root_raises(self, mult, monkeypatch):
+        sys_, meas = mult
+        monkeypatch.setattr(np, "polyfit", lambda x, y, deg: np.array([1.0, 0.0, 1.0]))
+        with pytest.raises(NumericError, match="no real root"):
+            gk.explosion_time(sys_, gk.initial_state(meas))
 
 
 class TestPackedRhs:
@@ -424,20 +463,18 @@ class TestRkStages:
         assert traj.n_rejected < 100
 
     def test_far_end_time_does_not_set_the_first_step(self):
-        # y' = y^2 blows up at t = 1; an end time of 1e30 is only a sentinel
-        calls, first = [], []
+        # y' = y^2 blows up at t = 1; an end time of 1e30 is only a sentinel.
+        # The first trial step, 0.01 d0 / d1 from the state's scales, ends
+        # at t = 0.01, where its last stage runs f
+        calls = []
 
         def f(t, y):
             calls.append(t)
             return y * y
 
-        def stop(t, y):
-            # f runs once at the start and six times per attempted step
-            first.append((len(calls) - 1) // 6)
-            return y[0] > 1e6
-
-        traj = _rk.integrate(f, 0.0, np.ones(1), 1e30, stop=stop)
-        assert traj.stopped and first[0] == 1
+        with pytest.raises(NoConvergence, match="exceeded 1 steps"):
+            _rk.integrate(f, 0.0, np.ones(1), 1e30, max_steps=1)
+        assert len(calls) == 7 and max(calls) == pytest.approx(0.01, rel=1e-12)
 
     def test_step_underflow_raises(self):
         with pytest.raises(NoConvergence, match="underflow"):

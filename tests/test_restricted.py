@@ -163,6 +163,20 @@ class TestTruncatedDynamics:
         assert st.gel.mass > 0.0
         assert st.phi_sol > 0.0
 
+    @pytest.mark.parametrize("xi", [8.0, 10.0, 12.0])
+    def test_mirror_symmetric_gel_has_no_odd_part(self, kac, xi):
+        # the sign-odd gel block is exactly 0, not the rounding residue of
+        # a sum of mirrored types (such as -2.5e-17 at xi = 8)
+        sys_, meas = kac
+        assert meas.mirror_symmetric
+        states = gk.TruncatedFlory(sys_, meas, xi).integrate(
+            0.3, outputs=[0.07, 0.2, 0.3]
+        )
+        for st in states:
+            odd = st.gel.odd(sys_.n)
+            assert odd.size == sys_.m and not odd.any()
+            assert st.gel.mass > 0.0
+
     def test_array_outputs(self, mult):
         sys_, meas = mult
         states = gk.TruncatedFlory(sys_, meas, 4).integrate(
