@@ -1,8 +1,10 @@
-"""Adaptive Dormand-Prince 5(4) integrator.
-
-Small, dependency-free, and tailored to what this package needs from an ODE
-solver: exact landing on requested output times.  FSAL is exploited (the
-7th stage of an accepted step seeds the next).
+"""Taylor-series stepping, the one ODE stepper of the package: the rule
+:func:`step`, and :func:`integrate`, which drives it for the gel growth
+ODE (``moments.explosion_time`` runs the rule in its own loop).  The names
+``_rk``, ``integrate`` and ``Trajectory.n_rejected`` (always 0) stay from
+the Runge-Kutta pair this replaced: ``perfbench/layers.py`` wraps
+``_rk.integrate`` by name and reads both counts.  The rename belongs with
+the package's own run metrics (ROADMAP item 5).
 """
 
 from __future__ import annotations
@@ -13,40 +15,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NoConvergence
+from .errors import NoConvergence, NumericError
 from .system import check_times
 
-# Butcher tableau (Dormand & Prince 1980).
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = np.array(
-    [
-        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-        [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0],
-        [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0],
-        [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0],
-        [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0],
-        [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0],
-    ]
-)
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_B4 = np.array(
-    [
-        5179 / 57600,
-        0.0,
-        7571 / 16695,
-        393 / 640,
-        -92097 / 339200,
-        187 / 2100,
-        1 / 40,
-    ]
-)
-_ERR = _B5 - _B4
-# a step's stage times after the first are t + c h, then t + h for the last
-_C_STAGES = _C[1:6].tolist()
-
-_MIN_FACTOR = 0.2
-_MAX_FACTOR = 5.0
-_SAFETY = 0.9
+# the series order of both callers, and the default step budget
+ORDER = 20
+MAX_STEPS = 1000
 
 
 @dataclass
@@ -59,101 +33,71 @@ class Trajectory:
     n_rejected: int = 0
 
 
-def integrate(
-    f: Callable[[float, np.ndarray], np.ndarray],
-    t0: float,
-    y0: np.ndarray,
-    t_end: float,
-    rtol: float = 1e-9,
-    atol: float = 1e-12,
-    outputs: Sequence[float] | None = None,
-    max_steps: int = 1_000_000,
-) -> Trajectory:
-    """Integrate y' = f(t, y) from t0 to t_end.
+def step(y, dy, series: Callable[[float], np.ndarray], reach: float, rtol: float):
+    """One step from the state ``y`` with slope ``dy``: the coefficients
+    ``z[k]`` of ``y(t + u s)``, ``k = 0..order``, that ``series(u)`` gives
+    exactly, the step ``s`` and the unit ``u = max|y| / max|dy|``, in which
+    they stay of the size of ``y`` at any rate or coordinate unit.
 
-    ``outputs`` are hit exactly by clipping the step size, never by
-    interpolation.  ``f`` may not keep the array it is given: the stages
-    reuse one buffer.  A step too small to advance ``t`` raises NoConvergence.
+    The radius of convergence is read off the last two coefficients (Jorba
+    & Zou, *Experimental Mathematics* 14 (2005)); the step covers ``reach``
+    of it, or less where the last term would exceed ``rtol`` of the state,
+    and at most one unit.  Where a complex pair of singularities makes the
+    last two coefficients cancel, they read the radius too large: a step of
+    2.2 units once cost the gel ODE 4e-12 on kinetic gas.  A flow at rest
+    has ``u = inf`` and is its own series, ``z = [y]``.  NumericError when
+    the state, the slope or a last coefficient is not finite.
+    """
+    peak, grow = float(np.abs(y).max()), float(np.abs(dy).max())
+    if not (math.isfinite(peak) and math.isfinite(grow)):
+        raise NumericError(f"Taylor series state {peak} or slope {grow} not finite")
+    if grow == 0.0:
+        return y[np.newaxis], 1.0, math.inf
+    u = peak / grow
+    z = series(u)
+    order = len(z) - 1
+    last = np.abs(z[-2:]).reshape(2, -1).max(axis=1) / peak
+    if not np.isfinite(last).all():
+        raise NumericError("Taylor coefficient not finite; the series is unusable")
+    root = max(last[0] ** (1.0 / (order - 1)), last[1] ** (1.0 / order))
+    bound = min(reach, rtol ** (1.0 / order))
+    return z, bound / max(root, bound), u
+
+
+def value(z: np.ndarray, s: float) -> np.ndarray:
+    """The series ``sum_k z[k] s^k``."""
+    return ((s ** np.arange(len(z))) @ z.reshape(len(z), -1)).reshape(z.shape[1:])
+
+
+def integrate(
+    taylor, t0: float, y0, t_end: float, reach: float, rtol: float,
+    outputs: Sequence[float] | None = None, max_steps: int = MAX_STEPS,
+) -> Trajectory:
+    """Step ``y`` from ``t0`` to ``t_end`` by :func:`step`, landing on
+    ``t_end`` exactly; each output takes its value from the polynomial of
+    the step that covers it.  ``taylor(t, y)`` returns the slope and the
+    ``series`` of :func:`step`; it runs on every accepted state, the last
+    included, so a check in it sees each.  NoConvergence once ``max_steps``
+    steps have not reached ``t_end``.
     """
     y = np.array(y0, dtype=float)
     t = float(t0)
     check_times([t_end], t)
     out = check_times([] if outputs is None else outputs, t, t_end)
     traj = Trajectory()
-
-    def emit_outputs():
-        while out and out[0] <= t + 1e-15 * abs(t):
-            traj.ts.append(out.pop(0))
-            traj.ys.append(y.copy())
-
-    emit_outputs()
-    if t_end == t:
-        return traj
-
-    n = y.size
-    # k[0] is always the slope of the accepted state (FSAL: the last stage
-    # of an accepted step seeds the next); a trial writes k[1:] only
-    k = np.empty((7, n))
-    k[0] = f(t, y)
-    # conservative initial step from the state/derivative scales
-    span = t_end - t
-    scale = atol + rtol * np.abs(y)
-    d0 = float(np.max(np.abs(y) / scale)) if n else 0.0
-    d1 = float(np.max(np.abs(k[0]) / scale)) if n else 0.0
-    h = min(span, 0.01 * (d0 / d1) if d1 > 0 else 0.1 * span)
-    if h == 0.0:
-        h = 1e-12 * span
-
-    rows = [(_A[s, :s], k[:s]) for s in range(1, 6)]
-    b5, k6 = _B5[:6], k[:6]
-    ys, tmp, err_vec, scale = (np.empty(n) for _ in range(4))
-    for _ in range(max_steps):
-        clipped = False
-        h_step = min(h, t_end - t)
-        if out and out[0] > t and out[0] - t < h_step:
-            h_step = out[0] - t
-            clipped = True
-        if t + h_step == t:
-            raise NoConvergence(f"integrator step underflow at t={t} (step {h_step!r})")
-        stage_ts = [t + c * h_step for c in _C_STAGES] + [t + h_step]
-        for s, (row, ks) in enumerate(rows, 1):
-            np.matmul(row, ks, out=tmp)
-            tmp *= h_step
-            k[s] = f(stage_ts[s - 1], np.add(y, tmp, out=ys))
-        y5 = np.matmul(b5, k6)
-        y5 *= h_step
-        y5 += y
-        k[6] = f(stage_ts[5], y5)
-        np.matmul(_ERR, k, out=err_vec)
-        err_vec *= h_step
-        np.abs(err_vec, out=err_vec)
-        np.maximum(np.abs(y, out=scale), np.abs(y5, out=tmp), out=scale)
-        scale *= rtol
-        scale += atol
-        err_vec /= scale
-        err = float(err_vec.max()) if n else 0.0
-        if not math.isfinite(err):
-            h = h_step * 0.25
-            traj.n_rejected += 1
-            continue
-        if err > 1.0:
-            h = h_step * max(_MIN_FACTOR, _SAFETY * err ** (-0.2))
-            traj.n_rejected += 1
-            continue
-        t = stage_ts[5]
-        y = y5
-        k[0] = k[6]
+    while out and out[0] <= t:
+        traj.ts.append(out.pop(0))
+        traj.ys.append(y.copy())
+    while True:
+        dy, series = taylor(t, y)
+        if t >= t_end:
+            return traj
+        if traj.n_accepted == max_steps:
+            raise NoConvergence(f"Taylor integration exceeded {max_steps} steps at t={t}")
+        z, s, u = step(y, dy, series, reach, rtol)
+        t_next = min(t + s * u, t_end)
+        while out and out[0] <= t_next:
+            traj.ts.append(out[0])
+            traj.ys.append(value(z, (out.pop(0) - t) / u))
+        y, t = value(z, (t_next - t) / u), t_next
         traj.n_accepted += 1
-        emit_outputs()
-        if t >= t_end - 1e-15 * abs(t_end):
-            break
-        factor = _MAX_FACTOR if err == 0.0 else min(
-            _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** (-0.2))
-        )
-        # a step clipped to land on an output keeps its unclipped ambition
-        h = max(h, h_step * factor) if clipped else h_step * factor
-    else:
-        raise NoConvergence(
-            f"integrator exceeded {max_steps} steps at t={t} (step {h:.3e})"
-        )
-    return traj

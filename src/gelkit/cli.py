@@ -74,6 +74,8 @@ def _json_text(obj, indent: int = 0) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
+        if not np.isfinite(obj):
+            raise NumericError(f"{obj} is not a JSON number")
         return _fmt(obj)
     if obj is None:
         return "null"

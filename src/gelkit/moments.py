@@ -26,7 +26,10 @@ last two decades of that growth.
 
 After gelation the sol phase is described through duality: tilt the
 initial measure by the non-survival factor, check the tilted system is
-subcritical, and evaluate the same flow from the tilted moments.
+subcritical, and evaluate the same flow from the tilted moments.  Those
+set the rate at which the gel grows, and ``gel_growth_ode`` steps that
+growth by its Taylor series too, with the tilted flow in its resolvent
+form ``Y0 (I - t A_hat Y0)^-1``.
 """
 
 from __future__ import annotations
@@ -53,12 +56,16 @@ _POLE_WINDOW = 1e2
 # rounding slack of |Y_ij| <= sqrt(Y_ii Y_jj); squared, it stays below 1e-7
 _CS_SLACK = 4.9e-8
 
-# explosion_time's Taylor steps: the series order, the share of its radius
-# of convergence a step covers (a tail of 0.25^21 / 0.75, about 3e-13 of
-# the state), and the step budget
-_SERIES_ORDER = 20
+# explosion_time's Taylor steps: the share of the radius of convergence a
+# step covers (a tail of 0.25^21 / 0.75, about 3e-13 of the state), and
+# the step budget
 _SERIES_REACH = 0.25
-_SERIES_STEPS = 1000
+_SERIES_STEPS = _rk.MAX_STEPS
+# gel_growth_ode's Taylor steps: at a quarter of the radius its error
+# stalls near 6e-11, so a step covers less (0.15^20 already holds the last
+# term below its rtol of about rounding)
+_GROWTH_REACH = 0.15
+_GROWTH_RTOL = 1e-16
 
 
 @dataclass(frozen=True)
@@ -99,23 +106,11 @@ def _a_hat(sys: BilinearSystem) -> np.ndarray:
     return a_hat
 
 
-def _riccati(sys: BilinearSystem):
-    """The whole moment flow ``dY = Y A_hat Y`` on the flattened ``Y``."""
-    m = sys.n + 1
-    a_hat = _a_hat(sys)
-
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        y = y.reshape(m, m)
-        return (y @ a_hat @ y).reshape(-1)
-
-    return rhs
-
-
 def moment_rhs(
     sys: BilinearSystem, state: MomentState
 ) -> tuple[np.ndarray, np.ndarray]:
     """Time derivatives (dQ, dz) at the given state."""
-    dy = _riccati(sys)(state.t, state.y).reshape(state.n + 1, state.n + 1)
+    dy = state.y @ _a_hat(sys) @ state.y
     return dy[1:, 1:], dy[0]
 
 
@@ -164,43 +159,37 @@ def integrate_subcritical(
 def _series_step(
     y: np.ndarray, a_hat: np.ndarray, rtol: float
 ) -> tuple[np.ndarray, float]:
-    """One Taylor step of ``dY/dtau = Y A_hat Y`` from ``Y``: the new state
-    and the step, or ``Y`` and ``inf`` when the flow is at rest.
+    """One Taylor step of ``dY/dtau = Y A_hat Y`` from ``Y`` by
+    :func:`_rk.step`: the new state and the step, or ``Y`` and ``inf`` when
+    the flow is at rest.
 
-    Time is first rescaled by ``u = max|Y| / max|Y A_hat Y|``, so that with
-    ``B = u A_hat`` the coefficients ``Z_k`` of ``Y(tau + u s) = sum_k Z_k s^k``
-    stay of the size of ``Y`` at any rate or coordinate unit.  The quadratic
-    right-hand side gives them exactly, by the Cauchy product
+    In the rule's unit ``u``, with ``B = u A_hat``, the quadratic
+    right-hand side gives the coefficients ``Z_k`` of
+    ``Y(tau + u s) = sum_k Z_k s^k`` exactly, by the Cauchy product
     ``Z_{k+1} = (1/(k+1)) sum_{i<=k} (Z_i B) Z_{k-i}``, one matrix product
-    over ``i`` for each ``k``.  The radius of convergence is read off the
-    last two coefficients (Jorba & Zou 2005), and the step covers
-    ``_SERIES_REACH`` of it, or less where the last term would exceed
-    ``rtol`` of the state.
+    over ``i`` for each ``k``.  A step covers ``_SERIES_REACH`` of the
+    radius of convergence.
     """
-    m, order = y.shape[0], _SERIES_ORDER
+    m, order = y.shape[0], _rk.ORDER
     dy = y @ a_hat @ y
-    peak, grow = float(np.abs(y).max()), float(np.abs(dy).max())
-    if grow == 0.0:  # the flow is at rest
-        return y, math.inf
-    u = peak / grow
-    b = u * a_hat
-    # zr[order - k] is Z_k, so the Z_{k-i}, i <= k, are the rows from
-    # order - k on, against the Z_i B side by side in zb
-    zr = np.empty((order + 1, m, m))
-    zb = np.empty((m, (order + 1) * m))
-    zr[order], zr[order - 1] = y, u * dy
-    np.matmul(y, b, out=zb[:, :m])
-    for k in range(1, order):
-        np.matmul(zr[order - k], b, out=zb[:, k * m : (k + 1) * m])
-        z_next = zr[order - k - 1]
-        np.matmul(zb[:, : (k + 1) * m], zr[order - k :].reshape(-1, m), out=z_next)
-        z_next /= k + 1
-    size = np.abs(zr).max(axis=(1, 2)) / peak
-    root = max(size[1] ** (1.0 / (order - 1)), size[0] ** (1.0 / order))
-    # a series that ends (only from a start that fails Cauchy-Schwarz) is
-    # exact at any step: one time unit
-    s = min(_SERIES_REACH, rtol ** (1.0 / order)) / root if root > 0.0 else 1.0
-    return (s ** np.arange(order, -1, -1.0)) @ zr.reshape(order + 1, -1), s * u
+
+    def series(u: float) -> np.ndarray:
+        b = u * a_hat
+        # zr[order - k] is Z_k, so the Z_{k-i}, i <= k, are the rows from
+        # order - k on, against the Z_i B side by side in zb
+        zr = np.empty((order + 1, m, m))
+        zb = np.empty((m, (order + 1) * m))
+        zr[order], zr[order - 1] = y, u * dy
+        np.matmul(y, b, out=zb[:, :m])
+        for k in range(1, order):
+            np.matmul(zr[order - k], b, out=zb[:, k * m : (k + 1) * m])
+            z_next = zr[order - k - 1]
+            np.matmul(zb[:, : (k + 1) * m], zr[order - k :].reshape(-1, m), out=z_next)
+            z_next /= k + 1
+        return zr[::-1]
+
+    z, s, u = _rk.step(y, dy, series, _SERIES_REACH, rtol)
+    return _rk.value(z, s), s * u
 
 
 def explosion_time(
@@ -231,7 +220,6 @@ def explosion_time(
     """
     if not rtol > 0.0:
         raise ValueError(f"rtol must be positive, got {rtol}")
-    m = state0.n + 1
     peak0 = float(np.abs(state0.y).max())
     if not 0.0 < peak0 < np.inf:
         raise NumericError(
@@ -245,7 +233,6 @@ def explosion_time(
         y, h = _series_step(y, a_hat, rtol)
         if not h < math.inf:
             break
-        y = y.reshape(m, m)
         tau += h
         sym = (y + y.T) / 2.0
         d = np.sqrt(sym.diagonal())
@@ -340,14 +327,23 @@ def gel_growth_ode(
 ) -> list[tuple[float, GelData]]:
     """Post-gel trajectory of the gel data by direct integration.
 
-    The gel absorbs sol particles at a rate set by the current sol moments:
-    dg_0 = z A+ g_plus and dg_plus = Q A+ g_plus.  On the maximal branch the
-    fixed point is ``c = t A+ g_plus``, so (Q, z) are the tilted moments of
-    ``_dual`` at that ``c``, and the right-hand side is a function of
-    ``(t, g)`` alone; along it ``c - t F(c)`` stays 0.  Starts at
-    ``t_g (1 + 1e-3)``, or halfway to ``t_to`` if sooner, from the
-    fixed-point gel (the one fixed-point solve), and drops outputs before
-    that start.  The second, independent gel curve.
+    The gel absorbs sol particles at a rate set by the sol moments ``S``:
+    ``dg = S[:, 1:] f`` on ``g = (M, E)``, with ``f = A+ E``.  On the
+    maximal branch the fixed point is ``c = t f``, so ``S`` is the moment
+    flow of the tilted measure in its resolvent form, ``S = G (I - t A_hat
+    G)^-1`` with ``G = V^T diag(w e^(-plus . c)) V`` on the ``(pi0, plus)``
+    columns ``V``, and the right-hand side is a function of ``(t, g)``
+    alone; along it ``c - t F(c)`` stays 0.  Steps its Taylor series by
+    :func:`_rk.integrate`; with ``t = t0 + u s``, the coefficients follow
+    from ``c_k = t0 f_k + u f_(k-1)``, the exponential's recurrence on
+    ``x = plus . c``, the inverse's ``N_k = -N_0 sum_(i>=1) M_i N_(k-i)`` on
+    ``M = I - t A_hat G`` and Cauchy products, with no eigenproblem and no
+    tilted :func:`gelation`.  DualNotSubcritical at the first state whose
+    tilted system is not subcritical past ``t + (t - t_g) / 2`` (its gap is
+    about ``t - t_g``): with ``G+ = C C^T``, ``I - tau C^T A+ C`` has no
+    Cholesky factor.  Starts at ``t_g (1 + 1e-3)``, or halfway to ``t_to``
+    if sooner, from the fixed-point gel (the one fixed-point solve), and
+    drops outputs before that start.  The second, independent gel curve.
     """
     given = check_times([t_to, *([] if outputs is None else outputs)])
     spectral = gelation(sys, measure)
@@ -358,17 +354,50 @@ def gel_growth_ode(
     if t_to <= t_start:
         t_start = t_g + 0.5 * (t_to - t_g)
     g0 = gel_data(sys, measure, t_start, spectral).g
-    n = sys.n
+    n, order = sys.n, _rk.ORDER
+    cols, w = measure.coords[:, : 1 + n], measure.weight_array
+    plus, a_plus, a_hat = cols[:, 1:], sys.a_plus, _a_hat(sys)
 
-    def rhs(t: float, g: np.ndarray) -> np.ndarray:
-        flow = sys.a_plus @ g[1 : 1 + n]
-        dg = np.zeros_like(g)
-        dg[: 1 + n] = _dual(sys, measure, t, t * flow, t_g).y[:, 1:] @ flow
-        return dg
+    def taylor(t: float, y: np.ndarray):
+        f0 = a_plus @ y[1:]
+        x0 = plus @ (t * f0)
+        e0 = np.exp(-x0)
+        gram = (cols.T * (w * e0)) @ cols
+        tau = t + 0.5 * (t - t_g)
+        try:
+            chol = np.linalg.cholesky(gram[1:, 1:])
+            np.linalg.cholesky(np.eye(n) - tau * (chol.T @ a_plus @ chol))
+        except np.linalg.LinAlgError:
+            raise DualNotSubcritical(
+                f"tilted system at t={t} is not subcritical past {tau}; "
+                "fixed-point solution is inconsistent"
+            ) from None
+        n0 = np.linalg.inv(np.eye(1 + n) - t * a_hat @ gram)
+        s0 = gram @ n0
+        dy = s0[:, 1:] @ f0
+
+        def series(u: float) -> np.ndarray:
+            ys = np.empty((order + 1, 1 + n))
+            fs, (es, jx) = np.empty((order, n)), np.empty((2, order, len(w)))
+            gs, ms, ns, ss = np.empty((4, order, 1 + n, 1 + n))
+            ys[0], ys[1], fs[0], es[0], gs[0], ns[0], ss[0] = y, u * dy, f0, e0, gram, n0, s0
+            for k in range(1, order):
+                fs[k] = a_plus @ ys[k, 1:]
+                # k x_k, for x = plus . c with c_k = t f_k + u f_(k-1)
+                jx[k] = k * (plus @ (t * fs[k] + u * fs[k - 1]))
+                es[k] = -(jx[1 : k + 1] * es[k - 1 :: -1]).sum(axis=0) / k
+                gs[k] = (cols.T * (w * es[k])) @ cols
+                # M_k = -A_hat (t G_k + u G_(k-1)), of M = I - t A_hat G
+                ms[k] = -a_hat @ (t * gs[k] + u * gs[k - 1])
+                ns[k] = -n0 @ (ms[1 : k + 1] @ ns[k - 1 :: -1]).sum(axis=0)
+                ss[k] = (gs[: k + 1] @ ns[k::-1]).sum(axis=0)
+                ys[k + 1] = u / (k + 1) * np.einsum("kij,kj->i", ss[: k + 1, :, 1:], fs[k::-1])
+            return ys
+
+        return dy, series
 
     out = sorted({v for v in given if v >= t_start})
     traj = _rk.integrate(
-        rhs, t_start, g0, t_to, rtol=1e-7, atol=1e-10, outputs=out,
-        max_steps=20_000,
+        taylor, t_start, g0[: 1 + n], t_to, _GROWTH_REACH, _GROWTH_RTOL, outputs=out
     )
-    return [(t, GelData(y)) for t, y in zip(traj.ts, traj.ys)]
+    return [(t, GelData(np.concatenate((y, g0[1 + n :])))) for t, y in zip(traj.ts, traj.ys)]

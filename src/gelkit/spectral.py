@@ -16,11 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMeasure, NoConvergence, SchemaError
+from .errors import DegenerateMeasure, NoConvergence, NumericError, SchemaError
 from .system import AtomicMeasure, BilinearSystem, gram_plus
 
 _GRAM_TOL = 1e-9
 _RESIDUAL_TOL = 1e-10
+_TINY = np.finfo(float).tiny
 
 
 def criticality_matrix(sys: BilinearSystem, measure: AtomicMeasure) -> np.ndarray:
@@ -99,8 +100,8 @@ def gelation(sys: BilinearSystem, measure: AtomicMeasure) -> SpectralResult:
     does not satisfy the admissibility hypotheses.  A measure that is not
     mirror symmetric (hypothesis A1) is refused with a :class:`SchemaError`
     at ``/atoms``: the limit theory, which reads only the conserved block,
-    does not describe it.  A radius too small for ``1 / r`` to be finite is
-    a :class:`DegenerateMeasure`.
+    does not describe it.  A radius that is not finite, or whose ``1 / r``
+    is not a positive normal double, is a :class:`DegenerateMeasure`.
     """
     if not measure.mirror_symmetric:
         raise SchemaError(
@@ -116,12 +117,16 @@ def _gelation(sys: BilinearSystem, q: np.ndarray) -> SpectralResult:
     lam_mat = _criticality(sys, q)
     chol = np.linalg.cholesky(q)
     sym = chol.T @ sys.a_plus @ chol
-    sym = (sym + sym.T) / 2.0
+    # halved first, so that the symmetrising sum cannot overflow
+    sym = sym / 2.0 + sym.T / 2.0
     eigvals, eigvecs = np.linalg.eigh(sym)
     radius = float(eigvals[-1])
-    if not (radius > 0.0 and 1.0 / radius < np.inf):
+    # 1 / radius must be a positive normal double: a radius that overflows
+    # would give t_g = 0
+    if not (0.0 < radius < np.inf and _TINY <= 1.0 / radius < np.inf):
         raise DegenerateMeasure(
             f"criticality matrix has top eigenvalue {radius}: no finite t_g"
+            " within the range of normal doubles"
         )
     u = eigvecs[:, -1]
     # psi solves chol.T psi = u, hence L psi = radius psi and
@@ -137,9 +142,8 @@ def _gelation(sys: BilinearSystem, q: np.ndarray) -> SpectralResult:
         )
     psi = np.abs(psi)
     residual = float(np.linalg.norm(lam_mat @ psi - radius * psi))
-    assert residual <= _RESIDUAL_TOL * max(1.0, radius * float(np.abs(psi).max())), (
-        f"eigenpair residual {residual:.3e} out of tolerance"
-    )
+    if not residual <= _RESIDUAL_TOL * max(1.0, radius * float(np.abs(psi).max())):
+        raise NumericError(f"eigenpair residual {residual:.3e} out of tolerance")
     return SpectralResult(
         lambda_matrix=lam_mat,
         radius=radius,

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateCubic, SlowConvergence
+from .errors import DegenerateCubic, NumericError, SlowConvergence
 from .spectral import SpectralResult, gelation
 from .system import (
     AtomicMeasure,
@@ -225,7 +225,8 @@ def critical_slope(
     c_prime = psi / (t_g * t_g * denom)
     z_plus = moment_matrix(measure, [0], range(1, n + 1))[0]
     g_prime = np.concatenate(([z_plus @ c_prime], q @ c_prime))
-    assert np.all(g_prime > 0.0), "gel slope must be strictly positive"
+    if not np.all(g_prime > 0.0):
+        raise NumericError(f"gel slope {g_prime} is not strictly positive")
     return c_prime, g_prime
 
 
@@ -260,7 +261,8 @@ def size_bias_check(
     moments = first_moments(measure)
     lhs = float(theta @ g_prime[1:])
     rhs = float(theta @ moments[1 : 1 + sys.n]) / float(moments[0]) * g_prime[0]
-    assert lhs >= rhs - tol * max(1.0, abs(rhs)), "size-bias inequality violated"
+    if not lhs >= rhs - tol * max(1.0, abs(rhs)):
+        raise NumericError(f"size-bias inequality violated: {lhs} < {rhs}")
     s = measure.coords[:, 1:] @ (sys.block @ moments[1:])
     w = measure.weight_array / measure.total_mass
     mean_s = float(w @ s)

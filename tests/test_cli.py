@@ -11,6 +11,7 @@ import pytest
 import gelkit
 from gelkit.cli import COMMANDS, main
 from gelkit.configs import path_for
+from gelkit.errors import NumericError
 
 
 @pytest.fixture(autouse=True)
@@ -557,14 +558,23 @@ class TestMalformedInput:
         assert "/rate_scale" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [cfg]
 
-    @pytest.mark.parametrize("a_plus, rate", [(1e-320, 1.0), (1.0, 1e-320)])
-    def test_tiny_spectral_radius(self, tmp_path, capsys, a_plus, rate):
-        # 1 / radius overflows: tg once wrote "t_g": inf, which is not JSON
+    @pytest.mark.parametrize(
+        "a_plus, rate, plus",
+        [
+            pytest.param(1e-320, 1.0, 1.0, id="1e-320-1.0"),
+            pytest.param(1.0, 1e-320, 1.0, id="1.0-1e-320"),
+            pytest.param(1e8, 1.0, 1e150, id="1e+08-1.0-1e+150"),
+        ],
+    )
+    def test_tiny_spectral_radius(self, tmp_path, capsys, a_plus, rate, plus):
+        # 1 / radius overflows: tg once wrote "t_g": inf, which is not JSON.
+        # The radius overflows at plus = 1e150 (t_g = 1e-308, below the
+        # normal doubles): tg once wrote "t_g": 0 with exit 0
         doc = {
             "kind": "tg", "rate_scale": rate,
             "system": {
                 "n": 1, "m": 0, "A_plus": [[a_plus]], "A_par": [],
-                "atoms": [{"pi0": 1, "plus": [1.0], "w": 1.0}],
+                "atoms": [{"pi0": 1, "plus": [plus], "w": 1.0}],
             },
         }
         cfg = tmp_path / "exp.json"
@@ -572,6 +582,11 @@ class TestMalformedInput:
         assert run_cli("run", str(cfg)) == 3
         assert "no finite t_g" in capsys.readouterr().err
         assert not (tmp_path / "tg.json").exists()
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_float_is_not_written(self, value):
+        with pytest.raises(NumericError, match="not a JSON number"):
+            gelkit.cli._json_text({"psi": [1.0, value]})
 
     def test_non_boolean_doubled_rates(self, tmp_path, capsys):
         cfg = tmp_path / "exp.json"

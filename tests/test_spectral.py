@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import gelkit as gk
-from gelkit.errors import DegenerateMeasure, NoConvergence
+from gelkit import spectral
+from gelkit.errors import DegenerateMeasure, NoConvergence, NumericError
 
 
 class TestGelation:
@@ -67,6 +68,25 @@ class TestGelation:
         meas = gk.AtomicMeasure([[1.0, 1.0, 1.0], [1.0, 2.0, 2.0]], [0.5, 0.5], 2)
         with pytest.raises(DegenerateMeasure):
             gk.gelation(sys_, meas)
+
+    @pytest.mark.parametrize(
+        "preset, rate", [("mult", 1e8), ("mult", 1e16), ("bidi", 1e8), ("bidi", 1e16)]
+    )
+    def test_overflowing_units_raise_numeric_error(self, preset, rate, request):
+        # every coordinate but pi0 times 1e150: the radius overflows, which
+        # once gave t_g = 0 (mult at 1e8) or a bare AssertionError on a nan
+        # eigenpair residual
+        sys_, meas = request.getfixturevalue(preset)
+        coords = np.array(meas.coords)
+        coords[:, 1:] *= 1e150
+        meas = gk.AtomicMeasure(coords, meas.weight_array, meas.n)
+        with np.errstate(all="ignore"), pytest.raises(NumericError, match="normal doubles"):
+            gk.gelation_time(sys_.scaled(rate), meas)
+
+    def test_eigenpair_residual_raises_numeric_error(self, kac, monkeypatch):
+        monkeypatch.setattr(spectral, "_RESIDUAL_TOL", -1.0)
+        with pytest.raises(NumericError, match="eigenpair residual"):
+            gk.gelation(*kac)
 
     def test_gaussian_sample_spectral_sanity(self):
         sys_, meas = gk.kinetic_gas_sample(16, seed=7)
