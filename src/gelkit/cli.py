@@ -83,6 +83,8 @@ def _json_text(obj, indent: int = 0) -> str:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Write the rows; a float that is not finite raises NumericError
+    before the file is written."""
     lines = [",".join(header)]
     for row in rows:
         cells = []
@@ -91,6 +93,8 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
                 cells.append(v)
             elif isinstance(v, (int, np.integer)):
                 cells.append(str(int(v)))
+            elif not np.isfinite(v):
+                raise NumericError(f"{v} is not a finite CSV number")
             else:
                 cells.append(_fmt(v))
         lines.append(",".join(cells))

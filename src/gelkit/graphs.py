@@ -32,7 +32,7 @@ from .particles import (
     ParticleSystem,
     _check_scale,
     _check_table,
-    _cluster_sums,
+    _Forest,
     _size_threshold,
     child_seed,
     contract,
@@ -394,8 +394,9 @@ def coupling_test(
         graph = _sample_graph_blocks(
             sys, rows, n, t, child_seed(seed, r, 1), rate_scale=graph_rate_factor
         )
-        labels, count = contract(np.arange(n), n, graph.edge_u, graph.edge_v)
-        comps = snapshot(sys, _cluster_sums(graph.vertices.T, labels, count), n, t)
+        forest = _Forest(graph.vertices.T.copy())
+        forest.join(graph.edge_u, graph.edge_v)
+        comps = snapshot(sys, forest.table(), n, t)
         g_largest[r] = float(comps.gel_largest.g[phi_cols].sum())
         g_counts[r] = comps.n_particles
         ps = ParticleSystem(sys, rows, n, np.random.default_rng(child_seed(seed, r, 2)))

@@ -12,7 +12,7 @@ at time t are the connected components of a random graph on the run's
 starting rows whose edge {i, j} arrives at rate ``kbar(x_i, x_j) /
 n_scale``.  Each checkpoint interval draws a Poisson batch of pair
 proposals from the static envelope of the starting rows, keeps each with
-probability ``kbar / khat`` and contracts the kept edges into the current
+probability ``kbar / khat`` and joins the kept edges into the current
 clusters, in fixed-size chunks.  ``events`` counts these static-envelope
 proposals.
 
@@ -28,16 +28,21 @@ bounded ratio, as on the presets, a draw costs expected O(1): on
 multiplicative no draw falls back, on kinetic-gas (whose momentum
 coordinates are 0 on half the atoms) about 3% do.
 
-A run costs O(P) per chunk and per checkpoint plus expected O(1) per
-proposal.  A chunk's kept edges go to :func:`contract`, whose hooking
-rounds touch at most one pointer per edge (2 to 4 rounds on the presets)
-before one O(K) pass numbers the K clusters and one O(P) gather relabels
-the starting rows; no cluster-by-cluster matrix is built.  A checkpoint
-then sums the rows into the cluster table, one O(P) ``bincount`` per
-column.
+The run keeps its clusters as a forest over the starting rows
+(:class:`_Forest`): each row points at a lower row of its cluster, a root
+at itself, and each cluster's row sum sits at its root, by columns, with
+zeros at every other row.  A chunk touches only the rows of its kept
+edges: pointer chasing finds their roots, the hooking rounds of
+:func:`_hook` join them (2 to 4 rounds on the presets), and the sums of
+the hooked roots fold into their new roots.  Nothing is renumbered and no
+row is summed twice: a run costs O(P) to start and expected O(1) per
+proposal drawn, a chunk costs in its kept edges and the pointer steps from
+their rows to their roots, and a checkpoint a few O(P) passes over the
+``pi0`` column.
 
 A sampler's ``coords`` is the table of its live clusters and nothing else,
-one row each, ordered by the cluster's lowest starting row.
+one row each, ordered by the cluster's lowest starting row; the engine
+builds it from the forest's roots when it is read.
 
 A :class:`Snapshot` at each checkpoint holds what the data files read: the
 time, the particle count, the size threshold ``xi``, the largest
@@ -115,7 +120,7 @@ def envelope(
     cumulative weights ``|a_kl| s_k s_l`` (s_k the total |x_k|) of the
     nonzero envelope entries in ``np.nonzero(sys.block_abs)`` order, which
     sum to ``sum_pq khat``."""
-    cum = np.cumsum(np.abs(rows[:, 1:].T), axis=1)
+    cum = np.cumsum(np.abs(np.ascontiguousarray(rows[:, 1:].T)), axis=1)
     s = cum[:, -1] if rows.shape[0] else np.zeros(sys.dim)
     kk, ll = np.nonzero(sys.block_abs)
     return cum, _guide(cum), np.cumsum(sys.block_abs[kk, ll] * s[kk] * s[ll])
@@ -143,10 +148,13 @@ def _guide(cum: np.ndarray) -> np.ndarray:
     return guide
 
 
-def _short(row: np.ndarray, at: np.ndarray, key: np.ndarray, last: int) -> np.ndarray:
-    """The draws whose search goes on past row ``at``: ``row[at] <= key``,
-    the condition of ``searchsorted(side="right")``, below the last row."""
-    return (row[at] <= key) & (at < last)
+def _short(
+    flat: np.ndarray, at: np.ndarray, key: np.ndarray, last: np.ndarray
+) -> np.ndarray:
+    """The draws whose search goes on past flat index ``at``: ``flat[at] <=
+    key``, the condition of ``searchsorted(side="right")``, below the last
+    row of their coordinate."""
+    return (flat[at] <= key) & (at < last)
 
 
 def _draw_rows(
@@ -155,31 +163,33 @@ def _draw_rows(
     """One row per proposal, with probability |x_k| / s_k for its coordinate k.
 
     The row is ``min(searchsorted(cum[k], u s_k, side="right"), P - 1)`` for
-    a uniform u.  The search starts at the :func:`_guide` entry of u and
-    steps at most twice; the draws it leaves short of that row, or past it,
-    go to ``searchsorted``.
+    a uniform u.  All coordinates are searched in one pass over the raveled
+    tables, a draw on coordinate k at offset ``k P``.  The search starts at
+    the :func:`_guide` entry of u and steps at most twice; the draws it
+    leaves short of that row, or past it, go to ``searchsorted``.
     """
     u = rng.random(coord.size)
-    out = np.empty(coord.size, dtype=np.intp)
     size = cum.shape[1]
+    flat = cum.ravel()
+    base = coord * size
+    key = u * cum[:, -1][coord]
     # a draw that rounds onto the total picks the last row, as find does
-    last = size - 1
-    for k in range(cum.shape[0]):
-        sel = coord == k
-        if not sel.any():
-            continue
-        uk = u[sel]
-        key = uk * cum[k, -1]
-        row = cum[k]
-        at = guide[k, (uk * size).astype(np.intp)].astype(np.intp)
-        for _ in range(2):
-            at += _short(row, at, key, last)
-        miss = _short(row, at, key, last)
-        miss |= (at > 0) & (row[at - 1] > key)
-        if miss.any():
-            at[miss] = np.minimum(np.searchsorted(row, key[miss], side="right"), last)
-        out[sel] = at
-    return out
+    last = base + (size - 1)
+    start = guide.ravel()[coord * (size + 1) + (u * size).astype(np.intp)]
+    at = base + start
+    for _ in range(2):
+        at += _short(flat, at, key, last)
+    miss = _short(flat, at, key, last)
+    miss |= (at > base) & (flat[at - 1] > key)
+    at -= base
+    if miss.any():
+        miss = np.flatnonzero(miss)
+        for k, row in enumerate(cum):
+            sel = miss[coord[miss] == k]
+            if sel.size:
+                found = np.searchsorted(row, key[sel], side="right")
+                at[sel] = np.minimum(found, size - 1)
+    return at
 
 
 def envelope_proposals(rng, sys, rows, cum, guide, pair_cum, size: int):
@@ -205,15 +215,63 @@ def envelope_proposals(rng, sys, rows, cum, guide, pair_cum, size: int):
 
 
 def _jump(parent: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Double the pointers of ``nodes`` until each points at its root, and
-    return those roots.  The nodes must hold every non-root that their
-    pointers reach."""
+    """Point each of ``nodes`` at its root by chasing pointers, and return
+    those roots.  Each step moves only the nodes not yet at a root; where
+    the nodes hold every non-root that their pointers reach, it doubles
+    their pointers' reach."""
     up = parent[nodes]
-    while True:
-        top = parent[up]
-        if (top == up).all():
-            return up
-        parent[nodes] = up = top
+    top = parent[up]
+    deep = np.flatnonzero(top != up)
+    top = top[deep]
+    while deep.size:
+        up[deep] = top
+        parent[nodes[deep]] = top
+        above = parent[top]
+        more = above != top
+        deep, top = deep[more], above[more]
+    return up
+
+
+def _hook(
+    parent: np.ndarray, a: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Join the trees of roots a[i] and b[i] in the forest ``parent``: the
+    hooked roots, each once, and the roots they now point at, ordered by
+    new root and then by hooked root.
+
+    Hooking and pointer jumping (Shiloach & Vishkin).  Each round hooks the
+    larger root of every live edge to the smallest root it shares an edge
+    with, doubles the hooked roots' pointers until each points at its new
+    root, moves the edges onto the new roots and drops those inside one
+    tree.  Pointers only go to lower ids, so a joined tree's root is its
+    lowest node.
+
+    The loop ends: each round hooks at least one root.  A tree with a live
+    edge merges within two rounds (it hooks, is hooked onto, or has an edge
+    to a tree that hooked below it), so there are O(log K) rounds for K
+    trees, each of O(log K) doublings over at most one pointer per edge.
+    """
+    live = a != b
+    a, b = a[live], b[live]
+    hooked = []
+    while a.size:
+        high = np.maximum(a, b)
+        np.minimum.at(parent, high, np.minimum(a, b))
+        hooked.append(high)
+        _jump(parent, high)
+        a, b = parent[a], parent[b]
+        live = a != b
+        a, b = a[live], b[live]
+    if not hooked:
+        return a, a
+    low = np.concatenate(hooked)
+    # a root hooks once, but may be the larger end of several edges; one
+    # sort of (new root, hooked root) keys, packed in one int64 for forests
+    # below 2^31 nodes, drops the repeats and orders both
+    shift = parent.size.bit_length()
+    key = np.sort((_jump(parent, low) << shift) | low)
+    key = key[np.diff(key, prepend=-1) != 0]
+    return key & ((1 << shift) - 1), key >> shift
 
 
 def contract(
@@ -221,51 +279,63 @@ def contract(
 ) -> tuple[np.ndarray, int]:
     """Join the clusters of rows p[i] and q[i]: the new labels and count.
 
-    A union-find by hooking and pointer jumping (Shiloach & Vishkin) on the
-    cluster ids.  Each round hooks the larger root of every live edge to
-    the smallest root it shares an edge with, doubles the hooked roots'
-    pointers until each points at its new root, moves the edges onto the
-    new roots and drops those inside one tree.  Pointers only go to lower
-    ids, so a joined cluster's root is its lowest member, and the roots,
-    numbered in order, keep the labels ordered by each cluster's lowest
-    row.
-
-    The loop ends: each round hooks at least one root.  A tree with a live
-    edge merges within two rounds (it hooks, is hooked onto, or has an edge
-    to a tree that hooked below it), so there are O(log K) rounds for K
-    clusters, each of O(log K) doublings over at most one pointer per edge.
-    Numbering the roots costs one O(K) pass and relabelling the rows one
-    O(P) gather.
+    :func:`_hook` joins the cluster ids.  A joined cluster's root is its
+    lowest id, so the roots, numbered in order, keep the labels ordered by
+    each cluster's lowest row.  Numbering the roots costs one O(K) pass
+    and relabelling the rows one O(P) gather.
     """
-    a, b = labels[p], labels[q]
-    cross = a != b
-    if not cross.any():
+    parent = np.arange(clusters)
+    low, up = _hook(parent, labels[p], labels[q])
+    if not low.size:
         return labels, clusters
-    a, b = a[cross], b[cross]
-    parent = np.arange(clusters, dtype=labels.dtype)
-    hooked = np.zeros(clusters, dtype=bool)
-    while a.size:
-        high = np.maximum(a, b)
-        np.minimum.at(parent, high, np.minimum(a, b))
-        hooked[high] = True
-        _jump(parent, high)
-        a, b = parent[a], parent[b]
-        live = a != b
-        a, b = a[live], b[live]
-    low = np.flatnonzero(hooked)
-    up = _jump(parent, low)
+    root = np.ones(clusters, dtype=bool)
+    root[low] = False
     clusters -= low.size
-    parent[~hooked] = np.arange(clusters, dtype=parent.dtype)
+    parent[root] = np.arange(clusters)
     parent[low] = parent[up]
     return parent[labels], clusters
 
 
-def _cluster_sums(cols: np.ndarray, labels: np.ndarray, clusters: int) -> np.ndarray:
-    """Each cluster's row sum, one row per label, from the rows' columns."""
-    sums = np.empty((clusters, cols.shape[0]))
-    for j, col in enumerate(cols):
-        sums[:, j] = np.bincount(labels, weights=col, minlength=clusters)
-    return sums
+class _Forest:
+    """The clusters of a table's rows, as a forest over the rows.
+
+    ``parent`` points each row at a lower row of its cluster and each root
+    at itself, so a cluster's root is its lowest row.  ``sums`` holds each
+    cluster's row sum at its root, by columns, (1+n+m, P), and zero at
+    every other row.  ``count`` is the number of clusters.
+    """
+
+    def __init__(self, cols: np.ndarray):
+        self.sums = cols
+        self.parent = np.arange(cols.shape[1])
+        self.count = cols.shape[1]
+
+    def join(self, p: np.ndarray, q: np.ndarray) -> int:
+        """Join the clusters of rows p[i] and q[i]; the number of clusters
+        joined away.
+
+        Only the given rows and their roots are touched: pointer chasing
+        finds the roots and points each row straight at its root,
+        :func:`_hook` joins the roots, and the sums of the roots hooked onto
+        one new root are added up pairwise (``np.add.reduceat``), then into
+        that root.  A sequential fold such as ``np.add.at`` would let the
+        rounding of a giant cluster's sum grow with every part it absorbs.
+        """
+        roots = _jump(self.parent, np.concatenate((p, q)))
+        low, up = _hook(self.parent, roots[: p.size], roots[p.size :])
+        if low.size:
+            first = np.flatnonzero(np.diff(up, prepend=-1))
+            up = up[first]
+            for col in self.sums:
+                col[up] += np.add.reduceat(col[low], first)
+                col[low] = 0.0
+            self.count -= low.size
+        return low.size
+
+    def table(self) -> np.ndarray:
+        """One row per cluster, ordered by root: (count, 1+n+m)."""
+        roots = self.parent == np.arange(self.parent.size)
+        return np.compress(roots, self.sums, axis=1).T
 
 
 @dataclass(frozen=True)
@@ -302,17 +372,28 @@ def snapshot(
     xi: int | None = None,
 ) -> Snapshot:
     """Observables of a table of live particle rows at time t."""
+    return _observe(sys, rows, rows.shape[0], n_scale, t, xi)
+
+
+def _observe(
+    sys: BilinearSystem, table: np.ndarray, count: int, n_scale: float, t: float, xi
+) -> Snapshot:
+    """Observables of ``count`` live particles at time t, from a table of
+    their rows that may also hold zero rows, as long as some row has
+    ``pi0 > 0``: then a zero row is never the largest, and it adds nothing
+    to the threshold block."""
     xi = _size_threshold(xi, n_scale)
     inv = 1.0 / n_scale
-    big = _largest(rows, sys.n)
-    big_row = np.zeros(1 + sys.dim) if big is None else rows[big]
-    heavy = rows[rows[:, 0] >= xi]
+    big = _largest(table, sys.n)
+    big_row = np.zeros(1 + sys.dim) if big is None else table[big]
+    # by index: a boolean mask gathers slowly from a column-major table
+    heavy = table[np.flatnonzero(table[:, 0] >= xi)]
     gel_threshold = GelData(
         heavy.sum(axis=0) * inv if heavy.size else np.zeros(1 + sys.dim)
     )
     return Snapshot(
         t=t,
-        n_particles=int(rows.shape[0]),
+        n_particles=int(count),
         xi=int(xi),
         gel_largest=GelData(big_row * inv),
         gel_threshold=gel_threshold,
@@ -352,7 +433,7 @@ def table_moments(sys: BilinearSystem, rows: np.ndarray, n_scale: float) -> Tabl
 
 
 class ParticleSystem:
-    """Mutable simulation state: the table of live clusters and its clock."""
+    """Mutable simulation state: the live clusters and their clock."""
 
     def __init__(
         self,
@@ -362,7 +443,7 @@ class ParticleSystem:
         rng: np.random.Generator,
         t: float = 0.0,
     ):
-        self.coords = _check_table(sys, coords)
+        self._forest = _Forest(np.ascontiguousarray(_check_table(sys, coords).T))
         _check_scale(n_scale)
         self.sys = sys
         self.n_scale = float(n_scale)
@@ -372,52 +453,63 @@ class ParticleSystem:
         self.merges = 0
 
     @property
+    def coords(self) -> np.ndarray:
+        """The table of live clusters, one row each, ordered by the
+        cluster's lowest starting row; built when read."""
+        return self._forest.table()
+
+    @property
     def n_particles(self) -> int:
-        return self.coords.shape[0]
+        return self._forest.count
 
     def snapshot(self, xi: int | None = None) -> Snapshot:
-        return snapshot(self.sys, self.coords, self.n_scale, self.t, xi)
+        forest = self._forest
+        table = forest.sums.T
+        # a joined-away row is zero: where no cluster has pi0 > 0, as a
+        # table given to the constructor may, it could pass for the largest
+        if not table[:, 0].max(initial=0.0) > 0.0:
+            table = forest.table()
+        return _observe(self.sys, table, forest.count, self.n_scale, self.t, xi)
 
     def run(self, checkpoint_times, xi: int | None = None) -> list[Snapshot]:
         """Advance through the given times, with a snapshot at each.
 
         Each checkpoint interval is one thinned Poisson batch of edges on
-        the run's starting rows, contracted into the current clusters (see
-        the module docstring).  After each checkpoint ``coords`` holds each
-        cluster's row sum, ordered by the cluster's lowest starting row, and
-        ``merges`` and ``events`` are updated.  Checkpoints must be finite
-        and not before the current time.  Below two particles nothing
-        happens, so the remaining checkpoints freeze.
+        the run's starting rows, the clusters it starts from, joined chunk
+        by chunk into a forest over those rows (see the module docstring).
+        ``events`` and ``merges`` count each chunk's proposals and joins.
+        Checkpoints must be finite and not before the current time.  Below
+        two particles nothing happens, so the remaining checkpoints freeze.
+
+        A chunk that raises (:class:`NegativeRate` from the thinning) leaves
+        ``t`` at the last completed checkpoint, while ``coords``,
+        ``n_particles``, ``events`` and ``merges`` hold every chunk before
+        it; the coordinate totals are kept.
         """
         times = check_times(checkpoint_times, self.t)
-        # bincount copies a strided column on every call, so the run keeps
-        # the starting table by columns; coords becomes a view of them and
-        # the row-major table is freed
-        cols = np.ascontiguousarray(self.coords.T)
-        rows = self.coords = cols.T
+        # the clusters so far are the starting rows, which the thinning
+        # reads; the forest sums into a copy
+        rows = self.coords
+        forest = self._forest = _Forest(rows.T.copy())
         cum, guide, pair_cum = envelope(self.sys, rows)
         merge_rate = 0.0
-        if self.n_particles >= 2:
+        if forest.count >= 2:
             merge_rate = 0.5 / self.n_scale * float(pair_cum[-1])
         if not math.isfinite(merge_rate):
             raise RateUnderflow(f"envelope rate {merge_rate} is not finite")
-        clusters = self.n_particles
-        labels = np.arange(clusters)  # cluster of each row
         out: list[Snapshot] = []
         for target in times:
             if merge_rate > 0.0 and target > self.t:
                 count = int(self.rng.poisson(merge_rate * (target - self.t)))
-                while count and clusters >= 2:
+                while count and forest.count >= 2:
                     size = min(count, _CHUNK)
                     count -= size
-                    self.events += size
                     p, q, keep = envelope_proposals(
                         self.rng, self.sys, rows, cum, guide, pair_cum, size
                     )
-                    labels, clusters = contract(labels, clusters, p[keep], q[keep])
+                    self.events += size
+                    self.merges += forest.join(p[keep], q[keep])
             self.t = target
-            self.merges += self.n_particles - clusters
-            self.coords = _cluster_sums(cols, labels, clusters)
             out.append(self.snapshot(xi))
         return out
 

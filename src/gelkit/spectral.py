@@ -65,8 +65,10 @@ def spectral_radius(
     """Power iteration on an entrywise-nonnegative matrix.
 
     Independent of the eigendecomposition route; used as a cross-check.
-    Returns (radius, unit direction).  Raises NoConvergence if the iteration
-    stalls, which signals reducible or degenerate input.
+    It stops when the estimate and the residual settle relative to the
+    estimate, in any unit of the matrix.  Returns (radius, unit direction).
+    Raises NoConvergence if the iteration stalls, which signals reducible
+    or degenerate input.
     """
     mat = np.asarray(mat, dtype=float)
     k = mat.shape[0]
@@ -81,9 +83,9 @@ def spectral_radius(
             return 0.0, v
         w /= norm
         lam_new = float(w @ (mat @ w))
-        if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)) and float(
+        if abs(lam_new - lam) <= tol * abs(lam_new) and float(
             np.linalg.norm(mat @ w - lam_new * w)
-        ) <= 100.0 * tol * max(1.0, abs(lam_new)):
+        ) <= 100.0 * tol * abs(lam_new):
             return lam_new, w
         lam, v = lam_new, w
     raise NoConvergence(

@@ -237,7 +237,9 @@ class SizeBiasReport:
     ``lhs`` weights the gel slope by the Perron direction; ``rhs`` is the
     prediction if the gel recruited uniformly at random.  lhs >= rhs always;
     strict inequality exactly when the mean interaction rate s(x) varies
-    across atoms (the gel prefers high-activity particles).
+    across atoms (the gel prefers high-activity particles).  ``strict``
+    reads the variance of s against ``tol`` times its squared mean, so it
+    is the same in any coordinate unit.
     """
 
     lhs: float
@@ -270,6 +272,6 @@ def size_bias_check(
     return SizeBiasReport(
         lhs=lhs,
         rhs=rhs,
-        strict=s_variance > tol * max(1.0, mean_s * mean_s),
+        strict=s_variance > tol * mean_s * mean_s,
         s_variance=s_variance,
     )

@@ -37,3 +37,22 @@ def test_install_wraps_every_target_and_uninstall_restores(monkeypatch):
         tracer.uninstall()
     for owner, attr, original in replaced:
         assert vars(owner)[attr] is original
+
+
+def test_engine_run_and_snapshot_spans(monkeypatch):
+    # particles.snapshot_s reads the spans of ParticleSystem.snapshot, which
+    # run calls once per checkpoint
+    tracer = _tracer(monkeypatch)
+    tracer.install(gelkit)
+    try:
+        tracer.active = True
+        sys_, meas = gelkit.multiplicative()
+        gelkit.init_poisson(sys_, meas, 2000, 1).run([0.5, 1.0])
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+    names = [s.name for s in tracer.spans]
+    assert names.count("particles.run") == 1
+    run = names.index("particles.run")
+    snaps = [s for s in tracer.spans if s.name == "particles.snapshot"]
+    assert len(snaps) == 2 and all(s.parent == run for s in snaps)

@@ -588,6 +588,13 @@ class TestMalformedInput:
         with pytest.raises(NumericError, match="not a JSON number"):
             gelkit.cli._json_text({"psi": [1.0, value]})
 
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_csv_cell_is_not_written(self, tmp_path, value):
+        path = tmp_path / "out.csv"
+        with pytest.raises(NumericError, match="not a finite CSV number"):
+            gelkit.cli._write_csv(path, ["t", "M"], [[0.5, 1.0], [1.0, value]])
+        assert not path.exists()
+
     def test_non_boolean_doubled_rates(self, tmp_path, capsys):
         cfg = tmp_path / "exp.json"
         cfg.write_text(json.dumps({

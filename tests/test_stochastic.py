@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import struct
 
 import numpy as np
@@ -11,6 +12,7 @@ from gelkit.errors import (
     RateUnderflow,
     SchemaError,
 )
+from gelkit.system import check_times
 
 
 def small_system(mult, n_scale=200, seed=0):
@@ -290,6 +292,34 @@ class TestBatchedState:
         assert ps.coords.tolist() == [[1.0, 0.0], [2.0, 2.0], [1.0, 0.0]]
         assert ps.n_particles == 3
 
+    def test_negative_rate_mid_run_keeps_last_checkpoint(self, monkeypatch):
+        # kbar is 1 - 100 on the pair of rows with par = +-10 and positive
+        # elsewhere; seed 0 draws that pair in the second interval, chunks
+        # after the first checkpoint
+        monkeypatch.setattr(particles, "_CHUNK", 8)
+        sys_ = gk.BilinearSystem(1, 1, [[1.0]], [[1.0]])
+        coords = np.array(
+            [[1.0, 1.0, 0.0]] * 98 + [[1.0, 1.0, 10.0], [1.0, 1.0, -10.0]]
+        )
+        first = gk.ParticleSystem(sys_, coords, 100, np.random.default_rng(0))
+        first.run([0.2])
+        ps = gk.ParticleSystem(sys_, coords, 100, np.random.default_rng(0))
+        with pytest.raises(NegativeRate):
+            ps.run([0.2, 3.0])
+        assert ps.t == 0.2
+        assert ps.merges > first.merges and ps.events > first.events
+        assert ps.n_particles == 100 - ps.merges
+        assert np.array_equal(ps.coords.sum(axis=0), coords.sum(axis=0))
+
+    def test_largest_without_positive_pi0(self, mult):
+        # the joined-away row 1 is zero, above the cluster's pi0 of -2: the
+        # cluster is still the largest, and its negative mass is refused
+        rows = [[-1.0, 1.0], [-1.0, 1.0]]
+        ps = gk.ParticleSystem(mult[0], rows, 1, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="gel mass"):
+            ps.run([50.0])
+        assert ps.coords.tolist() == [[-2.0, 2.0]]
+
     def test_negative_pair_rate_raises(self):
         # kbar(x, y) = x+ y+ + x_par y_par is -1 on the cross pair below
         sys_ = gk.BilinearSystem(1, 1, [[1.0]], [[1.0]])
@@ -324,6 +354,82 @@ def _same(a, b) -> bool:
     if isinstance(a, np.ndarray):
         return a.dtype == b.dtype and np.array_equal(a, b)
     return type(a) is type(b) and a == b
+
+
+def _relabelled_run(ps, times):
+    """``ps.run(times)`` with the clusters as labels of the starting rows:
+    :func:`particles.contract` relabels every row after each chunk, and a
+    ``bincount`` per column sums every row at each checkpoint.  Returns the
+    snapshots, the cluster table, ``events``, ``merges`` and the labels."""
+    times = check_times(times, ps.t)
+    rows = ps.coords
+    cum, guide, pair_cum = particles.envelope(ps.sys, rows)
+    merge_rate = 0.0
+    if rows.shape[0] >= 2:
+        merge_rate = 0.5 / ps.n_scale * float(pair_cum[-1])
+    labels, clusters = np.arange(rows.shape[0]), rows.shape[0]
+    t, events, snaps = ps.t, 0, []
+    for target in times:
+        if merge_rate > 0.0 and target > t:
+            count = int(ps.rng.poisson(merge_rate * (target - t)))
+            while count and clusters >= 2:
+                size = min(count, particles._CHUNK)
+                count -= size
+                events += size
+                p, q, keep = particles.envelope_proposals(
+                    ps.rng, ps.sys, rows, cum, guide, pair_cum, size
+                )
+                labels, clusters = particles.contract(labels, clusters, p[keep], q[keep])
+        t = target
+        table = np.stack(
+            [np.bincount(labels, weights=col, minlength=clusters) for col in rows.T],
+            axis=1,
+        )
+        snaps.append(particles.snapshot(ps.sys, table, ps.n_scale, t))
+    return snaps, table, events, rows.shape[0] - clusters, labels
+
+
+class TestForest:
+    """The engine's root forest gives the partitions, counts and snapshots of
+    relabelling every row after each chunk; only the order in which a
+    cluster's rows are added changes."""
+
+    @pytest.mark.parametrize("chunk", [None, 300], ids=["chunk", "small-chunks"])
+    @pytest.mark.parametrize(
+        "preset, times",
+        [("multiplicative", [0.1, 0.5, 1.0, 2.0]), ("bidisperse", [0.1, 0.3, 0.5, 0.8])],
+    )
+    def test_integer_coordinates_bit_for_bit(self, monkeypatch, preset, times, chunk):
+        # integer coordinates add up exactly in any order
+        sys_, meas = gk.presets.from_name(preset)
+        if chunk:
+            monkeypatch.setattr(particles, "_CHUNK", chunk)
+        ps = gk.init_poisson(sys_, meas, 3000, 51)
+        snaps = ps.run(times)
+        ref = gk.init_poisson(sys_, meas, 3000, 51)
+        want = _relabelled_run(ref, times)[:4]
+        assert want[3] > 1000 and snaps[-1].gel_largest.mass > 0.3
+        assert _same((snaps, ps.coords, ps.events, ps.merges), want)
+
+    def test_kinetic_sums_near_fsum(self, kac):
+        # each cluster's sum against the correctly rounded sum of its rows,
+        # relative to the sum of their absolute values; adding a giant's
+        # parts one at a time, as bincount or np.add.at does, ends 100 to
+        # 300 eps off here
+        sys_, meas = kac
+        times = [0.1, 0.2, 0.3]
+        ps = gk.init_poisson(sys_, meas, 20_000, 52)
+        rows = ps.coords
+        ps.run(times)
+        labels = _relabelled_run(gk.init_poisson(sys_, meas, 20_000, 52), times)[4]
+        order = np.argsort(labels, kind="stable")
+        members = np.split(order, np.cumsum(np.bincount(labels))[:-1])
+        assert len(members) == ps.n_particles
+        assert max(map(len, members)) > 10_000  # a giant cluster
+        for row, idx in zip(ps.coords, members):
+            for j, col in enumerate(rows[idx].T):
+                bound = 64 * np.finfo(float).eps * math.fsum(np.abs(col))
+                assert abs(row[j] - math.fsum(col)) <= bound
 
 
 class TestGuidedDraws:

@@ -721,3 +721,23 @@ class TestScaleCovariance:
             np.testing.assert_allclose(st1.q, st0.q * np.outer(d, d), rtol=1e-12)
             m0 = gk.gel_data(sys_, meas, t).mass
             assert gk.gel_data(unit_sys, unit, t).mass == pytest.approx(m0, rel=1e-12)
+
+
+class TestUnitFreeVerdicts:
+    """A verdict or a stopping rule read against a tolerance holds in any
+    coordinate unit: each is relative to its own scale, with no floor."""
+
+    @pytest.mark.parametrize("k", [1e-3, 1e3])
+    @pytest.mark.parametrize("preset", ["mult", "bidi", "kac"])
+    def test_size_bias_strict(self, preset, k, request):
+        sys_, meas = request.getfixturevalue(preset)
+        want = gk.size_bias_check(sys_, meas).strict
+        assert gk.size_bias_check(sys_, _scaled_measure(meas, k)).strict == want
+
+    @pytest.mark.parametrize("k", [1e-4, 1.0, 1e4])
+    def test_power_iteration_radius(self, kac, k):
+        sys_, meas = kac
+        scaled = _scaled_measure(meas, k)
+        radius, _ = gk.spectral_radius(gk.criticality_matrix(sys_, scaled))
+        want = gk.gelation(sys_, scaled).radius
+        assert radius == pytest.approx(want, rel=1e-12, abs=0.0)
