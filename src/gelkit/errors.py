@@ -59,7 +59,8 @@ class DegenerateCubic(NumericError):
 
 class ExplosionReached(NumericError):
     """The moment flow is blown up at the requested time ``s`` after its
-    start: ``1 - s sigma_max <= 1e-12`` (``sigma`` of :class:`SpectralResult`)."""
+    start: ``1 - s r <= 1e-12``, with ``r`` the ``radius`` of its start's
+    :class:`SpectralResult`."""
 
 
 class DualNotSubcritical(NumericError):

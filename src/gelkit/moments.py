@@ -14,22 +14,23 @@ the whole system is one matrix Riccati equation,
 
     dY/dt = Y A_hat Y,      A_hat = diag(0, A+),
 
-so ``Q^-1`` falls linearly in time.  The gelation eigenproblem diagonalises
-it, mode k growing by ``1 / (1 - t sigma_k)``: that closed form is what the
-production path evaluates.  It blows up exactly at ``t sigma_max = 1``, the
-gelation time, and following the ODE to its pole gives a route to t_g
-independent of the spectral formula: ``explosion_time`` steps the flow by
-its Taylor series, whose coefficients the quadratic right-hand side gives
-exactly, until the peak entry of ``Y`` has grown a million-fold over its
-start, and fits the first-order pole with a quadratic in ``t`` over the
-last two decades of that growth.
+so ``Q^-1`` falls linearly in time, and the flow has the closed form
+``Y(t) = Y0 (I - t A_hat Y0)^-1``, its resolvent: that is what the
+production path evaluates.  It blows up exactly at ``t r = 1``, with ``r``
+the spectral radius of the gelation eigenproblem, the gelation time, and
+following the ODE to its pole gives a route to t_g independent of the
+spectral formula: ``explosion_time`` steps the flow by its Taylor series,
+whose coefficients the quadratic right-hand side gives exactly, until the
+peak entry of ``D^-1 Y D^-1``, ``D = sqrt(diag Y0)``, has grown a
+million-fold over its start, and fits the first-order pole with a
+quadratic in ``t`` over the last two decades of that growth.
 
 After gelation the sol phase is described through duality: tilt the
-initial measure by the non-survival factor, check the tilted system is
-subcritical, and evaluate the same flow from the tilted moments.  Those
-set the rate at which the gel grows, and ``gel_growth_ode`` steps that
-growth by its Taylor series too, with the tilted flow in its resolvent
-form ``Y0 (I - t A_hat Y0)^-1``.
+initial measure by the non-survival factor, check by one Cholesky factor
+that the tilted system is subcritical, and evaluate the same closed form
+from the tilted moments.  Those set the rate at which the gel grows, and
+``gel_growth_ode`` steps that growth by its Taylor series, with the same
+resolvent and the same check.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .survival import gel_data, solve_fixed_point
 from .system import AtomicMeasure, BilinearSystem, GelData, check_times, gram_plus
 from .system import moment_matrix
 
-# the flow is blown up once 1 - (t - t0) sigma_max is at most this
+# the flow is blown up once 1 - (t - t0) r is at most this, r its spectral radius
 _POLE_GAP = 1e-12
 # explosion_time stops once the peak |Y| entry has grown this much over its
 # start, and fits the pole to the steps within this factor of the last peak
@@ -114,28 +115,26 @@ def moment_rhs(
     return dy[1:, 1:], dy[0]
 
 
-def _modal_flow(
-    state0: MomentState, modes: SpectralResult, times: list[float]
-) -> list[MomentState]:
-    """The closed form of the moment flow from ``state0`` at ``times``, in
-    the modes of ``Q0 = W W^T``, ``A+ = W^-T diag(sigma) W^-1``:
-    ``Y(t) = Y0 + V diag(s sigma / (1 - s sigma)) V^T`` with ``s = t - t0``
-    and ``V = [W^-1 z+ ; W]``.  ExplosionReached once ``1 - s sigma_max``
-    is at most ``_POLE_GAP``, the one blowup rule; ``sigma`` is unchanged by
-    any change of units of the coordinates, so the rule is too."""
-    sigma, w = modes.sigma, modes.w
-    if 1.0 - (max(times) - state0.t) * sigma[-1] <= _POLE_GAP:
-        raise ExplosionReached(
-            f"second moments blow up at t={state0.t + 1.0 / sigma[-1]!r},"
-            f" not after requested t={max(times)!r}"
-        )
-    v = np.vstack((np.linalg.solve(w, state0.z[1:]), w))
-    states = []
-    for t in times:
-        s = t - state0.t
-        y = state0.y + (v * (s * sigma / (1.0 - s * sigma))) @ v.T
-        states.append(MomentState(t, (y + y.T) / 2.0))
-    return states
+def _flow(sys: BilinearSystem, state0: MomentState, t: float) -> MomentState:
+    """The closed form of the moment flow from ``state0`` at ``t``, its
+    resolvent ``Y0 (I - s A_hat Y0)^-1`` with ``s = t - t0``, symmetrised."""
+    y0 = state0.y
+    y = y0 @ np.linalg.inv(np.eye(len(y0)) - (t - state0.t) * _a_hat(sys) @ y0)
+    return MomentState(t, (y + y.T) / 2.0)
+
+
+def _check_subcritical(a_plus: np.ndarray, q: np.ndarray, t: float, tau: float) -> None:
+    """DualNotSubcritical unless the flow from the tilted Gram matrix ``q``
+    stays finite past ``tau``: with ``q = C C^T``, ``I - tau C^T A+ C``
+    has a Cholesky factor."""
+    try:
+        chol = np.linalg.cholesky(q)
+        np.linalg.cholesky(np.eye(len(q)) - tau * (chol.T @ a_plus @ chol))
+    except np.linalg.LinAlgError:
+        raise DualNotSubcritical(
+            f"tilted system at t={t} is not subcritical past {tau}; "
+            "fixed-point solution is inconsistent"
+        ) from None
 
 
 def integrate_subcritical(
@@ -144,15 +143,22 @@ def integrate_subcritical(
     t_end: float,
     outputs=None,
 ) -> MomentState | list[MomentState]:
-    """Moments at ``t_end`` by the closed form of the moment flow, in the
-    modes of the gelation eigenproblem of ``state0.q`` (:func:`_modal_flow`).
-    Raises ExplosionReached when ``t_end`` is that close to the pole.  With
-    ``outputs`` given, returns the states at those times instead of just
-    the final state.
+    """Moments at ``t_end`` by the closed form of the moment flow
+    (:func:`_flow`).  ExplosionReached once ``1 - s r`` is at most
+    ``_POLE_GAP``, the one blowup rule, with ``s = t_end - t0`` and ``r``
+    the spectral radius of ``state0.q``, which no unit of a coordinate
+    changes.  With ``outputs`` given, returns the states at those times
+    instead of just the final state.
     """
-    check_times([t_end], state0.t)
+    (t_end,) = check_times([t_end], state0.t)
     times = check_times([] if outputs is None else outputs, state0.t, t_end)
-    states = _modal_flow(state0, _gelation(sys, state0.q), [t_end, *times])
+    radius = _gelation(sys, state0.q).radius
+    if 1.0 - (t_end - state0.t) * radius <= _POLE_GAP:
+        raise ExplosionReached(
+            f"second moments blow up at t={state0.t + 1.0 / radius},"
+            f" not after requested t={t_end}"
+        )
+    states = [_flow(sys, state0, t) for t in [t_end, *times]]
     return states[0] if outputs is None else states[1:]
 
 
@@ -199,17 +205,18 @@ def explosion_time(
 ) -> float:
     """Blowup time of the moment ODE, found by stepping its Taylor series.
 
-    Runs until the peak ``|Y|`` entry has grown a million-fold
+    Runs until the peak entry of ``|Y~|`` has grown a million-fold
     (``_POLE_GROWTH``) over the start's, then fits the exact first-order
     pole, ``1/peak = a (T - t) + b (T - t)^2 + O((T - t)^3)``: a quadratic
     in ``t - t_last`` through the steps within two decades
     (``_POLE_WINDOW``) of the last peak, at least the last four, whose real
     root nearest 0 puts ``T``.  There ``T - t`` is below about ``1e-4 T``,
-    so the dropped term is about ``1e-12`` relative.  It steps the
-    normalised flow ``dY~/dtau = Y~ A_hat Y~`` from ``Y~0 = Y0 / max|Y0|`` in
-    ``tau = max|Y0| (t - t0)`` by :func:`_series_step`, each step a quarter
-    of the way to the pole, so the run takes about 50 steps and the result
-    follows any rescaling of the coordinates up to the double range.
+    so the dropped term is about ``1e-12`` relative.  ``Y~ = D^-1 Y D^-1``,
+    ``D = sqrt(diag Y0)`` (1 where an entry is 0), has the same flow under
+    ``D A_hat D``, stepped in units of that matrix's largest entry by
+    :func:`_series_step`, each step a quarter of the way to the pole, so
+    the run takes about 50 steps and the result follows any unit of each
+    coordinate up to the double range.
     ``rtol`` bounds the series' last term in each step, relative to the
     state; above about ``1e-12`` the quarter radius is the tighter bound.
     Deliberately makes no use of the spectral formula, the closed form or
@@ -220,17 +227,21 @@ def explosion_time(
     """
     if not rtol > 0.0:
         raise ValueError(f"rtol must be positive, got {rtol}")
-    peak0 = float(np.abs(state0.y).max())
+    unit = np.sqrt(state0.y.diagonal())
+    unit[unit == 0.0] = 1.0
+    y = state0.y / unit[:, None] / unit
+    peak0 = float(np.abs(y).max())
     if not 0.0 < peak0 < np.inf:
         raise NumericError(
             f"starting second moments peak at {peak0}; no pole to integrate to"
         )
-    a_hat = _a_hat(sys)
-    y, tau = state0.y / peak0, 0.0
+    b = unit[:, None] * _a_hat(sys) * unit
+    lam = float(np.abs(b).max())
+    b, tau = b / lam, 0.0
     ts: list[float] = []
     peaks: list[float] = []
     for _ in range(_SERIES_STEPS):
-        y, h = _series_step(y, a_hat, rtol)
+        y, h = _series_step(y, b, rtol)
         if not h < math.inf:
             break
         tau += h
@@ -239,7 +250,7 @@ def explosion_time(
         if (np.abs(sym) > d[:, None] * d * (1.0 + _CS_SLACK) + 1e-300).any():
             raise NumericError(
                 f"Cauchy-Schwarz violated in the second moments at"
-                f" t={state0.t + tau / peak0}; integration unreliable"
+                f" t={state0.t + tau / lam}; integration unreliable"
             )
         # each step's peak entry, kept for the pole fit
         ts.append(tau)
@@ -264,7 +275,7 @@ def explosion_time(
     h = -0.5 * (c1 + np.copysign(np.sqrt(disc), c1)) if disc >= 0.0 else 0.0
     if h == 0.0:
         raise NumericError("pole fit failed: 1/moments has no real root")
-    return float(state0.t + (ts[-1] + c0 / h) / peak0)
+    return float(state0.t + (ts[-1] + c0 / h) / lam)
 
 
 def supercritical_moments(
@@ -276,10 +287,11 @@ def supercritical_moments(
     """Sol-phase second moments after gelation, via the duality tilt.
 
     Thin the initial measure by the survival probabilities at time t,
-    verify the tilted system gels later than t by at least half of
-    ``t - t_g`` (its gap is about ``t - t_g``), then evaluate the ordinary
-    moment flow from the tilted moments up to t.  ``spectral`` is the
-    measure's own gelation result, solved here when not given.
+    verify that the tilted flow stays finite past ``t + (t - t_g) / 2``
+    (its gap is about ``t - t_g``) by :func:`_check_subcritical`, then
+    evaluate the closed form of the flow from the tilted moments at t.
+    ``spectral`` is the measure's own gelation result, solved here when not
+    given.
     """
     if spectral is None:
         spectral = gelation(sys, measure)
@@ -295,16 +307,12 @@ def _dual(
     sys: BilinearSystem, measure: AtomicMeasure, t: float, c: np.ndarray, t_g: float
 ) -> MomentState:
     """Sol moments at t from the fixed point ``c`` at t: the moment flow of
-    the tilted measure, once its gelation time is checked to be past t."""
+    the tilted measure, once it is checked to stay finite past t."""
     tilted = measure._tilted(-np.expm1(-(measure.coords[:, 1 : 1 + sys.n] @ c)))
-    modes = gelation(sys, tilted)
+    state0 = initial_state(tilted)
     # the tilted gap is about t - t_g, so the margin scales with it
-    if modes.t_g - t <= 0.5 * (t - t_g):
-        raise DualNotSubcritical(
-            f"tilted system gels at {modes.t_g}, not after requested t={t}; "
-            "fixed-point solution is inconsistent"
-        )
-    return _modal_flow(initial_state(tilted), modes, [t])[0]
+    _check_subcritical(sys.a_plus, state0.q, t, t + 0.5 * (t - t_g))
+    return _flow(sys, state0, t)
 
 
 def moments_at(
@@ -340,10 +348,10 @@ def gel_growth_ode(
     ``M = I - t A_hat G`` and Cauchy products, with no eigenproblem and no
     tilted :func:`gelation`.  DualNotSubcritical at the first state whose
     tilted system is not subcritical past ``t + (t - t_g) / 2`` (its gap is
-    about ``t - t_g``): with ``G+ = C C^T``, ``I - tau C^T A+ C`` has no
-    Cholesky factor.  Starts at ``t_g (1 + 1e-3)``, or halfway to ``t_to``
-    if sooner, from the fixed-point gel (the one fixed-point solve), and
-    drops outputs before that start.  The second, independent gel curve.
+    about ``t - t_g``), by :func:`_check_subcritical` on ``G+``.  Starts at
+    ``t_g (1 + 1e-3)``, or halfway to ``t_to`` if sooner, from the
+    fixed-point gel (the one fixed-point solve), and drops outputs before
+    that start.  The second, independent gel curve.
     """
     given = check_times([t_to, *([] if outputs is None else outputs)])
     spectral = gelation(sys, measure)
@@ -363,15 +371,7 @@ def gel_growth_ode(
         x0 = plus @ (t * f0)
         e0 = np.exp(-x0)
         gram = (cols.T * (w * e0)) @ cols
-        tau = t + 0.5 * (t - t_g)
-        try:
-            chol = np.linalg.cholesky(gram[1:, 1:])
-            np.linalg.cholesky(np.eye(n) - tau * (chol.T @ a_plus @ chol))
-        except np.linalg.LinAlgError:
-            raise DualNotSubcritical(
-                f"tilted system at t={t} is not subcritical past {tau}; "
-                "fixed-point solution is inconsistent"
-            ) from None
+        _check_subcritical(a_plus, gram[1:, 1:], t, t + 0.5 * (t - t_g))
         n0 = np.linalg.inv(np.eye(1 + n) - t * a_hat @ gram)
         s0 = gram @ n0
         dy = s0[:, 1:] @ f0

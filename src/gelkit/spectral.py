@@ -6,8 +6,7 @@ second-moment (Gram) matrix of the conserved coordinates under the initial
 measure.  ``L`` is entrywise nonnegative, similar to the symmetric matrix
 ``L_chol^T A_plus L_chol`` (Cholesky ``Q = L_chol L_chol^T``), so its
 spectral radius ``r`` is its largest eigenvalue and has a single-signed
-eigenvector.  Gelation happens at ``t_g = 1 / r``.  The eigenvectors ``U``
-of that matrix give the modes ``W = L_chol U`` of the moment flow.
+eigenvector.  Gelation happens at ``t_g = 1 / r``.
 """
 
 from __future__ import annotations
@@ -17,9 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateMeasure, NoConvergence, NumericError, SchemaError
-from .system import AtomicMeasure, BilinearSystem, gram_plus
+from .system import _GRAM_TOL, AtomicMeasure, BilinearSystem, _correlation_ratio, gram_plus
 
-_GRAM_TOL = 1e-9
 _RESIDUAL_TOL = 1e-10
 _TINY = np.finfo(float).tiny
 
@@ -36,27 +34,23 @@ def criticality_matrix(sys: BilinearSystem, measure: AtomicMeasure) -> np.ndarra
 def _criticality(sys: BilinearSystem, q: np.ndarray) -> np.ndarray:
     """:func:`criticality_matrix` from the Gram matrix ``q``; DegenerateMeasure
     unless its correlation matrix, free of units, is well conditioned."""
-    d = np.sqrt(q.diagonal())
-    eigs = np.linalg.eigvalsh(q / np.outer(d, d)) if d.all() else np.zeros(1)
-    if eigs[-1] <= 0.0 or eigs[0] <= _GRAM_TOL * eigs[-1]:
+    ratio = _correlation_ratio(q)
+    if not ratio > _GRAM_TOL:
         raise DegenerateMeasure(
             "conserved coordinates are linearly dependent under the measure "
-            f"(Gram eigenvalue ratio {eigs[0] / max(eigs[-1], 1e-300):.3e})"
+            f"(correlation eigenvalue ratio {ratio:.3e})"
         )
     return sys.a_plus @ q
 
 
 @dataclass(frozen=True)
 class SpectralResult:
-    """Criticality matrix, Perron data, gelation time, and the moment flow's
-    modes: ``sigma`` ascending, ``Q = w w^T``, ``w^T A_plus w = diag(sigma)``."""
+    """Criticality matrix, Perron data and gelation time."""
 
     lambda_matrix: np.ndarray
     radius: float
     psi: np.ndarray
     t_g: float
-    sigma: np.ndarray
-    w: np.ndarray
 
 
 def spectral_radius(
@@ -146,14 +140,7 @@ def _gelation(sys: BilinearSystem, q: np.ndarray) -> SpectralResult:
     residual = float(np.linalg.norm(lam_mat @ psi - radius * psi))
     if not residual <= _RESIDUAL_TOL * max(1.0, radius * float(np.abs(psi).max())):
         raise NumericError(f"eigenpair residual {residual:.3e} out of tolerance")
-    return SpectralResult(
-        lambda_matrix=lam_mat,
-        radius=radius,
-        psi=psi,
-        t_g=1.0 / radius,
-        sigma=eigvals,
-        w=chol @ eigvecs,
-    )
+    return SpectralResult(lam_mat, radius, psi, 1.0 / radius)
 
 
 def gelation_time(sys: BilinearSystem, measure: AtomicMeasure) -> float:

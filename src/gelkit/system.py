@@ -38,6 +38,8 @@ from .errors import NegativeRate, SchemaError
 COORD_TOL = 1e-9
 
 _SYMMETRY_TOL = 1e-12
+# the least eigenvalue ratio of a nondegenerate correlation matrix
+_GRAM_TOL = 1e-9
 
 _FLOAT_MAX = float(np.finfo(float).max)
 
@@ -206,8 +208,8 @@ def check_times(values, start: float = 0.0, end: float = math.inf) -> list[float
 
 def _same_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Rowwise: equal ``pi0`` and every other coordinate within
-    :data:`COORD_TOL`, relative with a floor of 1."""
-    scale = np.maximum(1.0, np.maximum(np.abs(a[:, 1:]), np.abs(b[:, 1:])))
+    :data:`COORD_TOL` of the pair's larger ``|x|``, relative with no floor."""
+    scale = np.maximum(np.abs(a[:, 1:]), np.abs(b[:, 1:]))
     close = np.abs(a[:, 1:] - b[:, 1:]) <= COORD_TOL * scale
     return (a[:, 0] == b[:, 0]) & close.all(axis=1)
 
@@ -219,7 +221,8 @@ class AtomicMeasure:
     ``coords`` holds one atom per row in the array convention, ``weight_array``
     its strictly positive weights, and ``n`` the number of conserved
     coordinates.  Rows must be distinct: two rows with equal ``pi0`` whose
-    other coordinates agree within :data:`COORD_TOL` are one atom.  The
+    other coordinates agree within :data:`COORD_TOL`, relative to the
+    larger ``|x|`` of the pair, are one atom, in any unit of each column.  The
     check sorts the rows and compares neighbours, so it is exact for rows
     that are equal or farther apart than the tolerance.
     """
@@ -284,8 +287,8 @@ class AtomicMeasure:
     def mirror_symmetric(self) -> bool:
         """Hypothesis A1: negating the sign-odd coordinates of any atom gives
         an atom of the measure, one atom under the distinctness rule, whose
-        weight is within ``COORD_TOL max(1, w)`` of its own.  True when there
-        are no sign-odd coordinates.
+        weight is within ``COORD_TOL`` times the larger of the two weights of
+        its own.  True when there are no sign-odd coordinates.
 
         Sorted together with the atoms, a reflection lands next to the atom
         that matches it unless noise below the tolerance sorts them apart;
@@ -298,7 +301,7 @@ class AtomicMeasure:
         w = np.tile(self.weight_array, 2)
 
         def match(a, b):  # reflections a against atoms b
-            close = np.abs(w[b] - w[a]) <= COORD_TOL * np.maximum(1.0, w[a])
+            close = np.abs(w[b] - w[a]) <= COORD_TOL * np.maximum(w[a], w[b])
             return close & _same_rows(rows[a], rows[b])
 
         order = np.lexsort(rows.T[::-1])
@@ -309,10 +312,10 @@ class AtomicMeasure:
         rest = np.flatnonzero(~matched)
         if not rest.size:
             return True
-        # every atom that matches a reflection lies in this max-norm ball,
-        # so in its slab on the coordinate of widest spread
-        radius = 2.0 * COORD_TOL * np.maximum(1.0, np.abs(rows[rest, 1:]).max(axis=1))
+        # every atom that matches a reflection lies in its slab on the
+        # coordinate of widest spread, twice the tolerance wide against rounding
         j = int(np.argmax(np.ptp(self.coords, axis=0)))
+        radius = 2.0 * COORD_TOL * np.abs(rows[rest, j])
         by = np.argsort(self.coords[:, j], kind="stable")
         key = self.coords[by, j]
         lo = np.searchsorted(key, rows[rest, j] - radius, side="left")
@@ -408,6 +411,14 @@ def gram_plus(measure: AtomicMeasure) -> np.ndarray:
     return measure._gram_plus
 
 
+def _correlation_ratio(q: np.ndarray) -> float:
+    """Least over largest eigenvalue of the correlation matrix of the Gram
+    matrix ``q``, free of units; 0 where a diagonal entry of ``q`` is 0."""
+    d = np.sqrt(q.diagonal())
+    eigs = np.linalg.eigvalsh(q / np.outer(d, d)) if d.all() else np.zeros(1)
+    return float(eigs[0] / eigs[-1]) if eigs[-1] > 0.0 else 0.0
+
+
 def first_moments(measure: AtomicMeasure) -> np.ndarray:
     """Vector of first moments ``<coord_i>`` for all 1+n+m coordinates."""
     return measure.weight_array @ measure.coords
@@ -423,7 +434,7 @@ class HypothesisReport:
     irreducible: bool  # A4: one component under positive merge rates
     unit_absorbed_count: bool  # A5: pi0 == 1 everywhere
     point_mass: bool
-    gram_eigenvalue_ratio: float
+    gram_eigenvalue_ratio: float  # of the correlation matrix, free of units
     max_third_moment: float
     components: int
 
@@ -448,7 +459,9 @@ def check_hypotheses(sys: BilinearSystem, measure: AtomicMeasure) -> HypothesisR
     strictly positive merge rates.  A single atom counts as
     irreducible when its self-rate is positive (the dynamics are then
     nondegenerate even though the measure is a point mass; the point-mass
-    flag is reported separately).  Tolerances are :data:`COORD_TOL`.
+    flag is reported separately).  No verdict reads the units: A3 is the
+    correlation test of :func:`gelation`, and A4 cuts rates at
+    :data:`COORD_TOL` times the largest.
     """
     k = len(measure)
     if k == 0:
@@ -458,11 +471,8 @@ def check_hypotheses(sys: BilinearSystem, measure: AtomicMeasure) -> HypothesisR
     c = np.abs(measure.coords[:, 1:])
     max_third = float((measure.weight_array @ c**3).max()) if c.size else 0.0
 
-    # A3: Gram matrix of the conserved coordinates nondegenerate.
-    q = gram_plus(measure)
-    eigs = np.linalg.eigvalsh(q)
-    ratio = float(eigs[0] / eigs[-1]) if eigs[-1] > 0 else 0.0
-    gram_ok = ratio > COORD_TOL
+    # A3: Gram matrix of the conserved coordinates nondegenerate, as gelation tests it
+    ratio = _correlation_ratio(gram_plus(measure))
 
     # A4: connectivity under positive merge rates, a block of rows at a
     # time against the rows from the block's first on: one pass for the
@@ -479,7 +489,7 @@ def check_hypotheses(sys: BilinearSystem, measure: AtomicMeasure) -> HypothesisR
         return pair_rates(sys, x[a : a + step, None], x[None, a:])[0]
 
     top = max(float(rates(a).max()) for a in starts)
-    cut = COORD_TOL * max(1.0, top)
+    cut = COORD_TOL * top
     labels, components = np.arange(k), k
     for a in starts:
         if components == 1:
@@ -492,7 +502,7 @@ def check_hypotheses(sys: BilinearSystem, measure: AtomicMeasure) -> HypothesisR
     return HypothesisReport(
         mirror_symmetric=measure.mirror_symmetric,
         third_moments_finite=True,
-        gram_nondegenerate=gram_ok,
+        gram_nondegenerate=ratio > _GRAM_TOL,
         irreducible=irreducible,
         unit_absorbed_count=bool((measure.coords[:, 0] == 1.0).all()),
         point_mass=point_mass,

@@ -29,14 +29,31 @@ def bordered(t, q, z):
     return gk.MomentState(t, np.vstack((z, np.column_stack((z[1:], q)))))
 
 
+def dop853_flow(sys_, state0, times):
+    """``Y`` at ``times`` by a DOP853 integration of moment_rhs from
+    ``state0``; TEST ORACLE ONLY, independent of the closed form."""
+    n = state0.n
+
+    def rhs(t, y):
+        state = bordered(t, y[: n * n].reshape(n, n), y[n * n :])
+        dq, dz = gk.moment_rhs(sys_, state)
+        return np.concatenate((dq.ravel(), dz))
+
+    sol = solve_ivp(
+        rhs, (state0.t, times[-1]), np.concatenate((state0.q.ravel(), state0.z)),
+        method="DOP853", rtol=1e-12, atol=1e-14, t_eval=times,
+    )
+    return [bordered(t, y[: n * n].reshape(n, n), y[n * n :]) for t, y in zip(times, sol.y.T)]
+
+
 class TestSubcritical:
     def test_multiplicative_anchor(self, mult):
         sys_, meas = mult
         st = gk.integrate_subcritical(sys_, gk.initial_state(meas), 0.5)
-        assert st.q[0, 0] == pytest.approx(2.0, rel=1e-9)
-        assert st.z[0] == pytest.approx(2.0, rel=1e-9)
-        assert st.z[1] == pytest.approx(2.0, rel=1e-9)
-        assert st.total_second_moment == pytest.approx(8.0, rel=1e-9)
+        assert st.q[0, 0] == pytest.approx(2.0, rel=1e-9, abs=0.0)
+        assert st.z[0] == pytest.approx(2.0, rel=1e-9, abs=0.0)
+        assert st.z[1] == pytest.approx(2.0, rel=1e-9, abs=0.0)
+        assert st.total_second_moment == pytest.approx(8.0, rel=1e-9, abs=0.0)
 
     def test_against_resolvent_oracle(self, kac):
         sys_, meas = kac
@@ -75,27 +92,16 @@ class TestSubcritical:
         # which checks z as well as Q
         sys_, meas = request.getfixturevalue(preset)
         s0 = gk.initial_state(meas)
-        n = s0.n
         t_g = gk.gelation_time(sys_, meas)
-
-        def rhs(t, y):
-            state = bordered(t, y[: n * n].reshape(n, n), y[n * n :])
-            dq, dz = gk.moment_rhs(sys_, state)
-            return np.concatenate((dq.ravel(), dz))
-
         times = [0.3 * t_g, 0.6 * t_g, 0.9 * t_g]
-        sol = solve_ivp(
-            rhs, (0.0, times[-1]), np.concatenate((s0.q.ravel(), s0.z)),
-            method="DOP853", rtol=1e-12, atol=1e-14, t_eval=times,
-        )
         states = gk.integrate_subcritical(sys_, s0, times[-1], outputs=times)
-        for st, y in zip(states, sol.y.T, strict=True):
-            assert np.allclose(st.q.ravel(), y[: n * n], rtol=1e-8, atol=0)
-            assert np.allclose(st.z, y[n * n :], rtol=1e-8, atol=0)
+        for st, ref in zip(states, dop853_flow(sys_, s0, times), strict=True):
+            assert np.allclose(st.q, ref.q, rtol=1e-8, atol=0)
+            assert np.allclose(st.z, ref.z, rtol=1e-8, atol=0)
 
     @pytest.mark.parametrize("preset", ["bidi", "kac"])
     def test_near_pole_against_mpmath(self, preset, request):
-        # the modal form loses only the digits of 1 - t / t_g
+        # the resolvent loses only the digits of 1 - t / t_g
         mpmath = pytest.importorskip("mpmath")
         sys_, meas = request.getfixturevalue(preset)
         s0 = gk.initial_state(meas)
@@ -112,9 +118,10 @@ class TestSubcritical:
                 assert err < 10 * 2.2e-16 / (1 - f)
 
     def test_past_gelation_raises(self, mult):
+        # the message prints plain floats, not np.float64(1.0)
         sys_, meas = mult
-        with pytest.raises(ExplosionReached):
-            gk.integrate_subcritical(sys_, gk.initial_state(meas), 1.5)
+        with pytest.raises(ExplosionReached, match=r"at t=1\.0, not after requested t=1\.5$"):
+            gk.integrate_subcritical(sys_, gk.initial_state(meas), np.float64(1.5))
 
 
 class TestExplosionTime:
@@ -193,6 +200,19 @@ class TestExplosionTime:
         zeta = gk.explosion_time(sys_, gk.initial_state(meas))
         assert abs(zeta - t_g) / t_g < 1e-11
 
+    @pytest.mark.parametrize("k", [1e20, 1e60, 1e100, 1e150])
+    def test_per_coordinate_units(self, kac, k):
+        # mass times k and energy over k leave every rate and t_g as they
+        # are; normalising by max|Y0| underflowed the energy block from 1e60
+        sys_, meas = kac
+        t_g = gk.gelation_time(sys_, meas)
+        coords = np.array(meas.coords)
+        coords[:, 1] *= k
+        coords[:, 2] /= k
+        meas = gk.AtomicMeasure(coords, meas.weight_array, meas.n)
+        assert abs(gk.gelation_time(sys_, meas) - t_g) / t_g < 1e-11
+        assert abs(gk.explosion_time(sys_, gk.initial_state(meas)) - t_g) / t_g < 1e-11
+
     @pytest.mark.parametrize("preset", ["mult", "bidi", "kac"])
     def test_stops_six_decades_in(self, preset, request, monkeypatch):
         # a second-order fit lets the run stop at a 1e6 growth, and each
@@ -219,7 +239,7 @@ class TestExplosionTime:
 
         monkeypatch.setattr(spectral, "_gelation", refused)
         monkeypatch.setattr(moments, "_gelation", refused)
-        monkeypatch.setattr(moments, "_modal_flow", refused)
+        monkeypatch.setattr(moments, "_flow", refused)
         for name in ("eigh", "eigvalsh", "cholesky", "solve", "inv"):
             monkeypatch.setattr(np.linalg, name, refused)
         zeta = gk.explosion_time(sys_, state0)
@@ -273,7 +293,7 @@ class TestPackedRhs:
 
 class TestSupercritical:
     def test_dual_builds_the_tilted_gram_once(self, kac, monkeypatch):
-        # the tilted gelation check and the tilted flow share one Gram matrix
+        # the tilted margin check and the tilted flow share one Gram matrix
         sys_, meas = kac
         t_g = gk.gelation_time(sys_, meas)
         c = gk.solve_fixed_point(sys_, meas, 1.5 * t_g).c
@@ -287,14 +307,41 @@ class TestSupercritical:
         moments._dual(sys_, meas, 1.5 * t_g, c, t_g)
         assert grams.count(True) == 1
 
+    @pytest.mark.parametrize("f", [1.2, 2.0])
+    @pytest.mark.parametrize("preset", ["mult", "bidi", "kac"])
+    def test_against_dop853_integration(self, preset, f, request):
+        # the closed form against an independent integration of moment_rhs
+        # from the tilted initial state
+        sys_, meas = request.getfixturevalue(preset)
+        t = f * gk.gelation_time(sys_, meas)
+        s0 = gk.initial_state(gk.tilted_measure(sys_, meas, t))
+        (ref,) = dop853_flow(sys_, s0, [t])
+        st = gk.supercritical_moments(sys_, meas, t)
+        np.testing.assert_allclose(st.y, ref.y, rtol=1e-8, atol=0)
+
+    @pytest.mark.parametrize("preset", ["mult", "bidi", "kac"])
+    def test_no_eigenproblem_given_the_spectral_result(self, preset, request, monkeypatch):
+        # the tilted margin is a Cholesky factor, not a tilted gelation
+        sys_, meas = request.getfixturevalue(preset)
+        given = gk.gelation(sys_, meas)
+        calls, eigh = [], np.linalg.eigh
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        gk.supercritical_moments(sys_, meas, 1.5 * given.t_g, spectral=given)
+        assert calls == []
+
     def test_dual_anchor(self, mult):
         sys_, meas = mult
         st = gk.supercritical_moments(sys_, meas, 2.0)
         # oracle: the tilted system is again scalar, so the resolvent applies
         tilted_mass = 1.0 - gk.gel_data(sys_, meas, 2.0).mass
         oracle = tilted_mass / (1.0 - 2.0 * tilted_mass)
-        assert st.q[0, 0] == pytest.approx(oracle, rel=1e-8)
-        assert st.q[0, 0] == pytest.approx(0.342283635738, rel=1e-9)
+        assert st.q[0, 0] == pytest.approx(oracle, rel=1e-8, abs=0.0)
+        assert st.q[0, 0] == pytest.approx(0.342283635738, rel=1e-9, abs=0.0)
 
     def test_subcritical_time_rejected(self, mult):
         sys_, meas = mult
@@ -320,9 +367,9 @@ class TestSupercritical:
         assert 1e-3 * 10.0**k < st.q.max() < 1e3 * 10.0**k
 
     def test_near_critical_blowup(self, request):
-        # one blowup rule, 1 - t sigma_max <= 1e-12, on every preset: the sol
-        # a decade closer past t_g stays finite, and so does the flow a decade
-        # closer below it, but not within 5e-13 of t_g
+        # one blowup rule, 1 - t r <= 1e-12 with r the spectral radius, on
+        # every preset: the sol a decade closer past t_g stays finite, and so
+        # does the flow a decade closer below it, but not within 5e-13 of t_g
         for preset in ("mult", "bidi", "kac"):
             sys_, meas = request.getfixturevalue(preset)
             t_g = gk.gelation_time(sys_, meas)
@@ -389,7 +436,7 @@ class TestGelGrowth:
         m2 = mult_growth[2][1].mass
         slope = (m2 - m) / 0.01
         expect = m * (1.0 - m) / (1.0 - 2.0 * (1.0 - m))
-        assert slope == pytest.approx(expect, rel=2e-2)
+        assert slope == pytest.approx(expect, rel=2e-2, abs=0.0)
 
     def test_kinetic_gel_growth_positive(self, kac):
         sys_, meas = kac

@@ -137,7 +137,8 @@ def grid_measure(draw):
     """Layout, rows and weights on a coarse grid: rows are equal or differ
     by far more than COORD_TOL, and about half the draws add each row's
     reflection with the same weight, its first plus coordinate moved by a
-    shift below the tolerance where the reflection is a new row."""
+    shift of 1e-13 where the reflection is a new row, which is below the
+    tolerance unless that coordinate is 0."""
     n = draw(st.integers(1, 2))
     m = draw(st.integers(0, 2))
     k = draw(st.integers(1, 5))
@@ -160,9 +161,10 @@ def grid_measure(draw):
 
 
 def _close_pair(a, b) -> bool:
-    """The pairwise rule: equal pi0, other coordinates within COORD_TOL."""
+    """The pairwise rule: equal pi0, other coordinates within COORD_TOL of
+    the pair's larger magnitude, with no floor."""
     return a[0] == b[0] and all(
-        abs(p - q) <= 1e-9 * max(1.0, abs(p), abs(q)) for p, q in zip(a[1:], b[1:])
+        abs(p - q) <= 1e-9 * max(abs(p), abs(q)) for p, q in zip(a[1:], b[1:])
     )
 
 
@@ -210,7 +212,7 @@ class TestMeasureChecks:
         symmetric = all(
             any(
                 _close_pair(mirror[i], rows[j])
-                and abs(weights[j] - weights[i]) <= 1e-9 * max(1.0, weights[i])
+                and abs(weights[j] - weights[i]) <= 1e-9 * max(weights[i], weights[j])
                 for j in range(len(rows))
             )
             for i in range(len(rows))
@@ -233,7 +235,7 @@ class TestMeasureChecks:
             symmetric = all(
                 any(
                     _close_pair(mirror[i], rows[j])
-                    and abs(weights[j] - weights[i]) <= 1e-9 * max(1.0, weights[i])
+                    and abs(weights[j] - weights[i]) <= 1e-9 * max(weights[i], weights[j])
                     for j in range(len(rows))
                 )
                 for i in range(len(rows))
@@ -293,7 +295,7 @@ class TestIrreducibility:
         sys_, meas = case
         x = meas.coords[:, 1:]
         rates = x @ sys_.block @ x.T
-        adj = rates > 1e-9 * max(1.0, float(rates.max()))
+        adj = rates > 1e-9 * float(rates.max())
         components = int(connected_components(adj, directed=False)[0])
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(system, "_RATE_BLOCK", block)

@@ -31,7 +31,7 @@ class TestGelation:
         sys_, meas = kac
         t1 = gk.gelation_time(sys_, meas)
         t2 = gk.gelation_time(sys_.scaled(2.0), meas)
-        assert t2 == pytest.approx(t1 / 2.0, rel=1e-14)
+        assert t2 == pytest.approx(t1 / 2.0, rel=1e-14, abs=0.0)
 
     def test_criticality_matrix_kinetic(self, kac):
         sys_, meas = kac
@@ -50,7 +50,7 @@ class TestGelation:
         spec = gk.gelation(sys_, meas)
         lam = gk.criticality_matrix(sys_, meas)
         radius, vector = gk.spectral_radius(lam)
-        assert radius == pytest.approx(spec.radius, rel=1e-8)
+        assert radius == pytest.approx(spec.radius, rel=1e-8, abs=0.0)
         assert np.all(vector > 0.0)
 
     def test_power_iteration_scalar(self):

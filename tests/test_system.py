@@ -245,12 +245,13 @@ class TestAtomicMeasure:
         assert thinned.total_mass == pytest.approx(0.5)
 
     def test_mirror_weights_compared_within_tolerance(self, kac):
+        # relative to the larger weight of the pair: the weights are 0.25
         _, meas = kac
         assert meas.mirror_symmetric
         w = meas.weight_array.copy()
-        w[0] += 0.5e-9
+        w[0] += 0.5e-9 * 0.25
         assert gk.AtomicMeasure(meas.coords, w, 2).mirror_symmetric
-        w[0] += 1e-9
+        w[0] += 1e-9 * 0.25
         assert not gk.AtomicMeasure(meas.coords, w, 2).mirror_symmetric
 
     def test_reflection_matched_within_tolerance(self):
@@ -268,6 +269,21 @@ class TestAtomicMeasure:
         half = gk.AtomicMeasure(meas.coords[::2], meas.weight_array[::2], 2)
         assert not half.mirror_symmetric
         assert gk.AtomicMeasure(rows([1, 1.0]), [1.0], 1).mirror_symmetric
+
+    def test_atoms_distinct_across_decades(self):
+        # each entry is compared with its partner only, so a large atom in
+        # the column does not merge the small ones
+        meas = gk.AtomicMeasure(rows([1, 1.0], [1, 2.0], [1, 1e10]), [1, 1, 1], 1)
+        assert len(meas) == 3
+        grid = np.logspace(0.0, 8.0, 1500)
+        sizes = gk.AtomicMeasure(np.column_stack([np.ones(1500), grid]), np.ones(1500), 1)
+        assert len(sizes) == 1500
+
+    def test_small_par_is_not_its_own_reflection(self):
+        coords = rows([1, 1, 1e-3], [1, 2, 1e7], [1, 2, -1e7])
+        assert not gk.AtomicMeasure(coords, [1, 1, 1], 1).mirror_symmetric
+        whole = np.vstack([coords, [1, 1, -1e-3]])
+        assert gk.AtomicMeasure(whole, [1, 1, 1, 1], 1).mirror_symmetric
 
     def test_moment_anchors(self, mult):
         _, meas = mult
@@ -570,7 +586,7 @@ def _unit(g, k):
 
 
 def _spectral(res, r, k):
-    return [np.array([res.t_g * r * k * k]), res.psi * k, res.sigma / (r * k * k)]
+    return [np.array([res.t_g * r * k * k]), res.psi * k]
 
 
 def _curve(rows, n, k):
@@ -714,13 +730,13 @@ class TestScaleCovariance:
         a_plus = sys_.a_plus / np.outer(d, d)
         unit_sys = gk.BilinearSystem(2, sys_.m, a_plus, sys_.a_par)
         t_g = gk.gelation_time(sys_, meas)
-        assert gk.gelation_time(unit_sys, unit) == pytest.approx(t_g, rel=1e-12)
+        assert gk.gelation_time(unit_sys, unit) == pytest.approx(t_g, rel=1e-12, abs=0.0)
         for t in (0.7 * t_g, 1.5 * t_g):
             st0, _ = gk.moments_at(sys_, meas, t)
             st1, _ = gk.moments_at(unit_sys, unit, t)
             np.testing.assert_allclose(st1.q, st0.q * np.outer(d, d), rtol=1e-12)
             m0 = gk.gel_data(sys_, meas, t).mass
-            assert gk.gel_data(unit_sys, unit, t).mass == pytest.approx(m0, rel=1e-12)
+            assert gk.gel_data(unit_sys, unit, t).mass == pytest.approx(m0, rel=1e-12, abs=0.0)
 
 
 class TestUnitFreeVerdicts:
@@ -741,3 +757,35 @@ class TestUnitFreeVerdicts:
         radius, _ = gk.spectral_radius(gk.criticality_matrix(sys_, scaled))
         want = gk.gelation(sys_, scaled).radius
         assert radius == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("k", [1e-5, 1e-150])
+    @pytest.mark.parametrize("preset", ["mult", "bidi", "kac"])
+    def test_small_units_keep_every_verdict(self, preset, k, request):
+        # a floor of 1 made the atoms of bidisperse one atom at 1e-9 and
+        # every preset reducible at 1e-5
+        sys_, meas = request.getfixturevalue(preset)
+        scaled = _scaled_measure(meas, k)
+        assert len(scaled) == len(meas) and scaled.mirror_symmetric
+        want, got = gk.check_hypotheses(sys_, meas), gk.check_hypotheses(sys_, scaled)
+        assert got.all_pass and got.irreducible and got.components == want.components
+        assert got.gram_eigenvalue_ratio == pytest.approx(want.gram_eigenvalue_ratio, rel=1e-12, abs=0.0)
+
+    def test_gram_verdict_per_coordinate_units(self, kac):
+        # the eigenvalues of Q itself put this measure at a ratio of 6e-12,
+        # while gelation_time holds
+        sys_, meas = kac
+        coords = np.array(meas.coords)
+        coords[:, 1] *= 1e3
+        coords[:, 2] *= 1e-3
+        scaled = gk.AtomicMeasure(coords, meas.weight_array, meas.n)
+        want, got = gk.check_hypotheses(sys_, meas), gk.check_hypotheses(sys_, scaled)
+        assert got.gram_nondegenerate and got.all_pass
+        assert got.gram_eigenvalue_ratio == pytest.approx(want.gram_eigenvalue_ratio, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("unit", [1.0, 1e-6, 1e-12])
+    def test_mirror_weights_relative(self, unit):
+        # weights w and 2 w are no mirror pair in any unit; against a floor of
+        # 1 they were one at 1e-12
+        meas = gk.AtomicMeasure([[1, 1, 1], [1, 1, -1]], [unit, 2.0 * unit], 1)
+        assert not meas.mirror_symmetric
+        assert gk.AtomicMeasure(meas.coords, [unit, unit], 1).mirror_symmetric
